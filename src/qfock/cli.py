@@ -399,7 +399,7 @@ def _battery_point(sp) -> dict:
     gaps["fock/gram-path-agreement"] = worst
 
     worst = 0.0
-    for level in range(1, 7):
+    for level in range(1, min(6, N) + 1):
         for sig in sp.blocks_at_level(level):
             G = sp.gram(sig)
             L = sp.gram_chol(sig)
@@ -448,14 +448,16 @@ def _battery_point(sp) -> dict:
     ae = ops.annihilation_letter(sp, E)
     cb = ops.creation_letter(sp, EBAR)
     uE = sp.u[E]
+    # sources up to level 4, below the depth so the creation stays exact
+    top = min(4, N - 1)
     lhs = (ae @ ce) + (-q) * (ce @ ae)
-    g1 = ops.action_gap(lhs, uE * ops.identity(sp), 4)
+    g1 = ops.action_gap(lhs, uE * ops.identity(sp), top)
     lhs = (ae @ cb) + (-q) * (cb @ ae)
-    g2 = ops.action_gap(lhs, ops.zero(sp), 4)
+    g2 = ops.action_gap(lhs, ops.zero(sp), top)
     rce = ops.right_creation_letter(sp, E)
     rae = ops.right_annihilation_letter(sp, E)
     lhs = (rae @ rce) + (-q) * (rce @ rae)
-    g3 = ops.action_gap(lhs, uE * ops.identity(sp), 4)
+    g3 = ops.action_gap(lhs, uE * ops.identity(sp), top)
     gaps["ops/commutation-relation"] = max(g1, g2, g3)
 
     worst = 0.0
@@ -490,7 +492,7 @@ def _battery_point(sp) -> dict:
 
     worst = 0.0
     norm_e = lam ** -0.25
-    for n in range(1, 7):
+    for n in range(1, min(6, N) + 1):
         got = ops.op_norm(ce.power(n), src_level_max=min(6, N - n))
         if q >= 0:
             cap = (norm_e / math.sqrt(1.0 - q)) ** n
@@ -1052,19 +1054,26 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_point(args):
-    qi, li, q, lam, depth, terms, max_words = args
+def _sweep_point(q, lam, depth, terms, max_words, base=None):
+    """One sweep row.  With ``base`` the point runs on
+    ``base.with_lambda(lam)`` and shares its Gram caches; otherwise on a
+    fresh space.  Returns the row and the space used (None if none could
+    be built)."""
     t0 = time.perf_counter()
     row = {"q": q, "lambda": lam, "depth": depth, "threshold": None,
            "analytic_verdict": None, "min_singular": None,
            "sigma_ratio": None, "cosine": None, "status": "ok",
            "runtime_ms": None}
+    sp = None
     try:
-        sp = build_space(q=q, lam=lam, depth=depth,
-                         max_total_words=max_words)
+        if base is None:
+            sp = build_space(q=q, lam=lam, depth=depth,
+                             max_total_words=max_words)
+        else:
+            sp = base.with_lambda(lam)
         cert = limits.invertibility_certificate(
             q, lam, truncations=(depth,),
-            space_factory=lambda _q, _l, _n: sp)
+            space_factory=lambda _q, _l, _n: sp, n_terms=terms)
         row["threshold"] = cert.threshold
         row["analytic_verdict"] = cert.analytic_verdict
         row["min_singular"] = cert.min_singular[0][2]
@@ -1075,7 +1084,21 @@ def _sweep_point(args):
     except Exception as exc:
         row["status"] = f"error:{type(exc).__name__}"
     row["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    return qi, li, row
+    return row, sp
+
+
+def _sweep_q_row(args):
+    """Worker: one q value, every lambda on one space's Gram caches;
+    the first point that builds a space pays for the shared Gram work."""
+    q, lams, depth, terms, max_words = args
+    rows = []
+    base = None
+    for lam in lams:
+        row, sp = _sweep_point(q, lam, depth, terms, max_words, base)
+        if base is None:
+            base = sp
+        rows.append(row)
+    return rows
 
 
 def _sweep_csv(rows) -> str:
@@ -1131,23 +1154,19 @@ def _plot_script(cfg: RunConfig, data_name: str) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    tasks = []
-    for qi, q in enumerate(cfg.q_grid):
-        for li, lam in enumerate(cfg.lam_grid):
-            tasks.append((qi, li, q, lam, cfg.depth, cfg.effective_terms(),
-                          cfg.max_total_words))
+    tasks = [(q, tuple(cfg.lam_grid), cfg.depth, cfg.effective_terms(),
+              cfg.max_total_words) for q in cfg.q_grid if cfg.lam_grid]
 
     if cfg.jobs > 1 and len(tasks) > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=min(cfg.jobs, len(tasks))) as pool:
-                outs = list(pool.map(_sweep_point, tasks))
+                outs = list(pool.map(_sweep_q_row, tasks))
         except OSError:
-            outs = [_sweep_point(t) for t in tasks]
+            outs = [_sweep_q_row(t) for t in tasks]
     else:
-        outs = [_sweep_point(t) for t in tasks]
-    outs.sort(key=lambda t: (t[0], t[1]))
-    rows = [row for _, _, row in outs]
+        outs = [_sweep_q_row(t) for t in tasks]
+    rows = [row for q_rows in outs for row in q_rows]
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

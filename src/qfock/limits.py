@@ -8,8 +8,8 @@ to the caller.
 
 The compression sequence (``t_n_operator``), the inverse-candidate
 series (``s_n_operator`` / ``s_infinity``), and the rank-one witness
-sequence (``z_n_operator``) all act on a shared ``FockSpace``; sweep
-drivers reuse one space per parameter point.
+sequence (``z_n_operator``) all act on a shared ``FockSpace``; the
+sweep shares one space's Gram data across the lambdas of each q.
 """
 
 import math
@@ -169,17 +169,25 @@ def t_eigenvalue(q: float, k: int, n: int) -> float:
     return out
 
 
-def t_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
+def t_n_operator(space: FockSpace, n: int, ladders=None) -> ops.FockOperator:
     """Scaled n-fold annihilation-after-creation of the distinguished
-    letter; level preserving, diagonal on its pure powers."""
+    letter; level preserving, diagonal on its pure powers.
+
+    ``ladders`` is an optional pair of ``ops.power_ladder`` lists, for
+    the annihilation and the creation of the distinguished letter, with
+    at least n rungs each; series over several steps pass shared ones.
+    The operator caches its block results.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > space.depth:
         raise ValueError(f"compression step {n} exceeds depth {space.depth}")
-    ce = ops.creation_letter(space, E)
-    ae = ops.annihilation_letter(space, E)
+    if ladders is None:
+        ladders = (ops.power_ladder(ops.annihilation_letter(space, E), n),
+                   ops.power_ladder(ops.creation_letter(space, E), n))
+    ae_pow, ce_pow = ladders
     scale = (1.0 - space.q) ** n * space.lam ** (n / 2.0)
-    out = scale * (ae.power(n) @ ce.power(n))
+    out = ops.memoized(scale * (ae_pow[n] @ ce_pow[n]))
     out.label = f"T[{n}]"
     return out
 
@@ -352,7 +360,9 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
 
     The compression order at each source block is the largest one the
     depth allows, optionally capped by t_cap; the reported tail bound
-    covers only the dropped series terms.
+    covers only the dropped series terms.  Every power of a letter and
+    every compression step is built once and caches its block results
+    for as long as the series operator lives.
     """
     N = space.depth
     q, lam = space.q, space.lam
@@ -364,20 +374,12 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
     coefs = [fam.c[k] * (1.0 - q) ** k * lam ** (k / 2.0)
              for k in range(K + 1)]
 
-    ae = ops.annihilation_letter(space, E)
-    aeb = ops.annihilation_letter(space, EBAR)
-    ae_pow = [ae.power(k) for k in range(K + 1)]
-    aeb_pow = [aeb.power(k) for k in range(K + 1)]
-    t_ops: dict = {}
-    chains: dict = {}
-
-    def chain(k: int, m: int) -> ops.FockOperator:
-        key = (k, m)
-        if key not in chains:
-            if m not in t_ops:
-                t_ops[m] = t_n_operator(space, m)
-            chains[key] = ae_pow[k] @ t_ops[m] @ aeb_pow[k]
-        return chains[key]
+    m_max = N if t_cap is None else max(min(N, t_cap), 0)
+    ae_pow = ops.power_ladder(ops.annihilation_letter(space, E),
+                              max(K, m_max))
+    aeb_pow = ops.power_ladder(ops.annihilation_letter(space, EBAR), K)
+    ce_pow = ops.power_ladder(ops.creation_letter(space, E), m_max)
+    T = [t_n_operator(space, m, (ae_pow, ce_pow)) for m in range(m_max + 1)]
 
     def act(sig):
         level = sum(sig)
@@ -389,7 +391,8 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
             if t_cap is not None:
                 m = min(m, t_cap)
             m = max(m, 0)
-            for tgt, M in chain(k, m).action(sig).items():
+            chain = ae_pow[k] @ T[m] @ aeb_pow[k]
+            for tgt, M in chain.action(sig).items():
                 add = coefs[k] * M
                 acc[tgt] = acc[tgt] + add if tgt in acc else add
         return acc
@@ -481,14 +484,16 @@ def invertibility_certificate(q: float, lam: float,
                               truncations=(8, 10, 12),
                               window_margin: int = 2,
                               t_cap: int | None = 6,
-                              space_factory=None) -> InvertibilityCertificate:
+                              space_factory=None,
+                              n_terms: int | None = None) -> InvertibilityCertificate:
     """Analytic invertibility data for the limit series at (q, lam),
     plus measured smallest singular values across truncation depths.
 
     The numeric column uses source windows depth - window_margin so the
     window grows with the truncation; q = 0 is allowed but flagged,
     since the threshold there comes from the formula limit rather than
-    the sharp kernel boundary.
+    the sharp kernel boundary.  ``n_terms`` is the series order at every
+    depth (default: half the depth, as in s_infinity).
     """
     fam = d_family(q, j_max=0)
     bc = bound_constants(q)
@@ -517,7 +522,7 @@ def invertibility_certificate(q: float, lam: float,
             space = build_space(q=q, lam=lam, depth=N)
         else:
             space = space_factory(q, lam, N)
-        series = s_infinity(space, t_cap=t_cap)
+        series = s_infinity(space, n_terms=n_terms, t_cap=t_cap)
         window = max(N - window_margin, 0)
         sigma = ops.min_singular(series.op, src_level_max=window)
         sigmas.append((N, window, float(sigma)))

@@ -28,6 +28,8 @@ __all__ = [
     "FockOperator",
     "identity",
     "zero",
+    "memoized",
+    "power_ladder",
     "creation_letter",
     "annihilation_letter",
     "right_creation_letter",
@@ -225,6 +227,24 @@ def identity(space: FockSpace) -> FockOperator:
 
 def zero(space: FockSpace) -> FockOperator:
     return FockOperator(space, lambda sig: {}, reach=0, label="0")
+
+
+def memoized(A: FockOperator) -> FockOperator:
+    """A with its block results cached; the cache lives as long as the
+    returned operator."""
+    return FockOperator(A.space, A._action_fn, reach=A.reach, peak=A.peak,
+                        label=A.label, antilinear=A.antilinear)
+
+
+def power_ladder(A: FockOperator, k_max: int) -> list:
+    """The powers A^0, ..., A^k_max as memoized rungs, each built as
+    A @ (previous rung), which is how FockOperator.power groups its
+    products.  Operators that need several powers of one letter share a
+    ladder, so each chain of products runs once per source block."""
+    rungs = [identity(A.space)]
+    for _ in range(k_max):
+        rungs.append(memoized(A @ rungs[-1]))
+    return rungs
 
 
 # -- creation / annihilation by letters ---------------------------------

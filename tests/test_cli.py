@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from qfock import cli
+from qfock import cli, limits
 from qfock.cli import ConfigError, RunConfig
+from qfock.fock import build_space
 
 
 # -- configuration ------------------------------------------------------
@@ -268,6 +269,51 @@ def test_sweep_records_errors_in_row_and_continues(tmp_path, monkeypatch):
     assert rows[0][8] == "ok"
     assert rows[1][8] == "error:RuntimeError"
     assert rows[1][6] == ""
+
+
+def _json_rows_without_runtime(out_dir):
+    rows = json.loads((out_dir / "sweep.json").read_text())["rows"]
+    for row in rows:
+        del row["runtime_ms"]
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grouped_sweep_matches_cold_points(tmp_path, jobs):
+    assert cli.main(["sweep", "--q", "-0.3,0.3", "--lambda", "0.15,0.3,0.5",
+                     "--depth", "8", "--jobs", str(jobs), "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    want = []
+    for q in (-0.3, 0.3):
+        for lam in (0.15, 0.3, 0.5):
+            row, _ = cli._sweep_point(q, lam, 8, 4,
+                                      RunConfig().max_total_words)
+            del row["runtime_ms"]
+            want.append(row)
+    assert _json_rows_without_runtime(tmp_path) == want
+
+
+def test_sweep_terms_set_series_order(tmp_path):
+    grid = ["sweep", "--q", "0.3", "--lambda", "0.3", "--depth", "8",
+            "--format", "json"]
+    assert cli.main([*grid, "--terms", "2", "--out", str(tmp_path / "k2")]) == 0
+    assert cli.main([*grid, "--out", str(tmp_path / "default")]) == 0
+    [k2] = _json_rows_without_runtime(tmp_path / "k2")
+    [default] = _json_rows_without_runtime(tmp_path / "default")
+    cert = limits.invertibility_certificate(0.3, 0.3, truncations=(8,),
+                                            n_terms=2)
+    assert k2["min_singular"] == cert.min_singular[0][2]
+    assert k2["min_singular"] != default["min_singular"]
+
+
+# -- verify battery -----------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_battery_point_at_shallow_depth(depth):
+    gaps = cli._battery_point(build_space(q=0.5, lam=0.3, depth=depth))
+    assert set(gaps) == set(cli._BATTERY_NAMES)
+    assert max(gaps.values()) < 1e-10
 
 
 # -- dump ---------------------------------------------------------------

@@ -151,6 +151,68 @@ def test_s_infinity_adjoint_vacuum_matches_xi(sp_can):
     assert sp_can.norm(got - xi.vector) < budget
 
 
+def _unshared_series_action(space, n_terms, t_cap):
+    """The inverse-candidate series built without shared powers: every
+    term composes fresh letter powers around a fresh compression step."""
+    N, q, lam = space.depth, space.q, space.lam
+    fam = d_family(q, j_max=n_terms)
+    coefs = [fam.c[k] * (1.0 - q) ** k * lam ** (k / 2.0)
+             for k in range(n_terms + 1)]
+    ae = ops.annihilation_letter(space, E)
+    aeb = ops.annihilation_letter(space, EBAR)
+    ce = ops.creation_letter(space, E)
+
+    def t_op(m):
+        return ((1.0 - q) ** m * lam ** (m / 2.0)) * (ae.power(m) @ ce.power(m))
+
+    def act(sig):
+        level = sum(sig)
+        acc = {}
+        for k in range(n_terms + 1):
+            if sig[E] < k or sig[EBAR] < k:
+                continue
+            m = N - (level - k)
+            if t_cap is not None:
+                m = min(m, t_cap)
+            m = max(m, 0)
+            chain = ae.power(k) @ t_op(m) @ aeb.power(k)
+            for tgt, M in chain.action(sig).items():
+                add = coefs[k] * M
+                acc[tgt] = acc[tgt] + add if tgt in acc else add
+        return acc
+
+    return act
+
+
+@pytest.mark.parametrize("q,lam", [(-0.5, 0.3), (0.3, 0.3)])
+@pytest.mark.parametrize("t_cap", [None, 6])
+def test_s_infinity_bit_identical_to_unshared_series(q, lam, t_cap):
+    sp = build_space(q=q, lam=lam, depth=10)
+    series = limits.s_infinity(sp, t_cap=t_cap)
+    oracle = _unshared_series_action(sp, series.n_terms, t_cap)
+    for level in range(sp.depth + 1):
+        for sig in sp.blocks_at_level(level):
+            got = series.op.action(sig)
+            want = oracle(sig)
+            assert got.keys() == want.keys()
+            for tgt in want:
+                assert np.array_equal(got[tgt], want[tgt]), (sig, tgt)
+
+
+def test_certificate_series_order():
+    def cert(**kw):
+        return limits.invertibility_certificate(0.3, 0.3, truncations=(8,),
+                                                **kw)
+
+    default, order3, order2 = cert(), cert(n_terms=3), cert(n_terms=2)
+    assert [c.tail_bounds[0][1] for c in (default, order3, order2)] \
+        == [4, 3, 2]
+    # the order-k term acts only on levels >= 2k, so the depth-8 window
+    # (levels <= 6) sees the third term but not the fourth
+    assert order3.min_singular == default.min_singular
+    assert order2.min_singular != default.min_singular
+
+
 def test_xi_vector_properties(sp_can, sp_neg):
     kernel = build_space(q=0.0, lam=0.75, depth=12)
     for sp in (sp_can, sp_neg, kernel):

@@ -35,6 +35,8 @@ from . import limits, ops
 from .fock import (
     E,
     EBAR,
+    MAX_DEPTH,
+    Q_ENVELOPE,
     BudgetExceededError,
     FockVector,
     ModelParams,
@@ -74,9 +76,9 @@ SWEEP_COLUMNS = ("q", "lambda", "depth", "threshold", "analytic_verdict",
                  "min_singular", "sigma_ratio", "cosine", "status",
                  "runtime_ms")
 
-# envelope and conditioning guards; the model itself enforces |q| <= 0.9
-Q_LIMIT = 0.9
-DEPTH_MIN, DEPTH_MAX = 4, 14
+# envelope guards; |q| <= Q_ENVELOPE and depth <= MAX_DEPTH come from
+# the model
+DEPTH_MIN = 4
 TAIL_BUDGET_MAX = 8.0
 
 
@@ -169,9 +171,9 @@ def validate_config(cfg: RunConfig) -> None:
     TAIL_BUDGET_MAX the truncated series says nothing about its limit,
     so the point is refused rather than reported with a vacuous bound.
     """
-    if not (DEPTH_MIN <= cfg.depth <= DEPTH_MAX):
+    if not (DEPTH_MIN <= cfg.depth <= MAX_DEPTH):
         raise ConfigError(
-            f"depth {cfg.depth} outside [{DEPTH_MIN}, {DEPTH_MAX}]")
+            f"depth {cfg.depth} outside [{DEPTH_MIN}, {MAX_DEPTH}]")
     K = cfg.effective_terms()
     if not (1 <= K <= cfg.depth // 2):
         raise ConfigError(
@@ -186,9 +188,9 @@ def validate_config(cfg: RunConfig) -> None:
         if not (0 < tol < 1):
             raise ConfigError("tolerances must lie in (0, 1)")
     for q in cfg.q_grid:
-        if abs(q) > Q_LIMIT:
+        if abs(q) > Q_ENVELOPE:
             raise ConfigError(
-                f"q = {q} outside the supported envelope |q| <= {Q_LIMIT}")
+                f"q = {q} outside the supported envelope |q| <= {Q_ENVELOPE}")
     for lam in cfg.lam_grid:
         if not (0.0 < lam < 1.0):
             raise ConfigError(f"lambda = {lam} outside (0, 1)")
@@ -1334,7 +1336,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, metavar="N",
                    help="truncation level")
     p.add_argument("--terms", type=int, metavar="K",
-                   help="series order (0 means depth // 2)")
+                   help="series order (0 means depth // 2); at depth N "
+                        "only orders up to (N - 2) // 2 reach the "
+                        "certificate window, higher ones give the same rows")
     p.add_argument("--jobs", type=int, metavar="J",
                    help="worker processes for grid points")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"),

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "FockSpace",
     "FockVector",
     "build_space",
-    "build_basis",
     "gram",
     "gram_bruteforce",
     "inner",
@@ -47,6 +46,11 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_LEVEL = 7
+# supported envelope: |q| <= Q_ENVELOPE and depth <= MAX_DEPTH; Gram
+# blocks whose condition estimate exceeds COND_LIMIT raise a warning
+Q_ENVELOPE = 0.9
+MAX_DEPTH = 14
+COND_LIMIT = 1e12
 
 
 class BudgetExceededError(RuntimeError):
@@ -76,7 +80,7 @@ class Letter:
 class ModelParams:
     """Parameters of a truncated model.
 
-    q         deformation parameter, |q| <= q_envelope < 1
+    q         deformation parameter, |q| <= Q_ENVELOPE < 1
     lam       asymmetry parameter of the two-dimensional part, 0 < lam < 1
     depth     truncation level N; words longer than N are dropped
     aux_letters  number of extra unit letters fixed by the modular flow
@@ -87,25 +91,21 @@ class ModelParams:
     depth: int
     aux_letters: int = 0
     max_total_words: int = 2_000_000
-    max_depth: int = 14
-    q_envelope: float = 0.9
-    cond_limit: float = 1e12
-    tol: float = 1e-15
 
     def __post_init__(self):
-        if not abs(self.q) <= self.q_envelope:
+        if not abs(self.q) <= Q_ENVELOPE:
             raise ValueError(
                 f"|q| = {abs(self.q)} outside the supported envelope "
-                f"{self.q_envelope}; factorizations degrade beyond it"
+                f"{Q_ENVELOPE}; factorizations degrade beyond it"
             )
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.depth > self.max_depth:
+        if self.depth > MAX_DEPTH:
             raise ValueError(
                 f"depth {self.depth} exceeds the supported envelope "
-                f"{self.max_depth}"
+                f"{MAX_DEPTH}"
             )
         if self.aux_letters < 0:
             raise ValueError("aux_letters must be >= 0")
@@ -216,10 +216,9 @@ class _UnitGramCache:
     the Gram recursion and by the annihilation operators.
     """
 
-    def __init__(self, q: float, n_letters: int, cond_limit: float):
+    def __init__(self, q: float, n_letters: int):
         self.q = q
         self.n_letters = n_letters
-        self.cond_limit = cond_limit
         self.words: dict = {}
         self.index: dict = {}
         self.gram_unit: dict = {}
@@ -239,36 +238,14 @@ class _UnitGramCache:
         self.block_words(sig)
         return self.index[sig][word]
 
-    def transfer_matrix(self, sig, ell: int):
+    def transfer_matrix(self, sig, ell: int, side: str = "left"):
         """Unit annihilation transfer for removing letter ell from the
         block: rows index the reduced block, columns the source block,
-        entry sum of q^i over positions i (0-based) holding ell whose
-        removal yields the row word.
+        entry the sum over positions i (0-based, word length n) holding
+        ell whose removal yields the row word, of q^i for removal from
+        the left and of q^(n-1-i) for removal from the right.
         """
-        key = (sig, ell)
-        if key in self.transfer:
-            return self.transfer[key]
-        if sig[ell] == 0:
-            raise KeyError(f"block {sig} holds no letter {ell}")
-        src = self.block_words(sig)
-        red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
-        self.block_words(red_sig)
-        red_index = self.index[red_sig]
-        T = np.zeros((len(red_index), len(src)))
-        q = self.q
-        for col, w in enumerate(src):
-            qp = 1.0
-            for i, wl in enumerate(w):
-                if wl == ell:
-                    T[red_index[w[:i] + w[i + 1 :]], col] += qp
-                qp *= q
-        self.transfer[key] = T
-        return T
-
-    def right_transfer_matrix(self, sig, ell: int):
-        """Like transfer_matrix but for removal from the right: position
-        i (0-based, word length n) carries weight q^(n-1-i)."""
-        key = (sig, ell, "right")
+        key = (sig, ell, side)
         if key in self.transfer:
             return self.transfer[key]
         if sig[ell] == 0:
@@ -280,10 +257,14 @@ class _UnitGramCache:
         T = np.zeros((len(red_index), len(src)))
         q = self.q
         n = sum(sig)
+        left = side == "left"
         for col, w in enumerate(src):
+            qp = 1.0
             for i, wl in enumerate(w):
                 if wl == ell:
-                    T[red_index[w[:i] + w[i + 1 :]], col] += q ** (n - 1 - i)
+                    T[red_index[w[:i] + w[i + 1 :]], col] += (
+                        qp if left else q ** (n - 1 - i))
+                qp *= q
         self.transfer[key] = T
         return T
 
@@ -323,10 +304,10 @@ class _UnitGramCache:
             ) from None
         cond = _cond_estimate(L)
         self.cond[sig] = cond
-        if cond > self.cond_limit:
+        if cond > COND_LIMIT:
             warnings.warn(
                 f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
-                f"has condition estimate {cond:.3e} beyond {self.cond_limit:.1e}",
+                f"has condition estimate {cond:.3e} beyond {COND_LIMIT:.1e}",
                 GramConditionWarning,
                 stacklevel=3,
             )
@@ -350,7 +331,7 @@ class FockSpace:
         self.u = np.array([l.u_norm_sq for l in self.letters])
         self.aeig = np.array([l.a_eigenvalue for l in self.letters])
         if _unit_cache is None:
-            _unit_cache = _UnitGramCache(params.q, params.n_letters, params.cond_limit)
+            _unit_cache = _UnitGramCache(params.q, params.n_letters)
         elif _unit_cache.q != params.q or _unit_cache.n_letters != params.n_letters:
             raise ValueError("unit cache belongs to a different model")
         self._unit = _unit_cache
@@ -376,13 +357,7 @@ class FockSpace:
     def with_lambda(self, lam: float) -> "FockSpace":
         """A space at a different lambda sharing this one's q-dependent
         Gram caches."""
-        p = self.params
-        params = ModelParams(
-            q=p.q, lam=lam, depth=p.depth, aux_letters=p.aux_letters,
-            max_total_words=p.max_total_words, max_depth=p.max_depth,
-            q_envelope=p.q_envelope, cond_limit=p.cond_limit, tol=p.tol,
-        )
-        return FockSpace(params, _unit_cache=self._unit)
+        return FockSpace(replace(self.params, lam=lam), _unit_cache=self._unit)
 
     def blocks_at_level(self, level: int):
         """All multiset signatures at a level (may enumerate lazily
@@ -445,13 +420,10 @@ class FockSpace:
         self._unit.chol(sig)
         return self._unit.cond[sig]
 
-    def annihilation_transfer(self, sig, ell: int) -> np.ndarray:
-        """Block matrix of the annihilation of letter ell on the block:
-        includes the letter's squared length."""
-        return self.u[ell] * self._unit.transfer_matrix(tuple(sig), ell)
-
-    def right_annihilation_transfer(self, sig, ell: int) -> np.ndarray:
-        return self.u[ell] * self._unit.right_transfer_matrix(tuple(sig), ell)
+    def annihilation_transfer(self, sig, ell: int, side: str = "left") -> np.ndarray:
+        """Block matrix of the left or right annihilation of letter ell
+        on the block: includes the letter's squared length."""
+        return self.u[ell] * self._unit.transfer_matrix(tuple(sig), ell, side)
 
     def gram_bruteforce(self, sig) -> np.ndarray:
         """Permutation-sum Gram of a block; independent oracle path,
@@ -575,11 +547,6 @@ class FockVector:
             {w: c for w, c in self.terms.items() if len(w) <= max_level}
         )
 
-    def restrict_level(self, level: int) -> "FockVector":
-        return FockVector(
-            {w: c for w, c in self.terms.items() if len(w) == level}
-        )
-
     def coefficient(self, word) -> complex:
         return self.terms.get(tuple(word), 0.0 + 0.0j)
 
@@ -597,9 +564,6 @@ class FockVector:
             out[sig] = (idx, coef)
         return out
 
-    def is_real(self, tol=0.0) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
-
 
 # -- module-level conveniences mirroring the operation catalogue ---------
 
@@ -610,12 +574,6 @@ def build_space(params: ModelParams | None = None, **kwargs) -> FockSpace:
     elif kwargs:
         raise TypeError("pass either a ModelParams or keyword fields, not both")
     return FockSpace(params)
-
-
-def build_basis(params: ModelParams) -> FockSpace:
-    """Alias for build_space; the space object carries the enumerated
-    (lazily materialized) basis grouped by level and multiset block."""
-    return build_space(params)
 
 
 def gram(space: FockSpace, sig) -> np.ndarray:

@@ -16,7 +16,6 @@ accumulate peak additively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,6 @@ __all__ = [
     "annihilation",
     "right_creation",
     "right_annihilation",
-    "creation_word",
-    "creation_tensor",
     "flip_unitary",
     "field",
     "wick",
@@ -55,9 +52,12 @@ __all__ = [
     "vacuum_expectation",
     "action_gap",
     "conjugate_letter",
-    "one_particle_conjugate",
-    "modular_half_shift",
 ]
+
+# op_norm takes a dense 2-norm up to this matrix size and ARPACK above
+# it; min_singular refuses components larger than SINGULAR_DENSE_LIMIT
+NORM_DENSE_LIMIT = 3000
+SINGULAR_DENSE_LIMIT = 4000
 
 
 def _sig_add(sig, ell, delta=1):
@@ -200,11 +200,6 @@ class FockOperator:
                     out[w] = out.get(w, 0.0) + y[i]
         return FockVector(out)
 
-    def apply_block(self, sig, mat: np.ndarray) -> dict:
-        """Linear part applied to a stack of column vectors in one
-        source block; returns {target_sig: matrix}."""
-        return {tgt: M @ mat for tgt, M in self.action(tuple(sig)).items()}
-
     def materialize(self, src_level_max: int) -> dict:
         """Explicit {(src_sig, tgt_sig): matrix} over all source blocks
         up to the given level.  Enumerates every block, so use on
@@ -247,63 +242,63 @@ def power_ladder(A: FockOperator, k_max: int) -> list:
     return rungs
 
 
-# -- creation / annihilation by letters ---------------------------------
+# -- word maps and letter operators -------------------------------------
+
+
+def _word_map(space: FockSpace, tgt_sig, word_fn, label: str, reach: int = 0,
+              factor=None, antilinear: bool = False) -> FockOperator:
+    """Operator sending each word w of a block sig to the one word
+    word_fn(w) of block tgt_sig(sig), times the block scalar factor(sig)
+    (1.0 without a factor); targets above the depth are dropped."""
+
+    def act(sig):
+        tgt = tgt_sig(sig)
+        if sum(tgt) > space.depth:
+            return {}
+        words = space.block_words(sig)
+        tgt_index = {w: i for i, w in enumerate(space.block_words(tgt))}
+        M = np.zeros((len(tgt_index), len(words)))
+        rows = [tgt_index[word_fn(w)] for w in words]
+        M[rows, range(len(words))] = 1.0 if factor is None else factor(sig)
+        return {tgt: M}
+
+    return FockOperator(space, act, reach=reach, label=label,
+                        antilinear=antilinear)
 
 
 def creation_letter(space: FockSpace, ell: int) -> FockOperator:
-    def act(sig):
-        level = sum(sig)
-        if level + 1 > space.depth:
-            return {}
-        tgt = _sig_add(sig, ell)
-        src_words = space.block_words(sig)
-        tgt_index = {w: i for i, w in enumerate(space.block_words(tgt))}
-        M = np.zeros((len(tgt_index), len(src_words)))
-        for col, w in enumerate(src_words):
-            M[tgt_index[(ell,) + w], col] = 1.0
-        return {tgt: M}
-
-    return FockOperator(space, act, reach=1, label=f"c({space.letter_name(ell)})")
-
-
-def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
-    def act(sig):
-        if sig[ell] == 0:
-            return {}
-        tgt = _sig_add(sig, ell, -1)
-        return {tgt: space.annihilation_transfer(sig, ell)}
-
-    return FockOperator(
-        space, act, reach=-1, label=f"c({space.letter_name(ell)})*"
-    )
+    """Left creation: prepend the letter."""
+    return _word_map(space, lambda sig: _sig_add(sig, ell),
+                     lambda w: (ell,) + w,
+                     f"c({space.letter_name(ell)})", reach=1)
 
 
 def right_creation_letter(space: FockSpace, ell: int) -> FockOperator:
-    def act(sig):
-        level = sum(sig)
-        if level + 1 > space.depth:
-            return {}
-        tgt = _sig_add(sig, ell)
-        src_words = space.block_words(sig)
-        tgt_index = {w: i for i, w in enumerate(space.block_words(tgt))}
-        M = np.zeros((len(tgt_index), len(src_words)))
-        for col, w in enumerate(src_words):
-            M[tgt_index[w + (ell,)], col] = 1.0
-        return {tgt: M}
-
-    return FockOperator(space, act, reach=1, label=f"cr({space.letter_name(ell)})")
+    """Right creation: append the letter."""
+    return _word_map(space, lambda sig: _sig_add(sig, ell),
+                     lambda w: w + (ell,),
+                     f"cr({space.letter_name(ell)})", reach=1)
 
 
-def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
+def _annihilation_letter(space: FockSpace, ell: int, side: str) -> FockOperator:
     def act(sig):
         if sig[ell] == 0:
             return {}
         tgt = _sig_add(sig, ell, -1)
-        return {tgt: space.right_annihilation_transfer(sig, ell)}
+        return {tgt: space.annihilation_transfer(sig, ell, side)}
 
+    tag = "c" if side == "left" else "cr"
     return FockOperator(
-        space, act, reach=-1, label=f"cr({space.letter_name(ell)})*"
+        space, act, reach=-1, label=f"{tag}({space.letter_name(ell)})*"
     )
+
+
+def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
+    return _annihilation_letter(space, ell, "left")
+
+
+def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
+    return _annihilation_letter(space, ell, "right")
 
 
 def _one_particle_coeffs(space: FockSpace, v) -> np.ndarray:
@@ -327,55 +322,39 @@ def _real_if_possible(c: complex):
     return c.real if c.imag == 0.0 else c
 
 
-def creation(space: FockSpace, v) -> FockOperator:
-    """Left creation by a one-particle vector: prepend, linear in v."""
+def _letter_sum(space: FockSpace, v, letter, conj: bool, reach: int, peak: int,
+                label: str) -> FockOperator:
+    """Sum of letter(space, ell) weighted by the coefficients of the
+    one-particle vector v, conjugated for the annihilations."""
     coeffs = _one_particle_coeffs(space, v)
     parts = [
-        _real_if_possible(c) * creation_letter(space, ell)
+        _real_if_possible(np.conj(c) if conj else c) * letter(space, ell)
         for ell, c in enumerate(coeffs)
         if c != 0
     ]
-    out = _op_sum(space, parts, reach=1, peak=1)
-    out.label = "c(v)"
+    out = _op_sum(space, parts, reach=reach, peak=peak)
+    out.label = label
     return out
+
+
+def creation(space: FockSpace, v) -> FockOperator:
+    """Left creation by a one-particle vector: prepend, linear in v."""
+    return _letter_sum(space, v, creation_letter, False, 1, 1, "c(v)")
 
 
 def annihilation(space: FockSpace, v) -> FockOperator:
     """Left annihilation: the deformed adjoint of creation(space, v);
     conjugate linear in v."""
-    coeffs = _one_particle_coeffs(space, v)
-    parts = [
-        _real_if_possible(np.conj(c)) * annihilation_letter(space, ell)
-        for ell, c in enumerate(coeffs)
-        if c != 0
-    ]
-    out = _op_sum(space, parts, reach=-1, peak=0)
-    out.label = "c(v)*"
-    return out
+    return _letter_sum(space, v, annihilation_letter, True, -1, 0, "c(v)*")
 
 
 def right_creation(space: FockSpace, v) -> FockOperator:
-    coeffs = _one_particle_coeffs(space, v)
-    parts = [
-        _real_if_possible(c) * right_creation_letter(space, ell)
-        for ell, c in enumerate(coeffs)
-        if c != 0
-    ]
-    out = _op_sum(space, parts, reach=1, peak=1)
-    out.label = "cr(v)"
-    return out
+    return _letter_sum(space, v, right_creation_letter, False, 1, 1, "cr(v)")
 
 
 def right_annihilation(space: FockSpace, v) -> FockOperator:
-    coeffs = _one_particle_coeffs(space, v)
-    parts = [
-        _real_if_possible(np.conj(c)) * right_annihilation_letter(space, ell)
-        for ell, c in enumerate(coeffs)
-        if c != 0
-    ]
-    out = _op_sum(space, parts, reach=-1, peak=0)
-    out.label = "cr(v)*"
-    return out
+    return _letter_sum(space, v, right_annihilation_letter, True, -1, 0,
+                       "cr(v)*")
 
 
 def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
@@ -389,44 +368,12 @@ def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
     return out
 
 
-def creation_word(space: FockSpace, word) -> FockOperator:
-    """Prepend a fixed word: the product of its letter creations."""
-    word = tuple(word)
-    out = identity(space)
-    for ell in reversed(word):
-        out = creation_letter(space, ell) @ out
-    out.label = f"c[{space.word_name(word)}]"
-    return out
-
-
-def creation_tensor(space: FockSpace, vec: FockVector) -> FockOperator:
-    """Creation by a level-n vector, extended linearly from words."""
-    levels = vec.levels()
-    if len(levels) != 1:
-        raise ValueError("creation_tensor needs a single-level vector")
-    parts = [
-        _real_if_possible(c) * creation_word(space, w)
-        for w, c in vec.terms.items()
-    ]
-    n = levels[0]
-    return _op_sum(space, parts, reach=n, peak=n)
-
-
 # -- simple unitaries and modular data ----------------------------------
 
 
 def flip_unitary(space: FockSpace) -> FockOperator:
     """Word reversal; a self-inverse unitary of the deformed form."""
-
-    def act(sig):
-        words = space.block_words(sig)
-        index = {w: i for i, w in enumerate(words)}
-        M = np.zeros((len(words), len(words)))
-        for col, w in enumerate(words):
-            M[index[w[::-1]], col] = 1.0
-        return {tuple(sig): M}
-
-    return FockOperator(space, act, reach=0, label="flip")
+    return _word_map(space, lambda sig: sig, lambda w: w[::-1], "flip")
 
 
 def conjugate_letter(ell: int) -> int:
@@ -439,21 +386,14 @@ def conjugate_letter(ell: int) -> int:
     return ell
 
 
-def one_particle_conjugate(space: FockSpace, v) -> np.ndarray:
-    """Antilinear conjugation on the one-particle space in letter
-    coordinates."""
-    coeffs = _one_particle_coeffs(space, v)
-    out = np.zeros_like(coeffs)
-    for ell in range(space.n_letters):
-        out[conjugate_letter(ell)] = np.conj(coeffs[ell])
-    return out
-
-
-def modular_half_shift(space: FockSpace, v, power: float = -0.5) -> np.ndarray:
-    """Apply a real power of the modular generator to a one-particle
-    vector (diagonal on letters)."""
-    coeffs = _one_particle_coeffs(space, v)
-    return coeffs * space.aeig**power
+def _letter_power(space: FockSpace, sig, power: float) -> float:
+    """Product over the letters of a block of their generator
+    eigenvalues, each to the given power."""
+    factor = 1.0
+    for ell, count in enumerate(sig):
+        if count:
+            factor *= space.aeig[ell] ** (power * count)
+    return factor
 
 
 def modular_delta(space: FockSpace, power: float = 1.0) -> FockOperator:
@@ -461,12 +401,8 @@ def modular_delta(space: FockSpace, power: float = 1.0) -> FockOperator:
     generator eigenvalue to the -power, so blocks scale by a constant."""
 
     def act(sig):
-        factor = 1.0
-        for ell, count in enumerate(sig):
-            if count:
-                factor *= space.aeig[ell] ** (-power * count)
         m = len(space.block_words(sig))
-        return {tuple(sig): factor * np.eye(m)}
+        return {tuple(sig): _letter_power(space, sig, -power) * np.eye(m)}
 
     return FockOperator(space, act, reach=0, label=f"Delta^{power}")
 
@@ -475,24 +411,12 @@ def _bar_reversal(space: FockSpace, scale_power: float, label: str) -> FockOpera
     """Linear part shared by the modular conjugations: reverse the word,
     conjugate each letter, scale by the product of generator eigenvalues
     to scale_power."""
-
-    def act(sig):
-        words = space.block_words(sig)
-        tgt = list(sig)
-        tgt[E], tgt[EBAR] = tgt[EBAR], tgt[E]
-        tgt = tuple(tgt)
-        tgt_index = {w: i for i, w in enumerate(space.block_words(tgt))}
-        factor = 1.0
-        for ell, count in enumerate(sig):
-            if count:
-                factor *= space.aeig[ell] ** (scale_power * count)
-        M = np.zeros((len(tgt_index), len(words)))
-        for col, w in enumerate(words):
-            barred = tuple(conjugate_letter(l) for l in reversed(w))
-            M[tgt_index[barred], col] = factor
-        return {tgt: M}
-
-    return FockOperator(space, act, reach=0, label=label, antilinear=True)
+    return _word_map(
+        space, lambda sig: tuple(sig[conjugate_letter(l)] for l in range(len(sig))),
+        lambda w: tuple(conjugate_letter(l) for l in reversed(w)), label,
+        factor=lambda sig: _letter_power(space, sig, scale_power),
+        antilinear=True,
+    )
 
 
 @dataclass
@@ -744,8 +668,7 @@ def _assemble(A: FockOperator, src_level_max: int):
     return mat, src_offset, tgt_offset
 
 
-def op_norm(A: FockOperator, src_level_max: int | None = None,
-            dense_limit: int = 3000) -> float:
+def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     """Largest singular value of A over source levels <= src_level_max,
     measured in the orthonormal frames of the deformed form.
 
@@ -757,7 +680,7 @@ def op_norm(A: FockOperator, src_level_max: int | None = None,
     mat, _, _ = _assemble(A, src_level_max)
     if mat.nnz == 0:
         return 0.0
-    if max(mat.shape) <= dense_limit:
+    if max(mat.shape) <= NORM_DENSE_LIMIT:
         return float(np.linalg.norm(mat.toarray(), 2))
     import scipy.sparse.linalg as spla
 
@@ -766,8 +689,7 @@ def op_norm(A: FockOperator, src_level_max: int | None = None,
     return float(s.max())
 
 
-def min_singular(A: FockOperator, src_level_max: int | None = None,
-                 dense_limit: int = 4000) -> float:
+def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     """Smallest singular value of A over source levels <= src_level_max.
 
     Decomposes the block graph into connected components and runs a
@@ -810,7 +732,7 @@ def min_singular(A: FockOperator, src_level_max: int | None = None,
         rows = {t: len(space.block_words(t)) for t in sorted(tgts | set(sigs))}
         ncol = sum(cols.values())
         nrow = sum(rows.values())
-        if max(nrow, ncol) > dense_limit:
+        if max(nrow, ncol) > SINGULAR_DENSE_LIMIT:
             raise ValueError(
                 f"component around {root} is {nrow}x{ncol}, too large for a "
                 f"dense smallest-singular-value computation"

@@ -25,7 +25,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -200,14 +200,13 @@ def validate_config(cfg: RunConfig) -> None:
                 f"lambda = {lam} at depth {cfg.depth}: series tail budget "
                 f"{tail_budget:.3g} exceeds {TAIL_BUDGET_MAX}; the "
                 f"truncation cannot certify anything at this point")
-    # one representative model per point, so the word budget is caught
+    # the word count depends only on the depth, so the budget is caught
     # here instead of mid-run
-    for q in cfg.q_grid or (0.0,):
-        try:
-            ModelParams(q=q, lam=0.5, depth=cfg.depth,
-                        max_total_words=cfg.max_total_words)
-        except (ValueError, BudgetExceededError) as exc:
-            raise ConfigError(str(exc)) from None
+    try:
+        ModelParams(q=0.0, lam=0.5, depth=cfg.depth,
+                    max_total_words=cfg.max_total_words).check_word_budget()
+    except BudgetExceededError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_calibration() -> dict:
@@ -535,23 +534,26 @@ def _battery_for_q(args):
     return q, agg, t_details
 
 
+def _map_q_rows(worker, tasks: list, jobs: int) -> list:
+    """worker over the per-q tasks, in a process pool when jobs > 1 and
+    there are several rows; serially otherwise, or if no pool starts."""
+    if jobs > 1 and len(tasks) > 1:
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(jobs, len(tasks))) as pool:
+                return list(pool.map(worker, tasks))
+        except OSError:
+            pass
+    return [worker(t) for t in tasks]
+
+
 def _grid_checks(suite: _Suite, cfg: RunConfig) -> None:
-    qs = list(cfg.q_grid)
     agg: dict = {}
     t_agg = {"eig": (0.0, "empty grid"), "bounds": (0.0, "empty grid"),
              "sup": (0.0, "empty grid")}
     tasks = [(q, tuple(cfg.lam_grid), cfg.depth, cfg.max_total_words)
-             for q in qs if cfg.lam_grid]
-
-    if cfg.jobs > 1 and len(tasks) > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(cfg.jobs, len(tasks))) as pool:
-                outs = list(pool.map(_battery_for_q, tasks))
-        except OSError:
-            outs = [_battery_for_q(t) for t in tasks]
-    else:
-        outs = [_battery_for_q(t) for t in tasks]
+             for q in cfg.q_grid if cfg.lam_grid]
+    outs = _map_q_rows(_battery_for_q, tasks, cfg.jobs)
 
     for _, point_gaps, t_details in outs:
         for name, (gap, note) in point_gaps.items():
@@ -1158,17 +1160,8 @@ def _plot_script(cfg: RunConfig, data_name: str) -> str:
 def cmd_sweep(cfg: RunConfig) -> int:
     tasks = [(q, tuple(cfg.lam_grid), cfg.depth, cfg.effective_terms(),
               cfg.max_total_words) for q in cfg.q_grid if cfg.lam_grid]
-
-    if cfg.jobs > 1 and len(tasks) > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(cfg.jobs, len(tasks))) as pool:
-                outs = list(pool.map(_sweep_q_row, tasks))
-        except OSError:
-            outs = [_sweep_q_row(t) for t in tasks]
-    else:
-        outs = [_sweep_q_row(t) for t in tasks]
-    rows = [row for q_rows in outs for row in q_rows]
+    rows = [row for q_rows in _map_q_rows(_sweep_q_row, tasks, cfg.jobs)
+            for row in q_rows]
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -118,6 +118,17 @@ class ModelParams:
         L = self.n_letters
         return sum(L**n for n in range(self.depth + 1))
 
+    def check_word_budget(self) -> None:
+        """Raise BudgetExceededError if the model enumerates more words
+        than max_total_words."""
+        total = self.total_words()
+        if total > self.max_total_words:
+            raise BudgetExceededError(
+                f"configuration enumerates {total} words "
+                f"(> budget {self.max_total_words}); lower depth or "
+                f"aux_letters, or raise max_total_words"
+            )
+
 
 def _make_letters(params: ModelParams) -> list[Letter]:
     rl = math.sqrt(params.lam)
@@ -319,13 +330,7 @@ class FockSpace:
     """A truncated model: parameters, letters, and cached Gram data."""
 
     def __init__(self, params: ModelParams, _unit_cache: _UnitGramCache | None = None):
-        total = params.total_words()
-        if total > params.max_total_words:
-            raise BudgetExceededError(
-                f"configuration enumerates {total} words "
-                f"(> budget {params.max_total_words}); lower depth or "
-                f"aux_letters, or raise max_total_words"
-            )
+        params.check_word_budget()
         self.params = params
         self.letters = _make_letters(params)
         self.u = np.array([l.u_norm_sq for l in self.letters])

@@ -59,6 +59,13 @@ __all__ = [
     "z_n_operator",
 ]
 
+# t_limit_check scans the limit eigenvalues d_inf / d_k over k < K_SCAN
+K_SCAN = 200
+# invertibility_certificate measures each depth N on source levels
+# <= N - WINDOW_MARGIN, with its compressions capped at T_CAP
+WINDOW_MARGIN = 2
+T_CAP = 6
+
 
 # -- report plumbing -----------------------------------------------------
 
@@ -193,7 +200,7 @@ def t_n_operator(space: FockSpace, n: int, ladders=None) -> ops.FockOperator:
 
 
 def t_limit_check(space: FockSpace, k_max: int | None = None,
-                  n_max: int | None = None, k_scan: int = 200) -> ConvergenceReport:
+                  n_max: int | None = None) -> ConvergenceReport:
     """Eigenvalue identity, limit gap, spectral bounds and the sup-form
     error bound for the compression sequence.
 
@@ -225,7 +232,7 @@ def t_limit_check(space: FockSpace, k_max: int | None = None,
             meas = scale * v.coefficient((E,) * k)
             eig_err = max(eig_err, abs(meas - t_eigenvalue(q, k, n)))
 
-    fam = d_family(q, j_max=k_scan + n_max + 1)
+    fam = d_family(q, j_max=K_SCAN + n_max + 1)
     d = np.asarray(fam.d)
     d_inf = fam.d_inf
 
@@ -233,17 +240,17 @@ def t_limit_check(space: FockSpace, k_max: int | None = None,
     gaps = []
     bound_ok = True
     ratio_sup = max(d[n + k] / d[k]
-                    for n in range(1, n_max + 1) for k in range(k_scan))
+                    for n in range(1, n_max + 1) for k in range(K_SCAN))
     for n in range(1, n_max + 1):
         gap_n = max(abs(d[n + k] - d_inf) / d[k] for k in range(k_max + 1))
-        sup_form = max(abs(1.0 - d_inf / d[n + k]) for k in range(k_scan))
+        sup_form = max(abs(1.0 - d_inf / d[n + k]) for k in range(K_SCAN))
         if gap_n > ratio_sup * sup_form + 1e-12:
             bound_ok = False
         values.append((n, gap_n))
         gaps.append(gap_n)
 
     # spectral bounds of the limit eigenvalues d_inf / d_k
-    eigs = d_inf / d[:k_scan]
+    eigs = d_inf / d[:K_SCAN]
     if q >= 0:
         lo, hi = d_inf, 1.0
     else:
@@ -312,19 +319,17 @@ def adjoint_vacuum(space: FockSpace, A: ops.FockOperator,
         raise ValueError("adjoint recovery implemented for linear operators")
     vac_sig = (0,) * space.n_letters
     terms: dict = {}
-    for level in range(level_max + 1):
-        for sig in space.blocks_at_level(level):
-            act = A.action(sig)
-            if vac_sig not in act:
-                continue
-            row = np.asarray(act[vac_sig])[0, :]
-            if not np.any(row):
-                continue
-            G = space.gram(sig)
-            x = np.linalg.solve(G, np.conj(row))
-            words = space.block_words(sig)
-            for i in np.nonzero(x)[0]:
-                terms[words[i]] = terms.get(words[i], 0.0) + x[i]
+    for sig, tgt, M in ops.Window(space, level_max).images(A):
+        if tgt != vac_sig:
+            continue
+        row = np.asarray(M)[0, :]
+        if not np.any(row):
+            continue
+        G = space.gram(sig)
+        x = np.linalg.solve(G, np.conj(row))
+        words = space.block_words(sig)
+        for i in np.nonzero(x)[0]:
+            terms[words[i]] = terms.get(words[i], 0.0) + x[i]
     return FockVector(terms)
 
 
@@ -482,14 +487,12 @@ def invertibility_threshold(q: float) -> float:
 
 def invertibility_certificate(q: float, lam: float,
                               truncations=(8, 10, 12),
-                              window_margin: int = 2,
-                              t_cap: int | None = 6,
                               space_factory=None,
                               n_terms: int | None = None) -> InvertibilityCertificate:
     """Analytic invertibility data for the limit series at (q, lam),
     plus measured smallest singular values across truncation depths.
 
-    The numeric column uses source windows depth - window_margin so the
+    The numeric column uses source windows depth - WINDOW_MARGIN so the
     window grows with the truncation; q = 0 is allowed but flagged,
     since the threshold there comes from the formula limit rather than
     the sharp kernel boundary.  ``n_terms`` is the series order at every
@@ -522,14 +525,14 @@ def invertibility_certificate(q: float, lam: float,
             space = build_space(q=q, lam=lam, depth=N)
         else:
             space = space_factory(q, lam, N)
-        series = s_infinity(space, n_terms=n_terms, t_cap=t_cap)
-        window = max(N - window_margin, 0)
+        series = s_infinity(space, n_terms=n_terms, t_cap=T_CAP)
+        window = max(N - WINDOW_MARGIN, 0)
         sigma = ops.min_singular(series.op, src_level_max=window)
         sigmas.append((N, window, float(sigma)))
         tails.append((N, series.n_terms, series.tail_bound))
 
     details = {
-        "t_cap": t_cap,
+        "t_cap": T_CAP,
         "t_lower_bound": t_lower,
         "sigma_lower_estimate": (1.0 - product) * t_lower - tails[-1][2]
         if product < 1.0 else None,
@@ -636,28 +639,15 @@ def z_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
     return out
 
 
-def _window_blocks(space: FockSpace, level_max: int):
-    """Blocks up to a level with their offsets in one stacked index."""
-    blocks = []
-    offset = 0
-    for level in range(level_max + 1):
-        for sig in space.blocks_at_level(level):
-            dim = len(space.block_words(sig))
-            blocks.append((sig, offset, dim))
-            offset += dim
-    return blocks, offset
-
-
-def _stacked_images(space: FockSpace, A: ops.FockOperator, blocks, width):
+def _stacked_images(window: ops.Window, A: ops.FockOperator) -> dict:
     """Word-basis images of every window block under A, stacked per
     target block: {target_sig: matrix of shape (dim_target, width)}."""
     out: dict = {}
-    for sig, offset, dim in blocks:
-        for tgt, M in A.action(sig).items():
-            tdim = M.shape[0]
-            if tgt not in out:
-                out[tgt] = np.zeros((tdim, width), dtype=complex)
-            out[tgt][:, offset:offset + dim] += M
+    for sig, tgt, M in window.images(A):
+        if tgt not in out:
+            out[tgt] = np.zeros((M.shape[0], window.width), dtype=complex)
+        offset = window.offset[sig]
+        out[tgt][:, offset:offset + M.shape[1]] += M
     return out
 
 
@@ -689,18 +679,18 @@ def rank_one_diagnostics(space: FockSpace, n_list=None,
         scale = (1.0 - q) ** (2 * n)
         Wb = ops.wick_balanced(space, n)
         Wrb = ops.wick_right_balanced(space, n)
-        blocks, width = _window_blocks(space, L)
-        U = _stacked_images(space, Wrb, blocks, width)
-        V = _stacked_images(space, Wb, blocks, width)
-        M = np.zeros((width, width), dtype=complex)
+        window = ops.Window(space, L)
+        U = _stacked_images(window, Wrb)
+        V = _stacked_images(window, Wb)
+        M = np.zeros((window.width, window.width), dtype=complex)
         for tgt, Vt in V.items():
             if tgt in U:
                 M += U[tgt].conj().T @ (space.gram(tgt) @ Vt)
         M *= scale
         # into the orthonormal frame of the window
-        for sig, offset, dim in blocks:
+        for sig, offset in window.offset.items():
             Lc = space.gram_chol(sig)
-            sl = slice(offset, offset + dim)
+            sl = slice(offset, offset + len(Lc))
             M[sl, :] = scipy.linalg.solve_triangular(Lc, M[sl, :], lower=True)
             M[:, sl] = scipy.linalg.solve_triangular(
                 Lc, M[:, sl].conj().T, lower=True).conj().T
@@ -714,19 +704,17 @@ def rank_one_diagnostics(space: FockSpace, n_list=None,
         top = evecs[:, order[0]]
 
         # window coordinates of the distinguished vector
-        xi_coords = np.zeros(width, dtype=complex)
+        xi_coords = np.zeros(window.width, dtype=complex)
         for k in range(L // 2 + 1):
             coef = fam.d_inf * (1.0 - q) ** k * lam ** (k / 2.0) \
                 / fam.d[k] ** 2
             word = (EBAR,) * k + (E,) * k
             sig = space.signature(word)
-            for bsig, offset, dim in blocks:
-                if bsig == sig:
-                    x = np.zeros(dim, dtype=complex)
-                    x[space.word_index(word)] = coef
-                    xi_coords[offset:offset + dim] += \
-                        space.gram_chol(sig).conj().T @ x
-                    break
+            Lc = space.gram_chol(sig)
+            x = np.zeros(len(Lc), dtype=complex)
+            x[space.word_index(word)] = coef
+            offset = window.offset[sig]
+            xi_coords[offset:offset + len(Lc)] += Lc.conj().T @ x
         xi_win_norm = float(np.linalg.norm(xi_coords))
         cosine = float(abs(np.vdot(top, xi_coords)) /
                        max(xi_win_norm * np.linalg.norm(top), 1e-300))

@@ -24,6 +24,7 @@ from .fock import FockSpace, FockVector, E, EBAR
 from .qcomb import q_binomial, wick_coefficients, crossings, ENUMERATION_CAP
 
 __all__ = [
+    "Window",
     "FockOperator",
     "identity",
     "zero",
@@ -64,6 +65,33 @@ def _sig_add(sig, ell, delta=1):
     out = list(sig)
     out[ell] += delta
     return tuple(out)
+
+
+def _offsets(space: FockSpace, sigs):
+    """Offsets of the given blocks, in the given order, in one stacked
+    index, and the total width."""
+    offset = {}
+    width = 0
+    for sig in sigs:
+        offset[sig] = width
+        width += len(space.block_words(sig))
+    return offset, width
+
+
+class Window:
+    """The source blocks of levels <= level_max in level order, with
+    their offsets in one stacked index of the given width."""
+
+    def __init__(self, space: FockSpace, level_max: int):
+        self.blocks = [sig for level in range(level_max + 1)
+                       for sig in space.blocks_at_level(level)]
+        self.offset, self.width = _offsets(space, self.blocks)
+
+    def images(self, A: "FockOperator") -> list:
+        """[(src, tgt, M)] for every block of A's action on the window,
+        sources in window order."""
+        return [(src, tgt, M) for src in self.blocks
+                for tgt, M in A.action(src).items()]
 
 
 class FockOperator:
@@ -204,12 +232,8 @@ class FockOperator:
         """Explicit {(src_sig, tgt_sig): matrix} over all source blocks
         up to the given level.  Enumerates every block, so use on
         narrow-alphabet models only."""
-        out = {}
-        for level in range(src_level_max + 1):
-            for sig in self.space.blocks_at_level(level):
-                for tgt, M in self.action(sig).items():
-                    out[(sig, tgt)] = M
-        return out
+        return {(src, tgt): M for src, tgt, M
+                in Window(self.space, src_level_max).images(self)}
 
 
 def identity(space: FockSpace) -> FockOperator:
@@ -585,9 +609,11 @@ def wick_right_balanced(space: FockSpace, n: int) -> FockOperator:
 def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator:
     """Adjoint with respect to the deformed inner product.
 
-    Materializes A over every block up to src_level_max (default: the
-    full depth), then conjugates each block matrix by the two block
-    Cholesky factors.  Narrow-alphabet models only.
+    Indexes the images of A over the window of source levels <=
+    src_level_max (default: the full depth) by target block.  The
+    adjoint's blocks out of a block conjugate each image into it by the
+    two block Cholesky factors, solved when the block is first requested
+    and cached.  Narrow-alphabet models only.
     """
     if A.antilinear:
         raise ValueError("deformed adjoint implemented for linear operators")
@@ -596,19 +622,21 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
-    table = A.materialize(src_level_max)
-    adj: dict = {}
-    for (src, tgt), M in table.items():
-        L_src = space.gram_chol(src)
-        G_tgt = space.gram(tgt)
-        # adjoint block src <- tgt: G_src^{-1} M^H G_tgt
-        M_adj = cho_solve((L_src, True), M.conj().T @ G_tgt)
-        adj.setdefault(tgt, {})[src] = M_adj
-    shifts = [sum(t) - sum(s) for (s, t) in table.keys()]
-    reach = -min(shifts) if shifts else 0
+    by_tgt: dict = {}
+    for src, tgt, M in Window(space, src_level_max).images(A):
+        by_tgt.setdefault(tgt, []).append((src, M))
+    reach = max((sum(src) - sum(tgt) for tgt, row in by_tgt.items()
+                 for src, _ in row), default=0)
 
     def act(sig):
-        return dict(adj.get(tuple(sig), {}))
+        row = by_tgt.get(tuple(sig), ())
+        if not row:
+            return {}
+        G_tgt = space.gram(sig)
+        # adjoint block src <- sig: G_src^{-1} M^H G_sig
+        return {src: cho_solve((space.gram_chol(src), True),
+                               M.conj().T @ G_tgt)
+                for src, M in row}
 
     return FockOperator(
         A.space, act, reach=reach, peak=max(reach, 0),
@@ -628,44 +656,29 @@ def _orthonormal_block(space: FockSpace, M: np.ndarray, src_sig, tgt_sig):
 
 
 def _assemble(A: FockOperator, src_level_max: int):
-    """Stack the orthonormal-coordinate blocks of A over all sources up
-    to a level into one sparse matrix; returns the matrix plus the
-    source and target offset tables."""
+    """Stack the orthonormal-coordinate blocks of A over the window into
+    one sparse matrix: columns in window order, target rows in the order
+    the targets are first seen."""
     import scipy.sparse as sp
 
     space = A.space
-    entries = []
-    src_offset: dict = {}
-    tgt_offset: dict = {}
-    src_dim = 0
-    tgt_dim = 0
-    for level in range(src_level_max + 1):
-        for sig in space.blocks_at_level(level):
-            m = len(space.block_words(sig))
-            src_offset[sig] = src_dim
-            src_dim += m
-    pairs = []
-    for sig in src_offset:
-        for tgt, M in A.action(sig).items():
-            if tgt not in tgt_offset:
-                tgt_offset[tgt] = tgt_dim
-                tgt_dim += len(space.block_words(tgt))
-            pairs.append((sig, tgt, M))
+    window = Window(space, src_level_max)
+    images = window.images(A)
+    tgt_offset, tgt_dim = _offsets(
+        space, dict.fromkeys(tgt for _, tgt, _ in images))
+    if not images:
+        return sp.csr_matrix((max(tgt_dim, 1), max(window.width, 1)))
     rows, cols, vals = [], [], []
-    for sig, tgt, M in pairs:
-        Mo = _orthonormal_block(space, M, sig, tgt)
-        r0, c0 = tgt_offset[tgt], src_offset[sig]
+    for src, tgt, M in images:
+        Mo = _orthonormal_block(space, M, src, tgt)
         rr, cc = np.nonzero(np.ones_like(Mo, dtype=bool))
-        rows.append(rr + r0)
-        cols.append(cc + c0)
+        rows.append(rr + tgt_offset[tgt])
+        cols.append(cc + window.offset[src])
         vals.append(Mo.ravel())
-    if not rows:
-        return sp.csr_matrix((max(tgt_dim, 1), max(src_dim, 1))), src_offset, tgt_offset
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(tgt_dim, src_dim),
+        shape=(tgt_dim, window.width),
     )
-    return mat, src_offset, tgt_offset
 
 
 def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
@@ -677,7 +690,7 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     space = A.space
     if src_level_max is None:
         src_level_max = max(space.depth - max(A.peak, 0), 0)
-    mat, _, _ = _assemble(A, src_level_max)
+    mat = _assemble(A, src_level_max)
     if mat.nnz == 0:
         return 0.0
     if max(mat.shape) <= NORM_DENSE_LIMIT:
@@ -712,14 +725,12 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
         if ra != rb:
             parent[ra] = rb
 
-    actions = {}
-    for level in range(src_level_max + 1):
-        for sig in space.blocks_at_level(level):
-            act = A.action(sig)
-            actions[sig] = act
-            find(sig)
-            for tgt in act:
-                union(sig, tgt)
+    actions = {sig: A.action(sig)
+               for sig in Window(space, src_level_max).blocks}
+    for sig, act in actions.items():
+        find(sig)
+        for tgt in act:
+            union(sig, tgt)
     groups: dict = {}
     for sig in actions:
         groups.setdefault(find(sig), []).append(sig)
@@ -728,25 +739,13 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
         tgts = set()
         for sig in sigs:
             tgts.update(actions[sig].keys())
-        cols = {sig: len(space.block_words(sig)) for sig in sigs}
-        rows = {t: len(space.block_words(t)) for t in sorted(tgts | set(sigs))}
-        ncol = sum(cols.values())
-        nrow = sum(rows.values())
+        col_off, ncol = _offsets(space, sigs)
+        row_off, nrow = _offsets(space, sorted(tgts | set(sigs)))
         if max(nrow, ncol) > SINGULAR_DENSE_LIMIT:
             raise ValueError(
                 f"component around {root} is {nrow}x{ncol}, too large for a "
                 f"dense smallest-singular-value computation"
             )
-        col_off = {}
-        off = 0
-        for sig in sigs:
-            col_off[sig] = off
-            off += cols[sig]
-        row_off = {}
-        off = 0
-        for t in rows:
-            row_off[t] = off
-            off += rows[t]
         dense = np.zeros((nrow, ncol))
         for sig in sigs:
             for tgt, M in actions[sig].items():
@@ -769,25 +768,23 @@ def action_gap(A: FockOperator, B: FockOperator, src_level_max: int) -> float:
     over all source blocks up to a level."""
     if A.antilinear != B.antilinear:
         raise ValueError("cannot compare linear with antilinear")
-    space = A.space
     worst = 0.0
-    for level in range(src_level_max + 1):
-        for sig in space.blocks_at_level(level):
-            a = A.action(sig)
-            b = B.action(sig)
-            scale = 1.0
-            for M in a.values():
-                scale = max(scale, np.abs(M).max() if M.size else 0.0)
-            for M in b.values():
-                scale = max(scale, np.abs(M).max() if M.size else 0.0)
-            for tgt in set(a) | set(b):
-                Ma = a.get(tgt)
-                Mb = b.get(tgt)
-                if Ma is None:
-                    gap = np.abs(Mb).max() if Mb.size else 0.0
-                elif Mb is None:
-                    gap = np.abs(Ma).max() if Ma.size else 0.0
-                else:
-                    gap = np.abs(Ma - Mb).max() if Ma.size else 0.0
-                worst = max(worst, gap / scale)
+    for sig in Window(A.space, src_level_max).blocks:
+        a = A.action(sig)
+        b = B.action(sig)
+        scale = 1.0
+        for M in a.values():
+            scale = max(scale, np.abs(M).max() if M.size else 0.0)
+        for M in b.values():
+            scale = max(scale, np.abs(M).max() if M.size else 0.0)
+        for tgt in set(a) | set(b):
+            Ma = a.get(tgt)
+            Mb = b.get(tgt)
+            if Ma is None:
+                gap = np.abs(Mb).max() if Mb.size else 0.0
+            elif Mb is None:
+                gap = np.abs(Ma).max() if Ma.size else 0.0
+            else:
+                gap = np.abs(Ma - Mb).max() if Ma.size else 0.0
+            worst = max(worst, gap / scale)
     return worst

@@ -52,6 +52,7 @@ def test_config_rejects_unknown_key_and_bad_lines():
     dict(fmt="xml"),
     dict(jobs=0),
     dict(tol_identity=0.0),
+    dict(max_total_words=100),
 ])
 def test_validate_rejects(bad):
     with pytest.raises(ConfigError):
@@ -81,6 +82,18 @@ def test_main_exit_code_two_for_bad_config(tmp_path, capsys):
     rc = cli.main(["sweep", "--lambda", "0.95", "--depth", "14",
                    "--q", "0.1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_word_budget_refused_before_any_row(tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("max_total_words = 100\nq = 0.3\nlambda = 0.3\n"
+                   "depth = 6\n")
+    out = tmp_path / "out"
+    for command in ("sweep", "verify"):
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "budget 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_leading_grid_values_parse(tmp_path):
@@ -214,6 +227,18 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     assert cli.main(["sweep", *grids, "--jobs", "3", "--out", str(d2)]) == 0
     assert _strip_runtime((d1 / "sweep.csv").read_text()) \
         == _strip_runtime((d2 / "sweep.csv").read_text())
+
+
+def test_grid_checks_pool_matches_serial():
+    cfg = replace(RunConfig(), q_grid=(0.3, -0.5), lam_grid=(0.2, 0.4),
+                  depth=6)
+    suites = []
+    for jobs in (1, 2):
+        suite = cli._Suite()
+        cli._grid_checks(suite, replace(cfg, jobs=jobs))
+        suites.append(suite.results)
+    assert suites[0] == suites[1]
+    assert all(r.passed for r in suites[0])
 
 
 def test_sweep_verdict_flips_across_threshold(tmp_path):

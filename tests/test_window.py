@@ -1,0 +1,200 @@
+"""Bit-identity of the block window and the lazy adjoint against the
+eager constructions kept here as oracles: an adjoint that solves every
+block of the window up front, the hand-written block offsets and
+stacked images of the rank-one compression, and the sparse and dense
+assemblies of op_norm and min_singular with their own offset loops."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sps
+from scipy.linalg import cho_solve
+
+from qfock import limits, ops
+from qfock.fock import E, EBAR, build_space
+
+DEPTH = 8
+
+
+@pytest.fixture(scope="module", params=[0.3, -0.5], ids=["pos-q", "neg-q"])
+def sp(request):
+    return build_space(q=request.param, lam=0.4, depth=DEPTH)
+
+
+def _window_blocks(space, level_max):
+    blocks = []
+    offset = 0
+    for level in range(level_max + 1):
+        for sig in space.blocks_at_level(level):
+            dim = len(space.block_words(sig))
+            blocks.append((sig, offset, dim))
+            offset += dim
+    return blocks, offset
+
+
+def _stacked_images(space, A, blocks, width):
+    out = {}
+    for sig, offset, dim in blocks:
+        for tgt, M in A.action(sig).items():
+            tdim = M.shape[0]
+            if tgt not in out:
+                out[tgt] = np.zeros((tdim, width), dtype=complex)
+            out[tgt][:, offset:offset + dim] += M
+    return out
+
+
+def _q_adjoint_oracle(A, src_level_max=None):
+    space = A.space
+    if src_level_max is None:
+        src_level_max = space.depth
+    table = {}
+    for level in range(src_level_max + 1):
+        for sig in space.blocks_at_level(level):
+            for tgt, M in A.action(sig).items():
+                table[(sig, tgt)] = M
+    adj = {}
+    for (src, tgt), M in table.items():
+        L_src = space.gram_chol(src)
+        G_tgt = space.gram(tgt)
+        adj.setdefault(tgt, {})[src] = cho_solve((L_src, True),
+                                                 M.conj().T @ G_tgt)
+    shifts = [sum(t) - sum(s) for (s, t) in table]
+    reach = -min(shifts) if shifts else 0
+    return adj, reach, max(reach, 0)
+
+
+def _op_norm_oracle(A):
+    space = A.space
+    src_level_max = max(space.depth - max(A.peak, 0), 0)
+    src_offset, tgt_offset = {}, {}
+    src_dim = tgt_dim = 0
+    for level in range(src_level_max + 1):
+        for sig in space.blocks_at_level(level):
+            src_offset[sig] = src_dim
+            src_dim += len(space.block_words(sig))
+    pairs = []
+    for sig in src_offset:
+        for tgt, M in A.action(sig).items():
+            if tgt not in tgt_offset:
+                tgt_offset[tgt] = tgt_dim
+                tgt_dim += len(space.block_words(tgt))
+            pairs.append((sig, tgt, M))
+    rows, cols, vals = [], [], []
+    for sig, tgt, M in pairs:
+        Mo = ops._orthonormal_block(space, M, sig, tgt)
+        rr, cc = np.nonzero(np.ones_like(Mo, dtype=bool))
+        rows.append(rr + tgt_offset[tgt])
+        cols.append(cc + src_offset[sig])
+        vals.append(Mo.ravel())
+    mat = sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(tgt_dim, src_dim))
+    assert max(mat.shape) <= ops.NORM_DENSE_LIMIT
+    return float(np.linalg.norm(mat.toarray(), 2))
+
+
+def _min_singular_oracle(A, src_level_max):
+    space = A.space
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    actions = {}
+    for level in range(src_level_max + 1):
+        for sig in space.blocks_at_level(level):
+            act = A.action(sig)
+            actions[sig] = act
+            find(sig)
+            for tgt in act:
+                ra, rb = find(sig), find(tgt)
+                if ra != rb:
+                    parent[ra] = rb
+    groups = {}
+    for sig in actions:
+        groups.setdefault(find(sig), []).append(sig)
+    smallest = np.inf
+    for sigs in groups.values():
+        tgts = set()
+        for sig in sigs:
+            tgts.update(actions[sig].keys())
+        col_off, ncol = {}, 0
+        for sig in sigs:
+            col_off[sig] = ncol
+            ncol += len(space.block_words(sig))
+        row_off, nrow = {}, 0
+        for t in sorted(tgts | set(sigs)):
+            row_off[t] = nrow
+            nrow += len(space.block_words(t))
+        dense = np.zeros((nrow, ncol))
+        for sig in sigs:
+            for tgt, M in actions[sig].items():
+                Mo = ops._orthonormal_block(space, M, sig, tgt)
+                r0, c0 = row_off[tgt], col_off[sig]
+                dense[r0:r0 + Mo.shape[0], c0:c0 + Mo.shape[1]] += Mo
+        s = np.linalg.svd(dense, compute_uv=False)
+        smallest = min(smallest, float(s.min()) if s.size else 0.0)
+    return float(smallest)
+
+
+@pytest.mark.parametrize("level_max", [0, 3, DEPTH])
+def test_window_offsets_match_oracle(sp, level_max):
+    window = ops.Window(sp, level_max)
+    blocks, width = _window_blocks(sp, level_max)
+    assert window.width == width
+    assert list(window.offset.items()) == [(sig, off) for sig, off, _ in blocks]
+    assert window.blocks == [sig for sig, _, _ in blocks]
+
+
+def test_stacked_images_match_oracle(sp):
+    A = ops.wick_balanced(sp, 1)
+    window = ops.Window(sp, 4)
+    got = limits._stacked_images(window, A)
+    want = _stacked_images(sp, A, *_window_blocks(sp, 4))
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[t], want[t]) for t in want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: ops.creation_letter(s, E),
+    lambda s: ops.annihilation_letter(s, EBAR),
+    lambda s: ops.wen_operator(s, 2),
+], ids=["creation", "annihilation", "wen2"])
+def test_lazy_adjoint_matches_eager_oracle(sp, make):
+    A = make(sp)
+    adj = ops.q_adjoint(A)
+    want, reach, peak = _q_adjoint_oracle(A)
+    assert (adj.reach, adj.peak) == (reach, peak)
+    for sig in ops.Window(sp, DEPTH).blocks:
+        got = adj.action(sig)
+        expected = want.get(sig, {})
+        assert list(got) == list(expected)
+        assert all(np.array_equal(got[s], expected[s]) for s in expected)
+
+
+def test_min_singular_matches_oracle(sp):
+    series = limits.s_infinity(sp)
+    window = DEPTH - 2
+    assert ops.min_singular(series.op, src_level_max=window) \
+        == _min_singular_oracle(series.op, window)
+    eye = ops.identity(sp)
+    assert ops.min_singular(eye) == _min_singular_oracle(eye, DEPTH)
+
+
+def test_op_norm_of_creation_powers_matches_oracle(sp):
+    ce = ops.creation_letter(sp, E)
+    for n in range(1, 5):
+        A = ce.power(n)
+        assert ops.op_norm(A) == _op_norm_oracle(A)
+
+
+def test_adjoint_solves_only_requested_blocks():
+    sp = build_space(q=0.3, lam=0.4, depth=10)
+    ce = ops.creation_letter(sp, E)
+    ae = ops.annihilation_letter(sp, E)
+    assert ops.action_gap(ops.q_adjoint(ce), ae, 4) < 1e-12
+    assert sp._unit.chol_unit
+    assert max(sum(sig) for sig in sp._unit.chol_unit) <= 4

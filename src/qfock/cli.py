@@ -111,22 +111,14 @@ class RunConfig:
 
     def to_text(self) -> str:
         lines = ["# run configuration"]
-        lines.append("q = " + ", ".join(repr(x) for x in self.q_grid))
-        lines.append("lambda = " + ", ".join(repr(x) for x in self.lam_grid))
-        lines.append(f"depth = {self.depth}")
-        lines.append(f"terms = {self.terms}")
-        lines.append(f"max_total_words = {self.max_total_words}")
-        lines.append(f"pairing_cap = {self.pairing_cap}")
-        lines.append(f"tol_identity = {self.tol_identity!r}")
-        lines.append(f"tol_eigen = {self.tol_eigen!r}")
-        lines.append(f"tol_moment = {self.tol_moment!r}")
-        lines.append(f"out_dir = {self.out_dir}")
-        lines.append(f"format = {self.fmt}")
-        lines.append(f"jobs = {self.jobs}")
+        lines += [f"{key} = {_show(getattr(self, name))}"
+                  for key, name in _KEYS.items()]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
+        """Parse 'key = value' lines; each value by the type of its
+        field's default, the grids as number lists."""
         cfg = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -136,11 +128,34 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key not in _KEYS:
+                raise ConfigError(f"unknown configuration key {key!r}")
+            name = _KEYS[key]
+            default = getattr(cfg, name)
+            parse = (_float_list if isinstance(default, tuple)
+                     else type(default))
             try:
-                cfg = _apply_key(cfg, key, val)
+                cfg = replace(cfg, **{name: parse(val)})
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
         return cfg
+
+
+# configuration file key -> RunConfig field, in printed order
+_KEYS = {
+    "q": "q_grid",
+    "lambda": "lam_grid",
+    "depth": "depth",
+    "terms": "terms",
+    "max_total_words": "max_total_words",
+    "pairing_cap": "pairing_cap",
+    "tol_identity": "tol_identity",
+    "tol_eigen": "tol_eigen",
+    "tol_moment": "tol_moment",
+    "out_dir": "out_dir",
+    "format": "fmt",
+    "jobs": "jobs",
+}
 
 
 def _float_list(val: str) -> tuple:
@@ -148,20 +163,11 @@ def _float_list(val: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-def _apply_key(cfg: RunConfig, key: str, val: str) -> RunConfig:
-    if key == "q":
-        return replace(cfg, q_grid=_float_list(val))
-    if key == "lambda":
-        return replace(cfg, lam_grid=_float_list(val))
-    if key in ("depth", "terms", "max_total_words", "pairing_cap", "jobs"):
-        return replace(cfg, **{key: int(val)})
-    if key in ("tol_identity", "tol_eigen", "tol_moment"):
-        return replace(cfg, **{key: float(val)})
-    if key == "out_dir":
-        return replace(cfg, out_dir=val)
-    if key == "format":
-        return replace(cfg, fmt=val)
-    raise ConfigError(f"unknown configuration key {key!r}")
+def _show(value) -> str:
+    """A configuration value as written in files and in --help."""
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -1203,7 +1209,7 @@ def cmd_dump(cfg: RunConfig, ns) -> int:
     sp = _dump_space(cfg)
 
     if ns.object == "xi":
-        K = ns.terms if ns.terms is not None else cfg.effective_terms()
+        K = cfg.effective_terms()
         xi = limits.xi_vector(sp, n_terms=K)
         vec_payload = json.loads(vector_to_json(sp, xi.vector))
         payload = {
@@ -1299,45 +1305,44 @@ def cmd_dump(cfg: RunConfig, ns) -> int:
 
 def _config_epilog() -> str:
     cfg = RunConfig()
-    return (
-        "configuration file: plain 'key = value' lines, '#' comments; "
-        "keys and defaults:\n"
-        f"  q               {', '.join(map(str, cfg.q_grid))}\n"
-        f"  lambda          {', '.join(map(str, cfg.lam_grid))}\n"
-        f"  depth           {cfg.depth}\n"
-        f"  terms           {cfg.terms} (0 means depth // 2)\n"
-        f"  max_total_words {cfg.max_total_words}\n"
-        f"  pairing_cap     {cfg.pairing_cap}\n"
-        f"  tol_identity    {cfg.tol_identity}\n"
-        f"  tol_eigen       {cfg.tol_eigen}\n"
-        f"  tol_moment      {cfg.tol_moment}\n"
-        f"  out_dir         {cfg.out_dir}\n"
-        f"  format          {cfg.fmt}\n"
-        f"  jobs            {cfg.jobs}\n"
-        "command-line flags override file values; exit codes: 0 ok, "
-        "1 check failure, 2 bad configuration"
-    )
+    lines = ["configuration file: plain 'key = value' lines, '#' comments; "
+             "keys and defaults:"]
+    for key, name in _KEYS.items():
+        note = " (0 means depth // 2)" if key == "terms" else ""
+        lines.append(f"  {key:<15} {_show(getattr(cfg, name))}{note}")
+    lines.append("command-line flags override file values; exit codes: 0 ok, "
+                 "1 check failure, 2 bad configuration")
+    return "\n".join(lines)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# RunConfig field -> its command-line flag and argparse options, in
+# --help order; each subcommand takes the flags of the fields it reads
+_FLAGS = {
+    "q_grid": ("--q", dict(type=_float_list, metavar="LIST",
+                           help="comma-separated q grid, e.g. '-0.5,0,0.5'")),
+    "lam_grid": ("--lambda", dict(
+        type=_float_list, metavar="LIST",
+        help="comma-separated lambda grid in (0, 1)")),
+    "depth": ("--depth", dict(type=int, metavar="N", help="truncation level")),
+    "terms": ("--terms", dict(
+        type=int, metavar="K",
+        help="series order (0 means depth // 2); at depth N only orders up "
+             "to (N - 2) // 2 reach the certificate window, higher ones give "
+             "the same rows")),
+    "jobs": ("--jobs", dict(type=int, metavar="J",
+                            help="worker processes for grid points")),
+    "fmt": ("--format", dict(choices=("csv", "json"),
+                             help="data file format")),
+    "out_dir": ("--out", dict(metavar="DIR", help="output directory")),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
     p.add_argument("--config", metavar="PATH",
                    help="configuration file (key = value lines)")
-    p.add_argument("--q", metavar="LIST",
-                   help="comma-separated q grid, e.g. '-0.5,0,0.5'")
-    p.add_argument("--lambda", dest="lam", metavar="LIST",
-                   help="comma-separated lambda grid in (0, 1)")
-    p.add_argument("--depth", type=int, metavar="N",
-                   help="truncation level")
-    p.add_argument("--terms", type=int, metavar="K",
-                   help="series order (0 means depth // 2); at depth N "
-                        "only orders up to (N - 2) // 2 reach the "
-                        "certificate window, higher ones give the same rows")
-    p.add_argument("--jobs", type=int, metavar="J",
-                   help="worker processes for grid points")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                   help="data file format")
-    p.add_argument("--out", dest="out_dir", metavar="DIR",
-                   help="output directory")
+    for name in names:
+        flag, options = _FLAGS[name]
+        p.add_argument(flag, dest=name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1351,15 +1356,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant checks",
                        epilog=_config_epilog(),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
+    _add_flags(p, ("q_grid", "lam_grid", "depth", "jobs", "out_dir"))
 
     p = sub.add_parser("sweep", help="tabulate diagnostics over the grid",
                        epilog=_config_epilog(),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
+    _add_flags(p, _FLAGS)
 
     p = sub.add_parser("dump", help="write one object in full")
-    _add_common(p)
+    _add_flags(p, ("q_grid", "lam_grid", "depth", "terms", "fmt", "out_dir"))
     p.add_argument("object", choices=("gram", "operator", "xi"),
                    help="what to dump")
     p.add_argument("--level", type=int, default=2,
@@ -1373,19 +1378,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(ns) -> RunConfig:
-    if ns.config:
-        text = Path(ns.config).read_text()
-        cfg = RunConfig.from_text(text)
-    else:
-        cfg = RunConfig()
-    if ns.q is not None:
-        cfg = replace(cfg, q_grid=_float_list(ns.q))
-    if ns.lam is not None:
-        cfg = replace(cfg, lam_grid=_float_list(ns.lam))
-    for key in ("depth", "terms", "jobs", "fmt", "out_dir"):
-        val = getattr(ns, key, None)
+    cfg = RunConfig.from_text(Path(ns.config).read_text()) if ns.config \
+        else RunConfig()
+    for name in _FLAGS:
+        val = getattr(ns, name, None)
         if val is not None:
-            cfg = replace(cfg, **{key: val})
+            cfg = replace(cfg, **{name: val})
     return cfg
 
 

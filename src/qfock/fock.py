@@ -32,11 +32,6 @@ __all__ = [
     "FockSpace",
     "FockVector",
     "build_space",
-    "gram",
-    "gram_bruteforce",
-    "inner",
-    "norm",
-    "orthonormalize",
     "BudgetExceededError",
     "GramFactorizationError",
     "GramConditionWarning",
@@ -538,15 +533,6 @@ class FockVector:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FockVector":
-        return FockVector({w: np.conj(c) for w, c in self.terms.items()})
-
-    def levels(self):
-        return sorted({len(w) for w in self.terms})
-
-    def max_level(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def truncate(self, max_level: int) -> "FockVector":
         return FockVector(
             {w: c for w, c in self.terms.items() if len(w) <= max_level}
@@ -570,7 +556,7 @@ class FockVector:
         return out
 
 
-# -- module-level conveniences mirroring the operation catalogue ---------
+# -- construction --------------------------------------------------------
 
 
 def build_space(params: ModelParams | None = None, **kwargs) -> FockSpace:
@@ -579,31 +565,6 @@ def build_space(params: ModelParams | None = None, **kwargs) -> FockSpace:
     elif kwargs:
         raise TypeError("pass either a ModelParams or keyword fields, not both")
     return FockSpace(params)
-
-
-def gram(space: FockSpace, sig) -> np.ndarray:
-    return space.gram(sig)
-
-
-def gram_bruteforce(space: FockSpace, sig) -> np.ndarray:
-    return space.gram_bruteforce(sig)
-
-
-def inner(space: FockSpace, f: FockVector, g: FockVector) -> complex:
-    return space.inner(f, g)
-
-
-def norm(space: FockSpace, f: FockVector) -> float:
-    return space.norm(f)
-
-
-def orthonormalize(space: FockSpace, sig) -> np.ndarray:
-    """Column transform T with T^T G T = I for one block: the inverse
-    transpose of the lower Cholesky factor of the block Gram."""
-    L = space.gram_chol(sig)
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(L, np.eye(L.shape[0]), lower=True).T
 
 
 # -- serialization -------------------------------------------------------

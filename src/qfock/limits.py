@@ -65,6 +65,8 @@ K_SCAN = 200
 # <= N - WINDOW_MARGIN, with its compressions capped at T_CAP
 WINDOW_MARGIN = 2
 T_CAP = 6
+# rank_one_diagnostics compresses onto source levels <= WINDOW_CAP
+WINDOW_CAP = 8
 
 
 # -- report plumbing -----------------------------------------------------
@@ -105,44 +107,6 @@ class ConvergenceReport:
     monotone: bool
     final_gap: float
     details: dict = field(default_factory=dict)
-
-    def passed(self, gap_threshold: float, require_trend: bool = True) -> bool:
-        ok = self.final_gap <= gap_threshold
-        if require_trend:
-            ok = ok and self.monotone
-        return ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "qfock-report-1",
-            "name": self.name,
-            "q": self.q,
-            "lam": self.lam,
-            "depth": self.depth,
-            "values": _jsonable(self.values),
-            "limit": _jsonable(self.limit),
-            "gaps": _jsonable(list(self.gaps)),
-            "monotone": self.monotone,
-            "final_gap": self.final_gap,
-            "details": _jsonable(self.details),
-        }
-
-    def csv_rows(self) -> list:
-        """Flat rows, one per (n) step, dict values exploded by key."""
-        rows = []
-        for (n, val), gap in zip(self.values, self.gaps):
-            if isinstance(val, dict):
-                for key in sorted(val):
-                    rows.append({
-                        "check": self.name, "q": self.q, "lam": self.lam,
-                        "n": n, "key": key, "value": val[key], "gap": gap,
-                    })
-            else:
-                rows.append({
-                    "check": self.name, "q": self.q, "lam": self.lam,
-                    "n": n, "key": "value", "value": val, "gap": gap,
-                })
-        return rows
 
 
 def _report(name, space, values, limit, gaps, details=None) -> ConvergenceReport:
@@ -459,16 +423,6 @@ class InvertibilityCertificate:
             "details": _jsonable(self.details),
         }
 
-    def csv_rows(self) -> list:
-        rows = []
-        for (depth, window, sigma) in self.min_singular:
-            rows.append({
-                "check": "invertibility", "q": self.q, "lam": self.lam,
-                "n": depth, "key": f"min_singular_w{window}",
-                "value": sigma, "gap": self.product,
-            })
-        return rows
-
 
 def invertibility_threshold(q: float) -> float:
     """The closed-form deformation bound below which the series is
@@ -651,12 +605,11 @@ def _stacked_images(window: ops.Window, A: ops.FockOperator) -> dict:
     return out
 
 
-def rank_one_diagnostics(space: FockSpace, n_list=None,
-                         window_cap: int = 8) -> ConvergenceReport:
+def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
     """Top-of-spectrum diagnostics of the compressed witness sequence.
 
     For each n the witness is compressed to the orthonormalized window
-    of levels <= min(depth - 2n, window_cap) through the exact pairing
+    of levels <= min(depth - 2n, WINDOW_CAP) through the exact pairing
     with Wick images of the balanced pair word; reported per n: the top
     singular value against the squared norm of the window-restricted
     distinguished vector, the second-to-first singular ratio, and the
@@ -673,7 +626,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None,
     gaps = []
     vacuum_track = []
     for n in n_list:
-        L = min(N - 2 * n, window_cap)
+        L = min(N - 2 * n, WINDOW_CAP)
         if L < 0:
             raise ValueError(f"witness step {n} leaves no window at depth {N}")
         scale = (1.0 - q) ** (2 * n)
@@ -736,7 +689,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None,
     details = {
         "norm_sq_limit": norm_sq_full,
         "vacuum_sequence": vacuum_track,
-        "window_cap": window_cap,
+        "window_cap": WINDOW_CAP,
     }
     return _report("rank_one", space, values, norm_sq_full, gaps, details)
 

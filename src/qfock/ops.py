@@ -36,8 +36,6 @@ __all__ = [
     "right_annihilation_letter",
     "creation",
     "annihilation",
-    "right_creation",
-    "right_annihilation",
     "flip_unitary",
     "field",
     "wick",
@@ -50,7 +48,6 @@ __all__ = [
     "q_adjoint",
     "op_norm",
     "min_singular",
-    "vacuum_expectation",
     "action_gap",
     "conjugate_letter",
 ]
@@ -120,10 +117,6 @@ class FockOperator:
         tag = "antilinear " if self.antilinear else ""
         return (f"<{tag}FockOperator {self.label or '?'} reach={self.reach} "
                 f"peak={self.peak}>")
-
-    def safe_source_max(self) -> int:
-        """Largest source level on which truncation cannot bite."""
-        return self.space.depth - self.peak
 
     def action(self, sig) -> dict:
         sig = tuple(sig)
@@ -205,10 +198,7 @@ class FockOperator:
     def power(self, k: int) -> "FockOperator":
         if k < 0:
             raise ValueError("power must be >= 0")
-        out = identity(self.space)
-        for _ in range(k):
-            out = self @ out
-        return out
+        return _chain(self.space, [self] * k)
 
     # -- application ----------------------------------------------------
 
@@ -246,6 +236,15 @@ def identity(space: FockSpace) -> FockOperator:
 
 def zero(space: FockSpace) -> FockOperator:
     return FockOperator(space, lambda sig: {}, reach=0, label="0")
+
+
+def _chain(space: FockSpace, factors) -> FockOperator:
+    """factors[0] @ (factors[1] @ (... @ identity)): the last factor acts
+    first, and each product is grouped onto the chain built so far."""
+    out = identity(space)
+    for A in reversed(factors):
+        out = A @ out
+    return out
 
 
 def memoized(A: FockOperator) -> FockOperator:
@@ -372,15 +371,6 @@ def annihilation(space: FockSpace, v) -> FockOperator:
     return _letter_sum(space, v, annihilation_letter, True, -1, 0, "c(v)*")
 
 
-def right_creation(space: FockSpace, v) -> FockOperator:
-    return _letter_sum(space, v, right_creation_letter, False, 1, 1, "cr(v)")
-
-
-def right_annihilation(space: FockSpace, v) -> FockOperator:
-    return _letter_sum(space, v, right_annihilation_letter, True, -1, 0,
-                       "cr(v)*")
-
-
 def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
     if not parts:
         return zero(space)
@@ -461,23 +451,18 @@ def modular_ops(space: FockSpace) -> ModularOps:
     return ModularOps(S=S, J=J, Delta=Delta)
 
 
-def field(space: FockSpace, v, side: str = "left") -> FockOperator:
+def field(space: FockSpace, v) -> FockOperator:
     """Field operator creation(v) + annihilation(v); deformed-self-adjoint
     for real letter combinations."""
-    if side == "left":
-        out = creation(space, v) + annihilation(space, v)
-    elif side == "right":
-        out = right_creation(space, v) + right_annihilation(space, v)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side}")
-    out.label = f"field({side})"
+    out = creation(space, v) + annihilation(space, v)
+    out.label = "field"
     return out
 
 
 # -- Wick operators ------------------------------------------------------
 
 
-def wick(space: FockSpace, word, cap: int = ENUMERATION_CAP) -> FockOperator:
+def wick(space: FockSpace, word) -> FockOperator:
     """Wick operator of a letter word: the unique truncation-compatible
     operator with vacuum value the word, assembled as the crossing-
     weighted sum over splittings into created and annihilated letters.
@@ -487,29 +472,26 @@ def wick(space: FockSpace, word, cap: int = ENUMERATION_CAP) -> FockOperator:
     """
     word = tuple(word)
     n = len(word)
-    if n > cap:
-        raise ValueError(f"wick word length {n} exceeds cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"wick word length {n} exceeds cap {ENUMERATION_CAP}")
     terms = []
     for mask in range(1 << n):
         J = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
         comp = [p for p in range(1, n + 1) if not mask & (1 << (p - 1))]
         weight = space.q ** crossings(n, J)
-        chain = identity(space)
         # rightmost factor acts first: annihilations of the conjugated
         # complement letters in increasing position order
-        for p in reversed(comp):
-            chain = annihilation_letter(
-                space, conjugate_letter(word[p - 1])
-            ) @ chain
-        for p in reversed(J):
-            chain = creation_letter(space, word[p - 1]) @ chain
-        terms.append(weight * chain)
+        created = [creation_letter(space, word[p - 1]) for p in J]
+        annihilated = [
+            annihilation_letter(space, conjugate_letter(word[p - 1]))
+            for p in comp]
+        terms.append(weight * _chain(space, created + annihilated))
     out = _op_sum(space, terms, reach=n, peak=n)
     out.label = f"W[{space.word_name(word)}]"
     return out
 
 
-def wick_right(space: FockSpace, word, cap: int = ENUMERATION_CAP) -> FockOperator:
+def wick_right(space: FockSpace, word) -> FockOperator:
     """Right Wick operator of a letter word: commutes with every left
     Wick operator on safe levels and has vacuum value the word.
 
@@ -519,8 +501,8 @@ def wick_right(space: FockSpace, word, cap: int = ENUMERATION_CAP) -> FockOperat
     """
     word = tuple(word)
     n = len(word)
-    if n > cap:
-        raise ValueError(f"wick word length {n} exceeds cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"wick word length {n} exceeds cap {ENUMERATION_CAP}")
     terms = []
     for mask in range(1 << n):
         P = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
@@ -528,17 +510,15 @@ def wick_right(space: FockSpace, word, cap: int = ENUMERATION_CAP) -> FockOperat
         rev = [n + 1 - p for p in P]
         weight = space.q ** crossings(n, rev)
         scale = 1.0
-        chain = identity(space)
-        # decreasing positions, rightmost factor acts first
         for p in compP:
-            ell = word[p - 1]
-            scale *= space.aeig[ell]
-            chain = right_annihilation_letter(
-                space, conjugate_letter(ell)
-            ) @ chain
-        for p in P:
-            chain = right_creation_letter(space, word[p - 1]) @ chain
-        terms.append((weight * scale) * chain)
+            scale *= space.aeig[word[p - 1]]
+        # decreasing positions, rightmost factor acts first
+        created = [right_creation_letter(space, word[p - 1])
+                   for p in reversed(P)]
+        annihilated = [right_annihilation_letter(space,
+                                                 conjugate_letter(word[p - 1]))
+                       for p in reversed(compP)]
+        terms.append((weight * scale) * _chain(space, created + annihilated))
     out = _op_sum(space, terms, reach=n, peak=n)
     out.label = f"Wr[{space.word_name(word)}]"
     return out
@@ -551,14 +531,8 @@ def wen_operator(space: FockSpace, n: int) -> FockOperator:
     q = space.q
     ce = creation_letter(space, E)
     aeb = annihilation_letter(space, EBAR)
-    terms = []
-    for k in range(n + 1):
-        chain = identity(space)
-        for _ in range(k):
-            chain = aeb @ chain
-        for _ in range(n - k):
-            chain = ce @ chain
-        terms.append(q_binomial(n, k, q) * chain)
+    terms = [q_binomial(n, k, q) * _chain(space, [ce] * (n - k) + [aeb] * k)
+             for k in range(n + 1)]
     out = _op_sum(space, terms, reach=n, peak=n)
     out.label = f"W[e^{n}]"
     return out
@@ -573,19 +547,9 @@ def wick_balanced(space: FockSpace, n: int) -> FockOperator:
     ceb = creation_letter(space, EBAR)
     ae = annihilation_letter(space, E)
     aeb = annihilation_letter(space, EBAR)
-    terms = []
-    for k in range(n + 1):
-        for l in range(n + 1):
-            chain = identity(space)
-            for _ in range(n - l):
-                chain = aeb @ chain
-            for _ in range(n - k):
-                chain = ae @ chain
-            for _ in range(l):
-                chain = ce @ chain
-            for _ in range(k):
-                chain = ceb @ chain
-            terms.append(coeff[k, l] * chain)
+    terms = [coeff[k, l] * _chain(space, [ceb] * k + [ce] * l
+                                  + [ae] * (n - k) + [aeb] * (n - l))
+             for k in range(n + 1) for l in range(n + 1)]
     out = _op_sum(space, terms, reach=2 * n, peak=2 * n)
     out.label = f"W[Ebar^{n}e^{n}]"
     return out
@@ -603,7 +567,7 @@ def wick_right_balanced(space: FockSpace, n: int) -> FockOperator:
     return out
 
 
-# -- adjoints, norms, expectations ---------------------------------------
+# -- adjoints, norms, gaps -----------------------------------------------
 
 
 def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator:
@@ -755,12 +719,6 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
         s = np.linalg.svd(dense, compute_uv=False)
         smallest = min(smallest, float(s.min()) if s.size else 0.0)
     return float(smallest)
-
-
-def vacuum_expectation(A: FockOperator) -> complex:
-    """<vacuum, A vacuum> in the deformed form."""
-    out = A.apply(FockVector.vacuum())
-    return out.coefficient(())
 
 
 def action_gap(A: FockOperator, B: FockOperator, src_level_max: int) -> float:

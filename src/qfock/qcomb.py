@@ -108,12 +108,12 @@ class DFamily:
         self.c = [1.0 / dj for dj in self.d]
 
 
-def d_family(q: float, j_max: int, tol: float = _PRODUCT_TOL) -> DFamily:
+def d_family(q: float, j_max: int) -> DFamily:
     """Compute d_0..d_{j_max} and the truncated limit d_inf.
 
-    The limit product is cut off once |q|^i < tol; the reported tail is
-    sum_{i>I} |q|^i / (1-|q|) exponentiated, a rigorous multiplicative
-    error bound for the dropped factors.
+    The limit product is cut off once |q|^i < _PRODUCT_TOL; the reported
+    tail is sum_{i>I} |q|^i / (1-|q|) exponentiated, a rigorous
+    multiplicative error bound for the dropped factors.
     """
     _check_q(q)
     if j_max < 0:
@@ -125,13 +125,13 @@ def d_family(q: float, j_max: int, tol: float = _PRODUCT_TOL) -> DFamily:
         ds.append(ds[-1] * (1.0 - p))
     if q == 0.0:
         return DFamily(q=q, d=ds, d_inf=1.0, d_inf_tail=0.0)
-    # extend the product until the dropped factors are below tol
+    # extend the product until the dropped factors are below _PRODUCT_TOL
     aq = abs(q)
     d_inf = ds[-1]
     p_abs = aq**j_max
     p_signed = q**j_max
     i = j_max
-    while p_abs >= tol:
+    while p_abs >= _PRODUCT_TOL:
         p_abs *= aq
         p_signed *= q
         i += 1
@@ -157,21 +157,21 @@ class BoundConstants:
     d_sup_argmax: int
 
 
-def bound_constants(q: float, tol: float = _PRODUCT_TOL) -> BoundConstants:
+def bound_constants(q: float) -> BoundConstants:
     _check_q(q)
     aq = abs(q)
     if aq == 0.0:
         return BoundConstants(q=q, c_q=1.0, d_sup=1.0, d_sup_argmax=0)
-    c_q = 1.0 / d_family(aq, 0, tol).d_inf
-    # scan the signed partial products until the factors are within tol of 1;
-    # beyond that point d_j is monotone within the tail bound, so the running
-    # max is the sup.
+    c_q = 1.0 / d_family(aq, 0).d_inf
+    # scan the signed partial products until the factors are within
+    # _PRODUCT_TOL of 1; beyond that point d_j is monotone within the tail
+    # bound, so the running max is the sup.
     sup = 1.0
     arg = 0
     dj = 1.0
     p = 1.0
     j = 0
-    while abs(p) >= tol:
+    while abs(p) >= _PRODUCT_TOL:
         p *= q
         j += 1
         dj *= 1.0 - p
@@ -200,15 +200,16 @@ def crossings(n: int, subset) -> int:
     return sum(j > k for j in J for k in comp)
 
 
-def subset_crossing_sum(n: int, k: int, q: float, cap: int = ENUMERATION_CAP) -> float:
+def subset_crossing_sum(n: int, k: int, q: float) -> float:
     """sum over J subset of {1..n}, |J| = k, of q^c(J, J^c).
 
     Brute-force subset enumeration; agrees with q_binomial(n, k, q),
     which is the checked route used by the closed-form coefficients.
     """
     _check_q(q)
-    if n > cap:
-        raise ValueError(f"subset enumeration for n={n} exceeds cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"subset enumeration for n={n} exceeds cap {ENUMERATION_CAP}")
     total = 0.0
     for J in itertools.combinations(range(1, n + 1), k):
         total += q ** crossings(n, J)
@@ -238,15 +239,16 @@ def wick_coefficients(n: int, q: float, cap: int = ENUMERATION_CAP):
     return coeff
 
 
-def pair_partitions(m: int, cap: int = PAIRING_CAP):
+def pair_partitions(m: int):
     """Yield all pairings of {0..m-1} as tuples of (a, b) pairs, a < b.
 
     m must be even; the count is (m-1)!!.
     """
     if m % 2 != 0:
         raise ValueError(f"pair partitions need an even ground set, got {m}")
-    if m > cap:
-        raise ValueError(f"pairing enumeration for m={m} exceeds cap {cap}")
+    if m > PAIRING_CAP:
+        raise ValueError(
+            f"pairing enumeration for m={m} exceeds cap {PAIRING_CAP}")
 
     def rec(remaining):
         if not remaining:
@@ -272,7 +274,7 @@ def pairing_crossings(pairing) -> int:
     return out
 
 
-def pair_partition_moment(m: int, q: float, cap: int = PAIRING_CAP) -> float:
+def pair_partition_moment(m: int, q: float) -> float:
     """sum over pairings of {1..m} of q^(#crossings); 0 for odd m.
 
     At q = 0 this is the Catalan number C_{m/2}; at q = 1 it would be
@@ -282,4 +284,4 @@ def pair_partition_moment(m: int, q: float, cap: int = PAIRING_CAP) -> float:
     _check_q(q)
     if m % 2 != 0:
         return 0.0
-    return sum(q ** pairing_crossings(p) for p in pair_partitions(m, cap))
+    return sum(q ** pairing_crossings(p) for p in pair_partitions(m))

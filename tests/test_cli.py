@@ -114,6 +114,85 @@ def test_help_documents_defaults(capsys):
     assert "exit codes" in text
 
 
+DEFAULT_TEXT = """\
+# run configuration
+q = -0.8, -0.5, -0.3, 0.0, 0.3, 0.5, 0.8
+lambda = 0.05, 0.15, 0.3, 0.5, 0.75
+depth = 12
+terms = 0
+max_total_words = 2000000
+pairing_cap = 16
+tol_identity = 1e-10
+tol_eigen = 1e-12
+tol_moment = 1e-08
+out_dir = out
+format = csv
+jobs = 1
+"""
+
+DEFAULT_EPILOG = """\
+configuration file: plain 'key = value' lines, '#' comments; keys and defaults:
+  q               -0.8, -0.5, -0.3, 0.0, 0.3, 0.5, 0.8
+  lambda          0.05, 0.15, 0.3, 0.5, 0.75
+  depth           12
+  terms           0 (0 means depth // 2)
+  max_total_words 2000000
+  pairing_cap     16
+  tol_identity    1e-10
+  tol_eigen       1e-12
+  tol_moment      1e-08
+  out_dir         out
+  format          csv
+  jobs            1
+command-line flags override file values; exit codes: 0 ok, 1 check failure, \
+2 bad configuration"""
+
+
+def test_default_text_and_epilog_pinned():
+    assert RunConfig().to_text() == DEFAULT_TEXT
+    assert cli._config_epilog() == DEFAULT_EPILOG
+
+
+# a non-default value for every configuration key, and the keys whose
+# flag each subcommand takes
+KEY_VALUES = {
+    "q": "0.1, -0.2", "lambda": "0.2, 0.4", "depth": "8", "terms": "3",
+    "max_total_words": "1000", "pairing_cap": "12", "tol_identity": "1e-09",
+    "tol_eigen": "1e-11", "tol_moment": "1e-07", "out_dir": "some/dir",
+    "format": "json", "jobs": "2",
+}
+COMMAND_KEYS = {
+    "verify": ("q", "lambda", "depth", "jobs", "out_dir"),
+    "sweep": ("q", "lambda", "depth", "terms", "jobs", "format", "out_dir"),
+    "dump": ("q", "lambda", "depth", "terms", "format", "out_dir"),
+}
+
+
+def _parse(argv) -> RunConfig:
+    ns = cli.build_parser().parse_args(cli._normalize_argv(argv))
+    return cli._merge_config(ns)
+
+
+@pytest.mark.parametrize("key", list(cli._KEYS))
+def test_config_line_and_flag_agree(key):
+    from_file = RunConfig.from_text(f"{key} = {KEY_VALUES[key]}\n")
+    assert from_file != RunConfig()
+    if cli._KEYS[key] not in cli._FLAGS:
+        assert not any(key in keys for keys in COMMAND_KEYS.values())
+        return
+    flag, _ = cli._FLAGS[cli._KEYS[key]]
+    for command, keys in COMMAND_KEYS.items():
+        argv = [command, "xi"] if command == "dump" else [command]
+        argv += [flag, KEY_VALUES[key]]
+        if key in keys:
+            assert _parse(argv) == from_file
+        else:
+            # verify --terms, verify --format and dump --jobs among them
+            with pytest.raises(SystemExit) as exc:
+                _parse(argv)
+            assert exc.value.code == 2
+
+
 # -- verify -------------------------------------------------------------
 
 
@@ -281,10 +360,10 @@ def test_sweep_empty_grid_writes_header_only(tmp_path):
 def test_sweep_records_errors_in_row_and_continues(tmp_path, monkeypatch):
     real = cli.limits.rank_one_diagnostics
 
-    def flaky(space, n_list=None, window_cap=8):
+    def flaky(space, n_list=None):
         if space.lam == 0.3:
             raise RuntimeError("synthetic point failure")
-        return real(space, n_list=n_list, window_cap=window_cap)
+        return real(space, n_list=n_list)
 
     monkeypatch.setattr(cli.limits, "rank_one_diagnostics", flaky)
     assert cli.main(["sweep", "--q", "0.1", "--lambda", "0.15,0.3",
@@ -353,6 +432,16 @@ def test_dump_xi_levels(tmp_path):
     levels = [lv["level"] for lv in payload["vector"]["levels"]]
     assert levels == [0, 2, 4, 6, 8, 10, 12]
     assert payload["norm_sq_closed_form"] > 0.0
+
+
+def test_dump_xi_terms_zero_means_half_depth(tmp_path):
+    assert cli.main(["dump", "xi", "--terms", "0", "--depth", "8",
+                     "--q", "0.3", "--lambda", "0.3", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "xi.json").read_text())
+    assert payload["terms"] == 4
+    levels = [lv["level"] for lv in payload["vector"]["levels"]]
+    assert levels == [0, 2, 4, 6, 8]
 
 
 def test_dump_gram_level_two(tmp_path):

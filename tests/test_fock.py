@@ -16,7 +16,6 @@ from qfock.fock import (
     ModelParams,
     build_space,
     gram_block_to_json,
-    orthonormalize,
     vector_from_json,
     vector_to_json,
 )
@@ -189,21 +188,6 @@ def test_vector_algebra():
     assert c.coefficient((E,)) == pytest.approx(1.0)
     assert c.coefficient((EBAR,)) == pytest.approx(0.0)
     assert c.coefficient((E, E)) == 0.0
-    v = FockVector.word((E, EBAR), coeff=1 + 2j)
-    w = v.conjugate()
-    assert w.coefficient((E, EBAR)) == pytest.approx(1 - 2j)
-    mixed = a + FockVector.word((E, EBAR, E))
-    assert mixed.levels() == [1, 3]
-    assert mixed.max_level() == 3
-    assert FockVector().max_level() == 0
-
-
-def test_orthonormalize_frame(sp):
-    sig = (2, 1)
-    F = orthonormalize(sp, sig)
-    G = sp.gram(sig)
-    assert np.allclose(F.T @ G @ F, np.eye(G.shape[0]),
-                       rtol=1e-10, atol=1e-10)
 
 
 def test_vector_json_round_trip(sp):

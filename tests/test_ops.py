@@ -233,14 +233,6 @@ def test_dual_window_norm_equality(sp):
     assert na == pytest.approx(nb, rel=1e-10)
 
 
-def test_vacuum_expectation_of_balanced_words(sp):
-    A = ops.wick(sp, (E, EBAR))
-    val = ops.vacuum_expectation(A)
-    direct = sp.inner(FockVector.vacuum(),
-                      A.apply(FockVector.vacuum()))
-    assert val == pytest.approx(direct, rel=1e-12)
-
-
 def test_wick_rejects_overdeep_words(sp):
     with pytest.raises(ValueError):
         ops.wick(sp, (E,) * (sp.depth + 1))

@@ -1,13 +1,15 @@
-"""Bit-identity of the word-map operators and the annihilation transfers
-against hand-written block constructions kept here as oracles: one loop
-per operator, each writing its 0/1 (or block-scalar) entries word by
-word, and one transfer loop per side."""
+"""Bit-identity of the word-map operators, the annihilation transfers
+and the operator chains against hand-written constructions kept here as
+oracles: one loop per operator, each writing its 0/1 (or block-scalar)
+entries word by word, one transfer loop per side, and one loop per
+chain that prepends each factor to the chain built so far."""
 
 import numpy as np
 import pytest
 
 from qfock import ops
 from qfock.fock import E, EBAR, build_space
+from qfock.qcomb import crossings, q_binomial, wick_coefficients
 
 LEVEL_MAX = 7
 
@@ -167,3 +169,112 @@ def test_unit_transfers_bit_identical(sp):
                                  ("right", _right_transfer_oracle)):
                 assert np.array_equal(unit.transfer_matrix(sig, ell, side),
                                       oracle(sp, sig, ell)), (sig, side)
+
+
+def _power_oracle(A, k):
+    out = ops.identity(A.space)
+    for _ in range(k):
+        out = A @ out
+    return out
+
+
+def _wick_oracle(space, word):
+    n = len(word)
+    terms = []
+    for mask in range(1 << n):
+        J = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
+        comp = [p for p in range(1, n + 1) if not mask & (1 << (p - 1))]
+        chain = ops.identity(space)
+        for p in reversed(comp):
+            chain = ops.annihilation_letter(
+                space, ops.conjugate_letter(word[p - 1])) @ chain
+        for p in reversed(J):
+            chain = ops.creation_letter(space, word[p - 1]) @ chain
+        terms.append(space.q ** crossings(n, J) * chain)
+    return ops._op_sum(space, terms, reach=n, peak=n)
+
+
+def _wick_right_oracle(space, word):
+    n = len(word)
+    terms = []
+    for mask in range(1 << n):
+        P = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
+        compP = [p for p in range(1, n + 1) if not mask & (1 << (p - 1))]
+        weight = space.q ** crossings(n, [n + 1 - p for p in P])
+        scale = 1.0
+        chain = ops.identity(space)
+        for p in compP:
+            ell = word[p - 1]
+            scale *= space.aeig[ell]
+            chain = ops.right_annihilation_letter(
+                space, ops.conjugate_letter(ell)) @ chain
+        for p in P:
+            chain = ops.right_creation_letter(space, word[p - 1]) @ chain
+        terms.append((weight * scale) * chain)
+    return ops._op_sum(space, terms, reach=n, peak=n)
+
+
+def _wen_oracle(space, n):
+    ce = ops.creation_letter(space, E)
+    aeb = ops.annihilation_letter(space, EBAR)
+    terms = []
+    for k in range(n + 1):
+        chain = ops.identity(space)
+        for _ in range(k):
+            chain = aeb @ chain
+        for _ in range(n - k):
+            chain = ce @ chain
+        terms.append(q_binomial(n, k, space.q) * chain)
+    return ops._op_sum(space, terms, reach=n, peak=n)
+
+
+def _wick_balanced_oracle(space, n):
+    coeff = wick_coefficients(n, space.q)
+    ce = ops.creation_letter(space, E)
+    ceb = ops.creation_letter(space, EBAR)
+    ae = ops.annihilation_letter(space, E)
+    aeb = ops.annihilation_letter(space, EBAR)
+    terms = []
+    for k in range(n + 1):
+        for l in range(n + 1):
+            chain = ops.identity(space)
+            for _ in range(n - l):
+                chain = aeb @ chain
+            for _ in range(n - k):
+                chain = ae @ chain
+            for _ in range(l):
+                chain = ce @ chain
+            for _ in range(k):
+                chain = ceb @ chain
+            terms.append(coeff[k, l] * chain)
+    return ops._op_sum(space, terms, reach=2 * n, peak=2 * n)
+
+
+AUX = 2
+CHAINS = {
+    "c(e)^3": (lambda sp: ops.creation_letter(sp, E).power(3),
+               lambda sp: _power_oracle(ops.creation_letter(sp, E), 3)),
+    "c(Ebar)*^2": (
+        lambda sp: ops.annihilation_letter(sp, EBAR).power(2),
+        lambda sp: _power_oracle(ops.annihilation_letter(sp, EBAR), 2)),
+    "W[e]": (lambda sp: ops.wick(sp, (E,)),
+             lambda sp: _wick_oracle(sp, (E,))),
+    "W[Ebar e]": (lambda sp: ops.wick(sp, (EBAR, E)),
+                  lambda sp: _wick_oracle(sp, (EBAR, E))),
+    "W[e e Ebar]": (lambda sp: ops.wick(sp, (E, E, EBAR)),
+                    lambda sp: _wick_oracle(sp, (E, E, EBAR))),
+    "Wr[Ebar e]": (lambda sp: ops.wick_right(sp, (EBAR, E)),
+                   lambda sp: _wick_right_oracle(sp, (EBAR, E))),
+    "Wr[e Aux Ebar]": (lambda sp: ops.wick_right(sp, (E, AUX, EBAR)),
+                       lambda sp: _wick_right_oracle(sp, (E, AUX, EBAR))),
+    "W[e^3]": (lambda sp: ops.wen_operator(sp, 3),
+               lambda sp: _wen_oracle(sp, 3)),
+    "W[Ebar^2 e^2]": (lambda sp: ops.wick_balanced(sp, 2),
+                      lambda sp: _wick_balanced_oracle(sp, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chains_bit_identical(sp, name):
+    build, oracle = CHAINS[name]
+    _assert_blocks_equal(build(sp), oracle(sp).action, sp)

@@ -170,17 +170,19 @@ def _show(value) -> str:
     return str(value)
 
 
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
     """Reject parameter points the truncated model cannot support.
 
     The series-tail guard bounds lam^{(K+1)/2} / (1 - sqrt(lam)); past
     TAIL_BUDGET_MAX the truncated series says nothing about its limit,
     so the point is refused rather than reported with a vacuous bound.
+    A subcommand that does not read ``terms`` (verify) has the guard at
+    the default order depth // 2 and no range check on ``terms``.
     """
     if not (DEPTH_MIN <= cfg.depth <= MAX_DEPTH):
         raise ConfigError(
             f"depth {cfg.depth} outside [{DEPTH_MIN}, {MAX_DEPTH}]")
-    K = cfg.effective_terms()
+    K = cfg.effective_terms() if reads_terms else cfg.depth // 2
     if not (1 <= K <= cfg.depth // 2):
         raise ConfigError(
             f"terms {K} outside [1, depth//2 = {cfg.depth // 2}]")
@@ -1337,12 +1339,15 @@ _FLAGS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, names) -> None:
+def _add_flags(p: argparse.ArgumentParser, names, **helps) -> None:
+    """Add the flags of the named fields; ``helps`` replaces the help
+    text of a field whose flag means something else in this subcommand."""
     p.add_argument("--config", metavar="PATH",
                    help="configuration file (key = value lines)")
     for name in names:
         flag, options = _FLAGS[name]
-        p.add_argument(flag, dest=name, **options)
+        p.add_argument(flag, dest=name,
+                       **{**options, "help": helps.get(name, options["help"])})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1364,7 +1369,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _FLAGS)
 
     p = sub.add_parser("dump", help="write one object in full")
-    _add_flags(p, ("q_grid", "lam_grid", "depth", "terms", "fmt", "out_dir"))
+    _add_flags(p, ("q_grid", "lam_grid", "depth", "terms", "fmt", "out_dir"),
+               terms="xi: series order K (0 means depth // 2); the vector "
+                     "holds the levels 0, 2, ..., 2K")
     p.add_argument("object", choices=("gram", "operator", "xi"),
                    help="what to dump")
     p.add_argument("--level", type=int, default=2,
@@ -1414,7 +1421,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(_normalize_argv(list(argv)))
     try:
         cfg = _merge_config(ns)
-        validate_config(cfg)
+        validate_config(cfg, reads_terms=ns.command != "verify")
         if ns.command == "verify":
             return cmd_verify(cfg)
         if ns.command == "sweep":

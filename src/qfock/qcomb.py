@@ -10,9 +10,12 @@ dividing large q-factorials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "q_int",
@@ -26,8 +29,6 @@ __all__ = [
     "crossings",
     "subset_crossing_sum",
     "wick_coefficients",
-    "pair_partitions",
-    "pairing_crossings",
     "pair_partition_moment",
     "ENUMERATION_CAP",
 ]
@@ -226,8 +227,6 @@ def wick_coefficients(n: int, q: float, cap: int = ENUMERATION_CAP):
     conjugate.  The factored form splits the crossing count into the two
     halves of the word plus the forced (n-k)*l cross-half crossings.
     """
-    import numpy as np
-
     _check_q(q)
     if n > cap:
         raise ValueError(f"coefficient enumeration for n={n} exceeds cap {cap}")
@@ -239,39 +238,29 @@ def wick_coefficients(n: int, q: float, cap: int = ENUMERATION_CAP):
     return coeff
 
 
-def pair_partitions(m: int):
-    """Yield all pairings of {0..m-1} as tuples of (a, b) pairs, a < b.
-
-    m must be even; the count is (m-1)!!.
-    """
-    if m % 2 != 0:
-        raise ValueError(f"pair partitions need an even ground set, got {m}")
-    if m > PAIRING_CAP:
-        raise ValueError(
-            f"pairing enumeration for m={m} exceeds cap {PAIRING_CAP}")
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        a = remaining[0]
-        for i in range(1, len(remaining)):
-            b = remaining[i]
-            rest = remaining[1:i] + remaining[i + 1 :]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    yield from rec(tuple(range(m)))
+def _branches(n: int):
+    """Yield (i, arcs, crossings) of the pairings of {0..2n-1} joining 0
+    to i, for i = 1..2n-1: the rest is the level n-1 table relabelled past
+    i, and the arc (0, i) crosses each sub-arc with one end inside it."""
+    arcs, cross = _pairing_table(n - 1)
+    lo, hi = arcs[..., 0], arcs[..., 1]
+    for i in range(1, 2 * n):
+        yield i, arcs, cross + ((lo < i - 1) & (hi >= i - 1)).sum(
+            axis=1, dtype=np.int8)
 
 
-def pairing_crossings(pairing) -> int:
-    """Crossings of a pairing: pairs (a,b), (c,d) with a < c < b < d."""
-    out = 0
-    for (a, b), (c, d) in itertools.combinations(pairing, 2):
-        lo, hi = ((a, b), (c, d)) if a < c else ((c, d), (a, b))
-        if lo[0] < hi[0] < lo[1] < hi[1]:
-            out += 1
-    return out
+@functools.cache
+def _pairing_table(n: int):
+    """Arcs (row, arc, lo/hi) and crossing counts of all pairings of
+    {0..2n-1}, in enumeration order: 0 paired with 1, 2, ... in turn."""
+    if n == 0:
+        return np.zeros((1, 0, 2), np.int8), np.zeros(1, np.int8)
+    arcs, cross = [], []
+    for i, sub, c in _branches(n):
+        head = np.broadcast_to(np.array([0, i], np.int8), (len(sub), 1, 2))
+        arcs.append(np.concatenate([head, sub + 1 + (sub >= i - 1)], axis=1))
+        cross.append(c)
+    return np.concatenate(arcs), np.concatenate(cross)
 
 
 def pair_partition_moment(m: int, q: float) -> float:
@@ -279,9 +268,20 @@ def pair_partition_moment(m: int, q: float) -> float:
 
     At q = 0 this is the Catalan number C_{m/2}; at q = 1 it would be
     (m-1)!!.  These are the even vacuum moments of the standard field
-    operator of a unit-length letter.
+    operator of a unit-length letter.  ``sum`` adds the powers in
+    enumeration order: bit-identical to summing over the pairings.
     """
     _check_q(q)
+    if m < 0:
+        raise ValueError(f"moment order must be >= 0, got {m}")
     if m % 2 != 0:
         return 0.0
-    return sum(q ** pairing_crossings(p) for p in pair_partitions(m))
+    if m > PAIRING_CAP:
+        raise ValueError(
+            f"pairing enumeration for m={m} exceeds cap {PAIRING_CAP}")
+    if m == 0:
+        return 1.0
+    n = m // 2
+    pw = np.array([q ** k for k in range(n * (n - 1) // 2 + 1)])
+    return sum(itertools.chain.from_iterable(
+        pw[c].tolist() for _, _, c in _branches(n)))

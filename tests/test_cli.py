@@ -1,6 +1,7 @@
 """Command-line layer: configuration handling, exit codes, sweep
 determinism, report layout, dump formats."""
 
+import argparse
 import json
 from dataclasses import replace
 
@@ -72,6 +73,45 @@ def test_tail_budget_guard_boundary():
     bad = replace(RunConfig(), lam_grid=(0.95,), depth=14)
     with pytest.raises(ConfigError, match="tail budget"):
         cli.validate_config(bad)
+
+
+def test_terms_validated_only_where_read():
+    # verify reads no series order: its tail-budget guard uses depth // 2
+    for bad in (dict(terms=9), dict(terms=1, lam_grid=(0.85,))):
+        cfg = replace(RunConfig(), **bad)
+        cli.validate_config(cfg, reads_terms=False)
+        with pytest.raises(ConfigError):
+            cli.validate_config(cfg)
+
+
+def test_verify_accepts_terms_it_does_not_read(tmp_path, monkeypatch,
+                                                capsys):
+    cfg = tmp_path / "terms.cfg"
+    cfg.write_text("terms = 9\n")
+    monkeypatch.setattr(cli, "cmd_verify", lambda cfg: 0)
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    for argv in (["sweep"], ["dump", "xi"]):
+        assert cli.main(argv + ["--config", str(cfg),
+                                "--out", str(tmp_path)]) == 2
+        assert "terms 9 outside" in capsys.readouterr().err
+
+
+def _flag_help(command, dest):
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return next(a.help for a in subs.choices[command]._actions
+                if a.dest == dest)
+
+
+def test_terms_help_per_subcommand():
+    assert _flag_help("sweep", "terms") == (
+        "series order (0 means depth // 2); at depth N only orders up to "
+        "(N - 2) // 2 reach the certificate window, higher ones give the "
+        "same rows")
+    assert _flag_help("dump", "terms") == (
+        "xi: series order K (0 means depth // 2); the vector holds the "
+        "levels 0, 2, ..., 2K")
 
 
 def test_main_exit_code_two_for_bad_config(tmp_path, capsys):

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfock import qcomb
 from qfock.qcomb import (
     ENUMERATION_CAP,
     PAIRING_CAP,
@@ -16,7 +19,6 @@ from qfock.qcomb import (
     d_family,
     inversions,
     pair_partition_moment,
-    pair_partitions,
     q_binomial,
     q_factorial,
     q_int,
@@ -141,36 +143,106 @@ def test_subset_crossing_sum_binomial_identity():
                 assert got == pytest.approx(q_binomial(n, k, q), rel=1e-12)
 
 
-def _pairings(points):
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    for i in range(1, len(points)):
-        b = points[i]
-        rest = points[1:i] + points[i + 1:]
-        for tail in _pairings(rest):
-            yield ((a, b),) + tail
+def pair_partitions(m: int):
+    """Yield all pairings of {0..m-1} as tuples of (a, b) pairs, a < b.
+
+    m must be even; the count is (m-1)!!.
+    """
+    if m % 2 != 0:
+        raise ValueError(f"pair partitions need an even ground set, got {m}")
+    if m > PAIRING_CAP:
+        raise ValueError(
+            f"pairing enumeration for m={m} exceeds cap {PAIRING_CAP}")
+
+    def rec(remaining):
+        if not remaining:
+            yield ()
+            return
+        a = remaining[0]
+        for i in range(1, len(remaining)):
+            b = remaining[i]
+            rest = remaining[1:i] + remaining[i + 1 :]
+            for tail in rec(rest):
+                yield ((a, b),) + tail
+
+    yield from rec(tuple(range(m)))
 
 
-def _crossing_count(pairs):
-    n = 0
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        lo, hi = (a, b), (c, d)
-        if lo[0] > hi[0]:
-            lo, hi = hi, lo
+def pairing_crossings(pairing) -> int:
+    """Crossings of a pairing: pairs (a,b), (c,d) with a < c < b < d."""
+    out = 0
+    for (a, b), (c, d) in itertools.combinations(pairing, 2):
+        lo, hi = ((a, b), (c, d)) if a < c else ((c, d), (a, b))
         if lo[0] < hi[0] < lo[1] < hi[1]:
-            n += 1
-    return n
+            out += 1
+    return out
+
+
+def enumerated_moment(m: int, q: float) -> float:
+    """The pairing moment summed over the enumerated pairings, the way
+    the library computed it before the crossing-count tables."""
+    if m % 2 != 0:
+        return 0.0
+    return sum(q ** pairing_crossings(p) for p in pair_partitions(m))
 
 
 def test_pair_partition_moment_against_direct_enumeration():
-    for q in (0.3, -0.5, 0.0, 0.8):
-        for two_k in (2, 4, 6, 8, 10):
-            direct = sum(q ** _crossing_count(p)
-                         for p in _pairings(tuple(range(two_k))))
-            assert pair_partition_moment(two_k, q) == pytest.approx(
-                direct, rel=1e-12)
+    # bit for bit, and a float also for m = 0 and odd m
+    for q in (-0.9, -0.5, 0.0, 0.3, 0.8):
+        for m in range(13):
+            got = pair_partition_moment(m, q)
+            assert type(got) is float
+            assert got == enumerated_moment(m, q)
+    assert pair_partition_moment(14, -0.5) == enumerated_moment(14, -0.5)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(q=st.floats(-0.95, 0.95), m=st.integers(0, 10))
+def test_pair_partition_moment_matches_enumeration_property(q, m):
+    assert pair_partition_moment(m, q) == enumerated_moment(m, q)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_pairing_table_in_enumeration_order(n):
+    arcs, cross = qcomb._pairing_table(n)
+    pairings = list(pair_partitions(2 * n))
+    assert [tuple(map(tuple, row)) for row in arcs.tolist()] == pairings
+    assert cross.tolist() == [pairing_crossings(p) for p in pairings]
+
+
+def _touchard_riordan(n: int) -> list:
+    """Integer coefficients of the crossing generating polynomial of the
+    pairings of 2n points, expanded from the Touchard-Riordan formula
+    sum_k (-1)^k (C(2n, n-k) - C(2n, n-k-1)) q^(k(k+1)/2) / (1-q)^n."""
+    def comb(a, b):
+        return math.comb(a, b) if b >= 0 else 0
+
+    coeffs = [0] * (n * (n + 1) // 2 + 1)
+    for k in range(n + 1):
+        coeffs[k * (k + 1) // 2] += (-1) ** k * (
+            comb(2 * n, n - k) - comb(2 * n, n - k - 1))
+    for _ in range(n):
+        # exact division by 1 - q: prefix sums, zero remainder
+        assert sum(coeffs) == 0
+        coeffs = list(itertools.accumulate(coeffs))[:-1]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_crossing_distribution_is_touchard_riordan(n):
+    # level 8 (m = 16) is streamed branch by branch, as the moment reads it
+    counts = (np.concatenate([c for _, _, c in qcomb._branches(n)]) if n
+              else qcomb._pairing_table(0)[1])
+    want = _touchard_riordan(n)
+    assert np.bincount(counts, minlength=len(want)).tolist() == want
+
+
+def test_pairing_tables_lazy_and_top_level_streamed():
+    qcomb._pairing_table.cache_clear()
+    assert qcomb._pairing_table.cache_info().currsize == 0
+    pair_partition_moment(PAIRING_CAP, 0.3)
+    # levels 0..7 are kept; the (2 * 8 - 1)!! rows of level 8 are not
+    assert qcomb._pairing_table.cache_info().currsize == PAIRING_CAP // 2
 
 
 def test_pair_partition_moment_closed_forms():
@@ -225,6 +297,10 @@ def test_wick_coefficients_decay_bound():
 def test_enumeration_caps_raise():
     with pytest.raises(ValueError):
         pair_partition_moment(2 * PAIRING_CAP + 2, 0.3)
+    with pytest.raises(ValueError, match="for m=18 exceeds cap 16"):
+        pair_partition_moment(18, 0.3)
+    with pytest.raises(ValueError, match="moment order"):
+        pair_partition_moment(-2, 0.3)
     with pytest.raises(ValueError):
         wick_coefficients(ENUMERATION_CAP + 1, 0.3)
     with pytest.raises(ValueError):

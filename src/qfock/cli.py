@@ -2,8 +2,8 @@
 
 Three subcommands:
 
-  verify   run the named invariant checks of every module over a
-           parameter grid and write a machine-readable report
+  verify   run the check table of ``qfock.checks`` over a parameter
+           grid and write a machine-readable report
   sweep    tabulate the invertibility and rank-one diagnostics over a
            (q, lambda) grid as CSV or JSON, plus a plot script
   dump     write a single object (Gram block, operator, distinguished
@@ -14,7 +14,7 @@ inside data files, fixed column order, floats at 17 significant digits
 in CSV.  The sweep's per-row runtime column is informational and is the
 one field allowed to vary between runs.
 
-Exit codes: 0 success, 1 at least one check failed, 2 bad
+Exit codes: 0 success, 1 at least one check failed or raised, 2 bad
 configuration.
 """
 
@@ -31,35 +31,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import limits, ops
+from . import checks, limits, ops
 from .fock import (
-    E,
-    EBAR,
     MAX_DEPTH,
     Q_ENVELOPE,
     BudgetExceededError,
-    FockVector,
     ModelParams,
     build_space,
     gram_block_to_json,
     vector_to_json,
 )
-from .qcomb import (
-    bound_constants,
-    crossings,
-    d_family,
-    inversions,
-    pair_partition_moment,
-    q_binomial,
-    q_factorial,
-    q_int,
-    wick_coefficients,
-)
 
 __all__ = [
     "RunConfig",
     "ConfigError",
-    "CheckResult",
     "run_checks",
     "cmd_verify",
     "cmd_sweep",
@@ -222,324 +207,11 @@ def load_calibration() -> dict:
     return json.loads(text)
 
 
-# -- check plumbing -----------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    gap: float
-    tol: float
-    note: str = ""
-
-
-class _Suite:
-    def __init__(self):
-        self.results: list[CheckResult] = []
-
-    def add(self, name: str, tol: float, fn, note: str = ""):
-        try:
-            out = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            self.results.append(CheckResult(
-                name, False, float("inf"), tol,
-                f"{type(exc).__name__}: {exc}"))
-            return
-        if isinstance(out, tuple):
-            gap, extra = float(out[0]), str(out[1])
-        else:
-            gap, extra = float(out), note
-        self.results.append(CheckResult(name, gap <= tol, gap, tol, extra))
-
-
-def _hinge(x: float) -> float:
-    return max(0.0, float(x))
-
-
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(b))
-
-
-# -- combinatorial checks (grid-free) -----------------------------------
-
-
-def _probe_qs(cfg: RunConfig) -> tuple:
-    return tuple(cfg.q_grid) if cfg.q_grid else (-0.5, 0.0, 0.5)
-
-
-def _qcomb_checks(suite: _Suite, cfg: RunConfig) -> None:
-    qs = _probe_qs(cfg)
-    tol = cfg.tol_identity
-
-    def pascal():
-        worst = 0.0
-        for q in qs:
-            for n in range(11):
-                for k in range(1, n + 1):
-                    lhs = q ** k * q_binomial(n, k, q) + q_binomial(n, k - 1, q)
-                    rhs = q_binomial(n + 1, k, q)
-                    worst = max(worst, _rel(lhs, rhs))
-        return worst
-    suite.add("qcomb/pascal-identity", tol, pascal)
-
-    def factorial_product():
-        worst = 0.0
-        for q in qs:
-            fam = d_family(q, j_max=12)
-            for n in range(13):
-                lhs = q_factorial(n, q)
-                rhs = fam.d[n] * (1.0 - q) ** (-n)
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        return worst
-    suite.add("qcomb/factorial-d-product", tol, factorial_product)
-
-    def binom_symmetry():
-        worst = 0.0
-        for q in qs:
-            for n in range(11):
-                for k in range(n + 1):
-                    worst = max(worst, _rel(q_binomial(n, k, q),
-                                            q_binomial(n, n - k, q)))
-        return worst
-    suite.add("qcomb/binomial-symmetry", tol, binom_symmetry)
-
-    def d_inf_product():
-        worst = 0.0
-        for q in qs:
-            fam = d_family(q, j_max=0)
-            direct = 1.0
-            for j in range(1, 2000):
-                step = q ** j
-                direct *= 1.0 - step
-                if abs(step) < 1e-300:
-                    break
-            worst = max(worst, abs(direct - fam.d_inf))
-        return worst
-    suite.add("qcomb/d-inf-product", 1e-13, d_inf_product)
-
-    def constants():
-        worst = 0.0
-        for q in qs:
-            bc = bound_constants(q)
-            fam_abs = d_family(abs(q), j_max=0)
-            worst = max(worst, abs(bc.c_q * fam_abs.d_inf - 1.0))
-            worst = max(worst, _hinge(1.0 - bc.d_sup))
-        return worst
-    suite.add("qcomb/bound-constants", 1e-13, constants)
-
-    def moments_closed():
-        worst = 0.0
-        for q in qs:
-            worst = max(worst, abs(pair_partition_moment(0, q) - 1.0))
-            worst = max(worst, abs(pair_partition_moment(2, q) - 1.0))
-            worst = max(worst, abs(pair_partition_moment(4, q) - (2.0 + q)))
-            m6 = 5.0 + 6.0 * q + 3.0 * q ** 2 + q ** 3
-            worst = max(worst, abs(pair_partition_moment(6, q) - m6))
-            worst = max(worst, abs(pair_partition_moment(3, q)))
-            worst = max(worst, abs(pair_partition_moment(5, q)))
-        return worst
-    suite.add("qcomb/moment-closed-forms", tol, moments_closed)
-
-    def wick_bound():
-        worst = 0.0
-        for q in qs:
-            if q == 0.0:
-                continue
-            bc = bound_constants(q)
-            for n in range(1, 7):
-                coeffs = wick_coefficients(n, q)
-                for k in range(n + 1):
-                    for ell in range(n + 1):
-                        cap = bc.c_q ** 2 * abs(q) ** ((n - k) * ell)
-                        worst = max(worst,
-                                    _hinge(abs(coeffs[k][ell]) - cap))
-        return worst
-    suite.add("qcomb/wick-coefficient-bound", 1e-12, wick_bound)
-
-    def frozen():
-        worst = abs(inversions((3, 1, 2)) - 2)
-        worst = max(worst, abs(crossings(4, (3, 4)) - 4))
-        worst = max(worst, abs(q_int(3, 0.5) - 1.75))
-        worst = max(worst, abs(q_factorial(3, 0.5) - 2.625))
-        worst = max(worst, abs(q_binomial(3, 1, 0.5) - 1.75))
-        return worst
-    suite.add("qcomb/enumeration-frozen-values", 1e-14, frozen)
-
-
-# -- per-point battery (fock + ops identities) --------------------------
-
-_BATTERY_NAMES = (
-    "fock/gram-path-agreement",
-    "fock/gram-factorization",
-    "fock/power-norm-factorial",
-    "fock/vacuum-state",
-    "fock/inner-conjugate-symmetry",
-    "fock/rescale-consistency",
-    "ops/commutation-relation",
-    "ops/split-adjoint",
-    "ops/adjoint-powers",
-    "ops/creation-adjoint-gram",
-    "ops/creation-norm-bound",
-)
-
-
-def _concat(vec: FockVector, suffix: tuple, front: bool = False) -> FockVector:
-    out = FockVector()
-    for w, c in vec.terms.items():
-        key = (suffix + w) if front else (w + suffix)
-        out.terms[key] = out.terms.get(key, 0.0) + c
-    return out
-
-
-def _battery_point(sp) -> dict:
-    """All cheap per-point identity checks; returns name -> gap."""
-    q, lam = sp.q, sp.lam
-    N = sp.depth
-    gaps = {}
-
-    worst = 0.0
-    for level in range(1, 4):
-        for sig in sp.blocks_at_level(level):
-            G = sp.gram(sig)
-            B = sp.gram_bruteforce(sig)
-            scale = max(1.0, float(np.abs(G).max()))
-            worst = max(worst, float(np.abs(G - B).max()) / scale)
-    gaps["fock/gram-path-agreement"] = worst
-
-    worst = 0.0
-    for level in range(1, min(6, N) + 1):
-        for sig in sp.blocks_at_level(level):
-            G = sp.gram(sig)
-            L = sp.gram_chol(sig)
-            scale = max(1.0, float(np.abs(G).max()))
-            worst = max(worst, float(np.abs(L @ L.T - G).max()) / scale)
-            worst = max(worst, _hinge(-float(np.diag(L).min())))
-    gaps["fock/gram-factorization"] = worst
-
-    worst = 0.0
-    for n in range(1, N + 1):
-        v = FockVector.word((E,) * n)
-        lhs = sp.norm_sq(v) * lam ** (n / 2.0)
-        rhs = q_factorial(n, q)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    gaps["fock/power-norm-factorial"] = worst
-
-    vac = FockVector.vacuum()
-    worst = abs(sp.norm(vac) - 1.0)
-    worst = max(worst, abs(sp.inner(vac, FockVector.word((E,)))))
-    gaps["fock/vacuum-state"] = worst
-
-    rng = np.random.default_rng(20240711)
-    words = [w for lv in range(4) for s in sp.blocks_at_level(lv)
-             for w in sp.block_words(s)]
-    u = FockVector()
-    v = FockVector()
-    for w in words:
-        cu = complex(*rng.standard_normal(2))
-        cv = complex(*rng.standard_normal(2))
-        u.terms[w] = cu
-        v.terms[w] = cv
-    ip, pi = sp.inner(u, v), sp.inner(v, u)
-    gaps["fock/inner-conjugate-symmetry"] = \
-        abs(ip - np.conj(pi)) / (1.0 + abs(ip))
-
-    fresh = build_space(q=q, lam=lam, depth=4,
-                        max_total_words=sp.params.max_total_words)
-    worst = 0.0
-    for level in range(1, 5):
-        for sig in sp.blocks_at_level(level):
-            worst = max(worst, float(np.abs(sp.gram(sig)
-                                            - fresh.gram(sig)).max()))
-    gaps["fock/rescale-consistency"] = worst
-
-    ce = ops.creation_letter(sp, E)
-    ae = ops.annihilation_letter(sp, E)
-    cb = ops.creation_letter(sp, EBAR)
-    uE = sp.u[E]
-    # sources up to level 4, below the depth so the creation stays exact
-    top = min(4, N - 1)
-    lhs = (ae @ ce) + (-q) * (ce @ ae)
-    g1 = ops.action_gap(lhs, uE * ops.identity(sp), top)
-    lhs = (ae @ cb) + (-q) * (cb @ ae)
-    g2 = ops.action_gap(lhs, ops.zero(sp), top)
-    rce = ops.right_creation_letter(sp, E)
-    rae = ops.right_annihilation_letter(sp, E)
-    lhs = (rae @ rce) + (-q) * (rce @ rae)
-    g3 = ops.action_gap(lhs, uE * ops.identity(sp), top)
-    gaps["ops/commutation-relation"] = max(g1, g2, g3)
-
-    worst = 0.0
-    for head in ((E,), (E, EBAR), (EBAR, E, E)):
-        for tail in ((E,), (EBAR, E)):
-            whole = ae.apply(FockVector.word(head + tail))
-            split = _concat(ae.apply(FockVector.word(head)), tail) \
-                + q ** len(head) * _concat(ae.apply(FockVector.word(tail)),
-                                           head, front=True)
-            diff = whole - split
-            err = max((abs(c) for c in diff.terms.values()), default=0.0)
-            worst = max(worst, err)
-    gaps["ops/split-adjoint"] = worst
-
-    worst = 0.0
-    for n, m in ((1, 3), (2, 4), (3, 5)):
-        got = FockVector.word((E,) * m)
-        for _ in range(n):
-            got = ae.apply(got)
-        coef = (q_factorial(m, q) / q_factorial(m - n, q)) \
-            * lam ** (-n / 2.0)
-        want = FockVector.word((E,) * (m - n), coeff=coef)
-        diff = got - want
-        err = max((abs(c) for c in diff.terms.values()), default=0.0)
-        worst = max(worst, err / coef)
-    gaps["ops/adjoint-powers"] = worst
-
-    g1 = ops.action_gap(ops.q_adjoint(ce), ae, 4)
-    g2 = ops.action_gap(ops.q_adjoint(cb),
-                        ops.annihilation_letter(sp, EBAR), 4)
-    gaps["ops/creation-adjoint-gram"] = max(g1, g2)
-
-    worst = 0.0
-    norm_e = lam ** -0.25
-    for n in range(1, min(6, N) + 1):
-        got = ops.op_norm(ce.power(n), src_level_max=min(6, N - n))
-        if q >= 0:
-            cap = (norm_e / math.sqrt(1.0 - q)) ** n
-        else:
-            cap = norm_e ** n
-        worst = max(worst, _hinge(got - cap) / cap)
-    gaps["ops/creation-norm-bound"] = worst
-
-    return gaps
-
-
-def _battery_for_q(args):
-    """Worker: one q value, every lambda; returns aggregated gaps."""
-    q, lams, depth, max_words = args
-    agg = {}
-    base = None
-    t_details = None
-    for lam in lams:
-        if base is None:
-            base = build_space(q=q, lam=lam, depth=depth,
-                               max_total_words=max_words)
-            sp = base
-        else:
-            sp = base.with_lambda(lam)
-        for name, gap in _battery_point(sp).items():
-            prev = agg.get(name)
-            if prev is None or gap > prev[0]:
-                agg[name] = (gap, f"q={q:g} lam={lam:g}")
-        del sp
-    if base is not None:
-        rep = limits.t_limit_check(base)
-        det = rep.details
-        t_details = {
-            "eig": (det["eig_identity_max_err"], f"q={q:g}"),
-            "bounds": (0.0 if det["bounds_ok"] else 1.0, f"q={q:g}"),
-            "sup": (0.0 if det["sup_bound_ok"] else 1.0, f"q={q:g}"),
-        }
-    return q, agg, t_details
+def run_checks(cfg: RunConfig) -> list:
+    """Evaluate the check table in report order; each record that
+    cannot be measured because something raised is a failed record."""
+    ctx = checks.Context(cfg, load_calibration, _map_q_rows)
+    return [checks.evaluate(entry, ctx) for entry in checks.CHECKS]
 
 
 def _map_q_rows(worker, tasks: list, jobs: int) -> list:
@@ -553,471 +225,6 @@ def _map_q_rows(worker, tasks: list, jobs: int) -> list:
         except OSError:
             pass
     return [worker(t) for t in tasks]
-
-
-def _grid_checks(suite: _Suite, cfg: RunConfig) -> None:
-    agg: dict = {}
-    t_agg = {"eig": (0.0, "empty grid"), "bounds": (0.0, "empty grid"),
-             "sup": (0.0, "empty grid")}
-    tasks = [(q, tuple(cfg.lam_grid), cfg.depth, cfg.max_total_words)
-             for q in cfg.q_grid if cfg.lam_grid]
-    outs = _map_q_rows(_battery_for_q, tasks, cfg.jobs)
-
-    for _, point_gaps, t_details in outs:
-        for name, (gap, note) in point_gaps.items():
-            prev = agg.get(name)
-            if prev is None or gap > prev[0]:
-                agg[name] = (gap, note)
-        if t_details is not None:
-            for key, (gap, note) in t_details.items():
-                if gap > t_agg[key][0]:
-                    t_agg[key] = (gap, note)
-
-    tol = cfg.tol_identity
-    for name in _BATTERY_NAMES:
-        gap, note = agg.get(name, (0.0, "empty grid"))
-        suite.add(name, tol, lambda g=gap, n=note: (g, n))
-
-    suite.add("limits/t-eigenvalue-identity", cfg.tol_eigen,
-              lambda: t_agg["eig"])
-    suite.add("limits/t-spectral-bounds", 0.5, lambda: t_agg["bounds"],
-              note="indicator gap: 0 iff bounds hold")
-    suite.add("limits/t-norm-bound-ratio", 0.5, lambda: t_agg["sup"],
-              note="indicator gap: 0 iff sup-form bound holds")
-
-
-# -- fixed-point operator checks ----------------------------------------
-
-
-def _ops_checks(suite: _Suite, cfg: RunConfig) -> None:
-    tol = cfg.tol_identity
-    sps = [build_space(q=0.3, lam=0.4, depth=10),
-           build_space(q=-0.5, lam=0.3, depth=10)]
-
-    def modular_involutions():
-        worst = 0.0
-        for sp in sps:
-            mo = ops.modular_ops(sp)
-            worst = max(worst, ops.action_gap(mo.J @ mo.J,
-                                              ops.identity(sp), 6))
-            worst = max(worst, ops.action_gap(mo.S @ mo.S,
-                                              ops.identity(sp), 6))
-            worst = max(worst, ops.action_gap(
-                mo.J, mo.S @ ops.modular_delta(sp, -0.5), 6))
-        return worst
-    suite.add("ops/modular-involutions", tol, modular_involutions)
-
-    def modular_letter_map():
-        worst = 0.0
-        for sp in sps:
-            mo = ops.modular_ops(sp)
-            je = mo.J.apply(FockVector.word((E,)))
-            worst = max(worst,
-                        abs(je.coefficient((EBAR,)) - sp.lam ** -0.5))
-            de = ops.modular_delta(sp, 1.0).apply(FockVector.word((E,)))
-            worst = max(worst, abs(de.coefficient((E,)) - sp.lam))
-            db = ops.modular_delta(sp, 1.0).apply(FockVector.word((EBAR,)))
-            worst = max(worst, abs(db.coefficient((EBAR,)) - 1.0 / sp.lam))
-        return worst
-    suite.add("ops/modular-letter-map", tol, modular_letter_map)
-
-    def modular_intertwine():
-        worst = 0.0
-        for sp in sps:
-            mo = ops.modular_ops(sp)
-            ce = ops.creation_letter(sp, E)
-            worst = max(worst, ops.action_gap(
-                mo.J @ ce @ mo.J,
-                sp.lam ** -0.5 * ops.right_creation_letter(sp, EBAR), 6))
-            we = ops.wick(sp, (E,))
-            worst = max(worst, ops.action_gap(
-                ops.modular_delta(sp, 1.0) @ we
-                @ ops.modular_delta(sp, -1.0),
-                sp.lam * we, 6))
-        return worst
-    suite.add("ops/modular-intertwining", tol, modular_intertwine)
-
-    def wick_vacuum():
-        worst = 0.0
-        for sp in sps:
-            for word in ((E,), (EBAR,), (EBAR, E), (E, E, EBAR)):
-                got = ops.wick(sp, word).apply(FockVector.vacuum())
-                diff = got - FockVector.word(word)
-                worst = max(worst, max((abs(c) for c in diff.terms.values()),
-                                       default=0.0))
-            got = ops.wick_right(sp, (EBAR, E)).apply(FockVector.vacuum())
-            diff = got - FockVector.word((EBAR, E))
-            worst = max(worst, max((abs(c) for c in diff.terms.values()),
-                                   default=0.0))
-        return worst
-    suite.add("ops/wick-vacuum-defining", tol, wick_vacuum)
-
-    def wen_triple():
-        worst = 0.0
-        for sp in sps:
-            single = ops.wick(sp, (E,))
-            for n in range(1, 6):
-                closed = ops.wen_operator(sp, n)
-                lim = sp.depth - n
-                worst = max(worst, ops.action_gap(
-                    closed, ops.wick(sp, (E,) * n), lim))
-                worst = max(worst, ops.action_gap(
-                    closed, single.power(n), lim))
-        return worst
-    suite.add("ops/wen-triple-equality", tol, wen_triple)
-
-    def ween_reconstruction():
-        worst = 0.0
-        for sp in sps:
-            q = sp.q
-            ce = ops.creation_letter(sp, E)
-            cb = ops.creation_letter(sp, EBAR)
-            ae = ops.annihilation_letter(sp, E)
-            ab = ops.annihilation_letter(sp, EBAR)
-            for n in range(1, 5):
-                coeffs = wick_coefficients(n, q)
-                total = ops.zero(sp)
-                for k in range(n + 1):
-                    for ell in range(n + 1):
-                        term = cb.power(k) @ ce.power(ell) \
-                            @ ae.power(n - k) @ ab.power(n - ell)
-                        total = total + coeffs[k][ell] * term
-                worst = max(worst, ops.action_gap(
-                    ops.wick_balanced(sp, n), total, sp.depth - 2 * n))
-        return worst
-    suite.add("ops/ween-reconstruction", tol, ween_reconstruction)
-
-    def commutant():
-        worst = 0.0
-        for sp in sps:
-            for wl, wr in (((E,), (E,)), ((EBAR,), (EBAR, E)),
-                           ((E, EBAR), (E,))):
-                A = ops.wick(sp, wl)
-                B = ops.wick_right(sp, wr)
-                AB, BA = A @ B, B @ A
-                lim = sp.depth - max(AB.peak, BA.peak)
-                worst = max(worst, ops.action_gap(AB, BA, lim))
-        return worst
-    suite.add("ops/left-right-commutant", tol, commutant)
-
-    def flip_unitary():
-        worst = 0.0
-        for sp in sps:
-            fl = ops.flip_unitary(sp)
-            for sig in ((2, 1), (2, 2), (3, 1)):
-                P = fl.action(sig)[sig]
-                G = sp.gram(sig)
-                worst = max(worst,
-                            float(np.abs(P.T @ G @ P - G).max()))
-            gflip = ops.action_gap(fl @ ops.wick(sp, (E,)) @ fl,
-                                   ops.wick_right(sp, (E,)), 6)
-            worst = max(worst, _hinge(1e-3 - gflip))
-        return worst
-    suite.add("ops/flip-form-preserving", tol, flip_unitary,
-              note="also requires plain flip conjugation != right version")
-
-    def free_case():
-        sp0 = build_space(q=0.0, lam=0.25, depth=8)
-        worst = abs(ops.op_norm(ops.creation_letter(sp0, E))
-                    - 0.25 ** -0.25)
-        worst = max(worst,
-                    abs(ops.min_singular(ops.identity(sp0),
-                                         src_level_max=4) - 1.0))
-        return worst
-    suite.add("ops/free-case-norms", tol, free_case)
-
-    def adjoint_consistency():
-        # norm equality needs exactly dual windows, so pair the shift
-        # operators src <= 6 against src <= 7; the mixed operator gets
-        # the double-adjoint identity instead
-        worst = 0.0
-        for sp in sps:
-            ce = ops.creation_letter(sp, E)
-            ae = ops.annihilation_letter(sp, E)
-            worst = max(worst, abs(ops.op_norm(ce, src_level_max=6)
-                                   - ops.op_norm(ae, src_level_max=7)))
-            A = ops.wen_operator(sp, 2)
-            back = ops.q_adjoint(ops.q_adjoint(A, src_level_max=8),
-                                 src_level_max=8)
-            worst = max(worst, ops.action_gap(back, A, 6))
-        return worst
-    suite.add("ops/adjoint-consistency", 1e-8, adjoint_consistency)
-
-
-# -- convergence and certificate checks ---------------------------------
-
-
-def _limits_checks(suite: _Suite, cfg: RunConfig) -> None:
-    tol = cfg.tol_identity
-    cal = load_calibration()
-    pt = cal["rank_one"]["point"]
-    sp_can = build_space(q=pt["q"], lam=pt["lam"], depth=pt["depth"])
-
-    def t_limit_convergence():
-        worst = 0.0
-        arg = ""
-        for q in (-0.2, -0.1, 0.1, 0.2):
-            sp = build_space(q=q, lam=0.3, depth=14)
-            rep = limits.t_limit_check(sp, k_max=4, n_max=10)
-            gap = rep.gaps[-1]
-            if gap > worst:
-                worst, arg = gap, f"q={q:g} n=10"
-        return worst, arg
-    suite.add("limits/t-limit-convergence", 1e-6, t_limit_convergence)
-
-    def beta_constant():
-        worst = 0.0
-        for q, expect_eq in ((-0.5, True), (-0.3, True), (-0.7, False)):
-            sp = build_space(q=q, lam=0.3, depth=8)
-            det = limits.t_limit_check(sp).details
-            eq = det["beta_equals_d_inf"] and det["beta_condition"]
-            if eq != expect_eq:
-                worst = max(worst, 1.0)
-        return worst
-    suite.add("limits/spectral-sup-criterion", 0.5, beta_constant,
-              note="indicator: sup of limit spectrum hits d_inf exactly "
-                   "when the small-|q| condition holds")
-
-    def s_vacuum():
-        fam = d_family(sp_can.q, j_max=6)
-        worst = 0.0
-        for n in range(1, 6):
-            got = limits.s_n_operator(sp_can, n).apply(FockVector.vacuum())
-            diff = got - FockVector.vacuum(coeff=fam.d[n])
-            worst = max(worst, max((abs(c) for c in diff.terms.values()),
-                                   default=0.0))
-        return worst
-    suite.add("limits/s-vacuum-family", tol, s_vacuum)
-
-    def s_series():
-        worst = limits.s_series_identity_gap(sp_can, 3)
-        sp_neg = build_space(q=-0.5, lam=0.3, depth=10)
-        worst = max(worst, limits.s_series_identity_gap(sp_neg, 3))
-        return worst
-    suite.add("limits/s-series-identity", tol, s_series)
-
-    def s_adjoint_closed():
-        worst = 0.0
-        for sp in (sp_can, build_space(q=-0.5, lam=0.3, depth=10)):
-            A = limits.s_n_operator(sp, 3)
-            got = limits.adjoint_vacuum(sp, A, level_max=6)
-            want = limits.s_adjoint_vacuum_closed_form(sp, 3)
-            worst = max(worst, sp.norm(got - want))
-        return worst
-    suite.add("limits/s-adjoint-closed-form", tol, s_adjoint_closed)
-
-    def s_infinity_adjoint():
-        series = limits.s_infinity(sp_can)
-        K = series.n_terms
-        xi = limits.xi_vector(sp_can, n_terms=K, compute_residual=False)
-        got = limits.adjoint_vacuum(sp_can, series.op,
-                                    level_max=sp_can.depth)
-        dd = sp_can.norm(got - xi.vector)
-        return dd, f"adaptive-compression budget at N={sp_can.depth}"
-    suite.add("limits/s-infinity-adjoint-vacuum",
-              5 * abs(sp_can.q) ** (sp_can.depth + 1), s_infinity_adjoint)
-
-    def xi_closed_form():
-        worst = 0.0
-        for sp in (sp_can, build_space(q=0.0, lam=0.75, depth=12),
-                   build_space(q=-0.5, lam=0.3, depth=10)):
-            xi = limits.xi_vector(sp)
-            got = sp.norm_sq(xi.vector)
-            worst = max(worst, abs(got - xi.norm_sq_closed_form)
-                        / xi.norm_sq_closed_form)
-        return worst
-    suite.add("limits/xi-closed-form-norm", tol, xi_closed_form)
-
-    def xi_fixed_point():
-        worst = 0.0
-        for sp in (sp_can, build_space(q=0.0, lam=0.75, depth=12),
-                   build_space(q=-0.5, lam=0.3, depth=10)):
-            xi = limits.xi_vector(sp)
-            worst = max(worst, xi.fixed_point_residual)
-        return worst
-    suite.add("limits/xi-fixed-point-residual", tol, xi_fixed_point)
-
-    cal_below = cal["certificates"]["rows"][0]
-    cal_kernel = cal["certificates"]["rows"][1]
-
-    def invertibility_below():
-        cert = limits.invertibility_certificate(0.1, 0.15,
-                                                truncations=(10, 12))
-        worst = _hinge(cert.product - 1.0)
-        floor = 0.5 * cert.d_inf * (1.0 - cert.product)
-        for _, _, sig in cert.min_singular:
-            worst = max(worst, _hinge(floor - sig) / floor)
-        if cert.analytic_verdict != (cert.product < 1.0):
-            worst = max(worst, 1.0)
-        return worst, f"floor={floor:.6g}"
-    suite.add("limits/invertibility-below-threshold", 0.0,
-              invertibility_below)
-
-    def invertibility_kernel():
-        cert = limits.invertibility_certificate(0.0, 0.75,
-                                                truncations=(8, 10, 12))
-        sigs = [sig for _, _, sig in cert.min_singular]
-        decrease = 1.0 - sigs[-1] / sigs[0]
-        need = cal["certificates"]["kernel_decrease_min"]
-        return _hinge(need - decrease), f"decrease={decrease:.4f}"
-    suite.add("limits/invertibility-kernel-regime", 0.0,
-              invertibility_kernel)
-
-    def certificate_drift():
-        worst = 0.0
-        for frozen, truncs in ((cal_below, (10, 12)),
-                               (cal_kernel, (8, 10, 12))):
-            cert = limits.invertibility_certificate(
-                frozen["q"], frozen["lam"], truncations=tuple(truncs))
-            for (_, _, got), (_, _, want) in zip(cert.min_singular,
-                                                 frozen["min_singular"]):
-                worst = max(worst, abs(got - want) / want)
-            worst = max(worst, _rel(cert.threshold, frozen["threshold"]))
-        return worst
-    suite.add("limits/certificate-drift",
-              cal["rank_one"]["thresholds"]["drift_rel"], certificate_drift)
-
-    def threshold_values():
-        worst = abs(limits.invertibility_threshold(0.1)
-                    - 0.19536490356513797) / 0.19536490356513797
-        worst = max(worst, abs(limits.invertibility_threshold(0.5)
-                               - 0.005925713267144628)
-                    / 0.005925713267144628)
-        worst = max(worst, abs(limits.invertibility_threshold(1e-9) - 0.25))
-        worst = max(worst, abs(limits.invertibility_threshold(-1e-9) - 0.25))
-        return worst
-    suite.add("limits/threshold-frozen-values", 1e-6, threshold_values)
-
-    rank_rep = limits.rank_one_diagnostics(sp_can)
-    rank_rows = {n: v for n, v in rank_rep.values}
-    thr = cal["rank_one"]["thresholds"]
-    n_last = max(rank_rows)
-
-    def rank_ratio():
-        ratios = [rank_rows[n]["ratio"] for n in sorted(rank_rows)]
-        worst = 0.0
-        for a, b in zip(ratios, ratios[1:]):
-            worst = max(worst, _hinge(b - a + 1e-12))
-        return worst, "ratios " + " ".join(f"{r:.4f}" for r in ratios)
-    suite.add("limits/rank-one-ratio-decrease", 0.0, rank_ratio)
-
-    def rank_cosine():
-        c = rank_rows[n_last]["cosine"]
-        return _hinge(thr["cosine_min_final"] - c), f"cosine={c:.6f}"
-    suite.add("limits/rank-one-cosine", 0.0, rank_cosine)
-
-    def rank_sigma_window():
-        v = rank_rows[n_last]
-        rel = abs(v["sigma1"] - v["window_norm_sq"]) / v["window_norm_sq"]
-        return _hinge(rel - thr["sigma1_window_rel"]), f"rel={rel:.2e}"
-    suite.add("limits/rank-one-sigma-window", 0.0, rank_sigma_window)
-
-    def rank_sigma_full():
-        full = rank_rep.details["norm_sq_limit"]
-        v = rank_rows[thr["sigma1_full_rel_at"]]
-        rel = abs(v["sigma1"] - full) / full
-        return _hinge(rel - thr["sigma1_full_rel"]), f"rel={rel:.4f}"
-    suite.add("limits/rank-one-sigma-full", 0.0, rank_sigma_full)
-
-    def rank_tail_account():
-        full = rank_rep.details["norm_sq_limit"]
-        v = rank_rows[n_last]
-        deficit = full - v["sigma1"]
-        tail = full - v["window_norm_sq"]
-        rel = abs(deficit - tail) / tail
-        return _hinge(rel - thr["tail_account_rel"]), f"rel={rel:.2e}"
-    suite.add("limits/rank-one-tail-account", 0.0, rank_tail_account)
-
-    def rank_drift():
-        worst = 0.0
-        for row in cal["rank_one"]["rows"]:
-            v = rank_rows[row["n"]]
-            for key in ("sigma1", "ratio", "cosine", "window_norm_sq"):
-                worst = max(worst, _rel(v[key], row[key]))
-        return worst
-    suite.add("limits/rank-one-fixture-drift", thr["drift_rel"], rank_drift)
-
-    def comp_table():
-        worst = 0.0
-        rel_tol = cal["comp"]["rel_tol_final"]
-        abs_tol = cal["comp"]["abs_tol_zero"]
-        for row in cal["comp"]["rows"]:
-            idx = {k: (tuple(v) if isinstance(v, list) else v)
-                   for k, v in row["indices"].items()}
-            rep = limits.comp_limit(sp_can, n_max=5, **idx)
-            if not rep.monotone:
-                worst = max(worst, 1.0)
-            if rep.limit == 0.0:
-                worst = max(worst, _hinge(rep.final_gap - abs_tol))
-            else:
-                worst = max(worst,
-                            _hinge(rep.final_gap / abs(rep.limit) - rel_tol))
-            for (_, got), (_, want) in zip(rep.values, row["values"]):
-                worst = max(worst, abs(got - want))
-        return worst
-    suite.add("limits/comp-table", 1e-9, comp_table)
-
-    scan_pos = build_space(q=0.3, lam=0.4, depth=12)
-    scan_neg = build_space(q=-0.5, lam=0.3, depth=12)
-
-    def scan(kind, **kw):
-        def run():
-            worst = 0.0
-            for sp in (scan_pos, scan_neg):
-                rep = limits.boundedness_scan(sp, kind, **kw)
-                worst = max(worst, max(rep.gaps))
-            return worst
-        return run
-    suite.add("limits/boundedness-creation", tol,
-              scan("creation_powers", n_max=10))
-    suite.add("limits/boundedness-wen", tol, scan("wen_powers", n_max=10))
-    suite.add("limits/boundedness-weew", tol, scan("weew_powers"))
-    suite.add("limits/boundedness-mixed-word", tol,
-              scan("mixed_word", n_max=4, m_word=8))
-
-    def decay_contraction():
-        rep = limits.lim_decay(sp_can)
-        worst = 0.0 if rep.monotone else 1.0
-        ratios = rep.details["decay_ratios"]
-        if ratios:
-            worst = max(worst, abs(ratios[-1] - abs(sp_can.q)))
-        return worst, f"final ratio vs |q|"
-    suite.add("limits/decay-contraction", 0.05, decay_contraction)
-
-    def decay_free():
-        sp0 = build_space(q=0.0, lam=0.75, depth=10)
-        rep = limits.lim_decay(sp0)
-        vals = [max(v.values()) for _, v in rep.values]
-        return max(vals[1:]) if len(vals) > 1 else 0.0
-    suite.add("limits/decay-free-case", 1e-13, decay_free)
-
-    def centralizer():
-        ok = limits.centralizer_word(sp_can, (EBAR, E)) \
-            and limits.centralizer_word(sp_can, (E, EBAR, EBAR, E)) \
-            and not limits.centralizer_word(sp_can, (E,)) \
-            and not limits.centralizer_word(sp_can, (E, E, EBAR))
-        return 0.0 if ok else 1.0
-    suite.add("limits/centralizer-criterion", 0.5, centralizer,
-              note="indicator: balanced words in, unbalanced out")
-
-    def moment_oracle():
-        worst = 0.0
-        for q in (0.3, -0.5, 0.0):
-            sp = build_space(q=q, lam=0.5, depth=10)
-            rep = limits.moment_check(sp, k_max=5)
-            worst = max(worst, rep.final_gap, max(rep.gaps))
-            worst = max(worst, rep.details["odd_max"])
-        return worst
-    suite.add("limits/moment-oracle", cfg.tol_moment, moment_oracle)
-
-
-def run_checks(cfg: RunConfig) -> list:
-    suite = _Suite()
-    _qcomb_checks(suite, cfg)
-    _grid_checks(suite, cfg)
-    _ops_checks(suite, cfg)
-    _limits_checks(suite, cfg)
-    return suite.results
 
 
 # -- subcommands --------------------------------------------------------

@@ -661,8 +661,12 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
         return float(np.linalg.norm(mat.toarray(), 2))
     import scipy.sparse.linalg as spla
 
-    k = 1
-    s = spla.svds(mat, k=k, return_singular_vectors=False)
+    # a fixed start vector: left to itself ARPACK draws one from fresh OS
+    # entropy, so flat spectra gave a different value, or error 3, per
+    # call.  A positive start converged faster than a normal one on the
+    # boundedness scans.
+    v0 = np.random.default_rng(0).uniform(size=min(mat.shape))
+    s = spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)
     return float(s.max())
 
 

@@ -6,10 +6,7 @@ ones frozen in the packaged calibration file after the one-time
 calibration run; see that file for the recorded reference values.
 """
 
-import json
-import math
 import time
-from importlib import resources
 
 import pytest
 
@@ -32,20 +29,9 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def cal():
-    text = resources.files("qfock").joinpath("calibration.json").read_text()
-    return json.loads(text)
-
-
-@pytest.fixture(scope="module")
-def verify_run(tmp_path_factory):
+def verify_run(default_verify):
     """One full default-configuration verification run, timed."""
-    d = tmp_path_factory.mktemp("acceptance_verify")
-    t0 = time.perf_counter()
-    rc = cli.main(["verify", "--out", str(d)])
-    elapsed = time.perf_counter() - t0
-    report = json.loads((d / "report.json").read_text())
-    return rc, report, elapsed
+    return default_verify
 
 
 def _check_map(report):
@@ -118,11 +104,9 @@ def test_criterion_3_invertibility_certificates(cal):
     assert ok
 
 
-def test_criterion_4_rank_one_collapse(cal):
-    pt = cal["rank_one"]["point"]
+def test_criterion_4_rank_one_collapse(cal, rank_one_can):
     thr = cal["rank_one"]["thresholds"]
-    sp = build_space(q=pt["q"], lam=pt["lam"], depth=pt["depth"])
-    rep = limits.rank_one_diagnostics(sp)
+    rep = rank_one_can
     rows = {n: v for n, v in rep.values}
     n_last = max(rows)
 
@@ -152,9 +136,8 @@ def test_criterion_4_rank_one_collapse(cal):
     assert ok
 
 
-def test_criterion_5_product_form_limits(cal):
-    pt = cal["rank_one"]["point"]
-    sp = build_space(q=pt["q"], lam=pt["lam"], depth=pt["depth"])
+def test_criterion_5_product_form_limits(cal, sp_can):
+    sp = sp_can
     all_ok = True
     notes = []
     for frozen in cal["comp"]["rows"]:
@@ -219,15 +202,14 @@ def test_criterion_6_wick_closed_forms():
     assert ok
 
 
-def test_criterion_7_norm_boundedness():
+def test_criterion_7_norm_boundedness(boundedness_scan):
     pos_one_ok = True
     neg_ok = True
     wen_ok = True
     mixed_ok = True
     worst_pos = 0.0
     for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
-        sp = build_space(q=q, lam=lam, depth=12)
-        rep = limits.boundedness_scan(sp, "creation_powers", n_max=10)
+        rep = boundedness_scan(q, lam, "creation_powers", n_max=10)
         if q >= 0:
             for _, val in rep.values:
                 for key in ("letter", "conjugate"):
@@ -235,10 +217,9 @@ def test_criterion_7_norm_boundedness():
             pos_one_ok = pos_one_ok and worst_pos <= 1e-10
         else:
             neg_ok = neg_ok and max(rep.gaps) <= 1e-10
-        wrep = limits.boundedness_scan(sp, "wen_powers", n_max=10)
+        wrep = boundedness_scan(q, lam, "wen_powers", n_max=10)
         wen_ok = wen_ok and max(wrep.gaps) <= 1e-10
-        mrep = limits.boundedness_scan(sp, "mixed_word",
-                                       n_max=4, m_word=8)
+        mrep = boundedness_scan(q, lam, "mixed_word", n_max=4, m_word=8)
         mixed_ok = mixed_ok and max(mrep.gaps) <= 1e-10 \
             and mrep.details["flip_max"] <= 1e-10
     ok = pos_one_ok and neg_ok and wen_ok and mixed_ok

@@ -6,10 +6,10 @@ import json
 from dataclasses import replace
 
 import pytest
+from scipy.sparse.linalg import ArpackError
 
-from qfock import cli, limits
+from qfock import checks, cli, limits, ops
 from qfock.cli import ConfigError, RunConfig
-from qfock.fock import build_space
 
 
 # -- configuration ------------------------------------------------------
@@ -237,11 +237,8 @@ def test_config_line_and_flag_agree(key):
 
 
 @pytest.fixture(scope="module")
-def verify_out(tmp_path_factory):
-    d = tmp_path_factory.mktemp("verify")
-    rc = cli.main(["verify", "--q", "0.3", "--lambda", "0.3",
-                   "--out", str(d)])
-    report = json.loads((d / "report.json").read_text())
+def verify_out(default_verify):
+    rc, report, _ = default_verify
     return rc, report
 
 
@@ -268,12 +265,28 @@ def test_verify_report_layout(verify_out):
     assert report["config"]["depth"] == 12
 
 
+# the entries whose gap or tolerance reads a value frozen in the
+# calibration file
+CALIBRATED = ("limits/invertibility-kernel-regime", "limits/certificate-drift",
+              "limits/rank-one-ratio-decrease", "limits/rank-one-cosine",
+              "limits/rank-one-sigma-window", "limits/rank-one-sigma-full",
+              "limits/rank-one-tail-account", "limits/rank-one-fixture-drift",
+              "limits/comp-table")
+
+
+def _only(monkeypatch, keep) -> None:
+    """Restrict the check table to the entries keep(entry) selects."""
+    monkeypatch.setattr(checks, "CHECKS",
+                        [c for c in checks.CHECKS if keep(c)])
+
+
 def test_verify_failure_names_first_check(tmp_path, capsys, monkeypatch):
     cal = cli.load_calibration()
     broken = json.loads(json.dumps(cal))
     broken["rank_one"]["rows"][0]["sigma1"] *= 1.5
     broken["certificates"]["rows"][0]["min_singular"][0][2] *= 1.5
     monkeypatch.setattr(cli, "load_calibration", lambda: broken)
+    _only(monkeypatch, lambda c: c.name in CALIBRATED)
     rc = cli.main(["verify", "--q", "", "--lambda", "",
                    "--out", str(tmp_path)])
     assert rc == 1
@@ -284,6 +297,21 @@ def test_verify_failure_names_first_check(tmp_path, capsys, monkeypatch):
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "limits/certificate-drift" in failed
     assert "limits/rank-one-fixture-drift" in failed
+
+
+def test_verify_records_failed_fixture(tmp_path, monkeypatch):
+    def unreadable():
+        raise OSError("calibration file unreadable")
+
+    monkeypatch.setattr(cli, "load_calibration", unreadable)
+    _only(monkeypatch, lambda c: c.name in CALIBRATED)
+    assert cli.main(["verify", "--q", "", "--lambda", "",
+                     "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == list(CALIBRATED)
+    assert report["summary"]["failed"] == len(CALIBRATED)
+    assert {c["note"] for c in report["checks"]} \
+        == {"OSError: calibration file unreadable"}
 
 
 # -- sweep --------------------------------------------------------------
@@ -348,16 +376,45 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
         == _strip_runtime((d2 / "sweep.csv").read_text())
 
 
-def test_grid_checks_pool_matches_serial():
+def test_grid_checks_pool_matches_serial(monkeypatch):
     cfg = replace(RunConfig(), q_grid=(0.3, -0.5), lam_grid=(0.2, 0.4),
                   depth=6)
+    _only(monkeypatch, lambda c: c.over)
     suites = []
     for jobs in (1, 2):
-        suite = cli._Suite()
-        cli._grid_checks(suite, replace(cfg, jobs=jobs))
-        suites.append(suite.results)
+        suites.append(cli.run_checks(replace(cfg, jobs=jobs)))
     assert suites[0] == suites[1]
     assert all(r.passed for r in suites[0])
+
+
+def test_grid_records_on_empty_grid(monkeypatch):
+    _only(monkeypatch, lambda c: c.over)
+    results = cli.run_checks(replace(RunConfig(), q_grid=(), lam_grid=()))
+    assert len(results) == 14
+    for r in results:
+        assert (r.gap, r.note, r.passed) == (0.0, "empty grid", True)
+
+
+@pytest.mark.parametrize("error", [ArpackError(3), ValueError("synthetic")],
+                         ids=["ArpackError", "ValueError"])
+def test_verify_records_crash_at_grid_point(tmp_path, capsys, monkeypatch,
+                                            error):
+    def op_norm(A, src_level_max=None):
+        raise error
+
+    monkeypatch.setattr(ops, "op_norm", op_norm)
+    _only(monkeypatch, lambda c: c.over)
+    rc = cli.main(["verify", "--q", "0.3", "--lambda", "0.3", "--depth", "6",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = {c["name"]: c["note"] for c in report["checks"]
+              if not c["passed"]}
+    assert failed == {"ops/creation-norm-bound":
+                      f"{type(error).__name__}: {error}"}
+    assert report["summary"]["total"] == 14
+    assert "first failing check: ops/creation-norm-bound" \
+        in capsys.readouterr().err
 
 
 def test_sweep_verdict_flips_across_threshold(tmp_path):
@@ -454,9 +511,12 @@ def test_sweep_terms_set_series_order(tmp_path):
 
 
 @pytest.mark.parametrize("depth", [4, 5])
-def test_battery_point_at_shallow_depth(depth):
-    gaps = cli._battery_point(build_space(q=0.5, lam=0.3, depth=depth))
-    assert set(gaps) == set(cli._BATTERY_NAMES)
+def test_battery_point_at_shallow_depth(depth, monkeypatch):
+    _only(monkeypatch, lambda c: c.over == "point")
+    results = cli.run_checks(replace(RunConfig(), q_grid=(0.5,),
+                                     lam_grid=(0.3,), depth=depth))
+    gaps = {r.name: r.gap for r in results}
+    assert set(gaps) == {c.name for c in checks.CHECKS}
     assert max(gaps.values()) < 1e-10
 
 

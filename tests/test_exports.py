@@ -9,7 +9,7 @@ import pytest
 
 import qfock
 
-MODULES = ("qcomb", "fock", "ops", "limits", "cli")
+MODULES = ("qcomb", "fock", "ops", "limits", "checks", "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -2,9 +2,7 @@
 distinguished vector, invertibility certificates, rank-one collapse,
 boundedness scans and the moment cross-check."""
 
-import json
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,18 +12,6 @@ from qfock.fock import E, EBAR, FockVector, build_space
 from qfock.qcomb import PAIRING_CAP, d_family, pair_partition_moment
 
 TOL = 1e-10
-
-
-@pytest.fixture(scope="module")
-def cal():
-    text = resources.files("qfock").joinpath("calibration.json").read_text()
-    return json.loads(text)
-
-
-@pytest.fixture(scope="module")
-def sp_can(cal):
-    pt = cal["rank_one"]["point"]
-    return build_space(q=pt["q"], lam=pt["lam"], depth=pt["depth"])
 
 
 @pytest.fixture(scope="module")
@@ -292,8 +278,8 @@ def test_certificate_verdict_tracks_product():
 # -- rank-one collapse --------------------------------------------------
 
 
-def test_rank_one_against_calibration(cal, sp_can):
-    rep = limits.rank_one_diagnostics(sp_can)
+def test_rank_one_against_calibration(cal, rank_one_can):
+    rep = rank_one_can
     rows = {n: v for n, v in rep.values}
     thr = cal["rank_one"]["thresholds"]
     for frozen in cal["rank_one"]["rows"]:
@@ -366,10 +352,9 @@ def test_comp_limit_conjugate_pad_closed_form(sp_can):
     ("weew_powers", {}),
     ("mixed_word", {"n_max": 4, "m_word": 8}),
 ])
-def test_boundedness_scans(kind, kw):
+def test_boundedness_scans(kind, kw, boundedness_scan):
     for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
-        sp = build_space(q=q, lam=lam, depth=12)
-        rep = limits.boundedness_scan(sp, kind, **kw)
+        rep = boundedness_scan(q, lam, kind, **kw)
         assert max(rep.gaps) <= TOL
         assert rep.values
         if kind == "mixed_word":

@@ -225,6 +225,14 @@ def test_creation_norm_bounded(sp):
         assert got <= cap * (1.0 + 1e-12)
 
 
+def test_op_norm_same_value_every_call():
+    # a 4096 x 127 matrix takes the ARPACK path, and its flat q = 0
+    # spectrum makes the last bits depend on the start vector
+    sp0 = build_space(q=0.0, lam=0.3, depth=12)
+    A = ops.creation_letter(sp0, E).power(6)
+    assert len({ops.op_norm(A, src_level_max=6) for _ in range(10)}) == 1
+
+
 def test_dual_window_norm_equality(sp):
     ce = ops.creation_letter(sp, E)
     ae = ops.annihilation_letter(sp, E)

@@ -622,7 +622,12 @@ def _orthonormal_block(space: FockSpace, M: np.ndarray, src_sig, tgt_sig):
 def _assemble(A: FockOperator, src_level_max: int):
     """Stack the orthonormal-coordinate blocks of A over the window into
     one sparse matrix: columns in window order, target rows in the order
-    the targets are first seen."""
+    the targets are first seen, only the nonzero entries stored.
+
+    A creation-type block feeds only the first rows of its target, so
+    most entries are exact zeros; dropping them keeps every bit, because
+    scipy's sparse products add each row's (column's) products in stored
+    order from +0.0, and a dropped 0.0 product never changes such a sum."""
     import scipy.sparse as sp
 
     space = A.space
@@ -635,10 +640,10 @@ def _assemble(A: FockOperator, src_level_max: int):
     rows, cols, vals = [], [], []
     for src, tgt, M in images:
         Mo = _orthonormal_block(space, M, src, tgt)
-        rr, cc = np.nonzero(np.ones_like(Mo, dtype=bool))
+        rr, cc = np.nonzero(Mo)
         rows.append(rr + tgt_offset[tgt])
         cols.append(cc + window.offset[src])
-        vals.append(Mo.ravel())
+        vals.append(Mo[rr, cc])
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(tgt_dim, window.width),

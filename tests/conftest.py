@@ -31,9 +31,24 @@ def cal():
 
 
 @pytest.fixture(scope="session")
-def sp_can(cal):
+def shared_space():
+    """shared_space(q, lam, depth): the space at (q, lam, depth); the
+    spaces at one (q, depth) share their Gram caches through
+    FockSpace.with_lambda, so a block is factored once a session."""
+    units = {}
+
+    def space(q, lam, depth):
+        if (q, depth) not in units:
+            units[q, depth] = build_space(q=q, lam=lam, depth=depth)
+        return units[q, depth].with_lambda(lam)
+
+    return space
+
+
+@pytest.fixture(scope="session")
+def sp_can(cal, shared_space):
     pt = cal["rank_one"]["point"]
-    return build_space(q=pt["q"], lam=pt["lam"], depth=pt["depth"])
+    return shared_space(pt["q"], pt["lam"], pt["depth"])
 
 
 @pytest.fixture(scope="session")
@@ -52,12 +67,12 @@ BOUNDEDNESS_SCANS = {
 
 
 @pytest.fixture(scope="session")
-def boundedness_scan():
+def boundedness_scan(shared_space):
     """limits.boundedness_scan on the depth-12 space at (q, lam), for the
     two points and the scans of BOUNDEDNESS_SCANS, each computed once."""
     reports = {}
     for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
-        sp = build_space(q=q, lam=lam, depth=12)
+        sp = shared_space(q, lam, 12)
         for kind, kw in BOUNDEDNESS_SCANS.items():
             reports[q, lam, kind] = limits.boundedness_scan(sp, kind, **kw)
 

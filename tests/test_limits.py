@@ -189,8 +189,8 @@ def test_certificate_series_order():
     assert order2.min_singular != default.min_singular
 
 
-def test_xi_vector_properties(sp_can, sp_neg):
-    kernel = build_space(q=0.0, lam=0.75, depth=12)
+def test_xi_vector_properties(sp_can, sp_neg, shared_space):
+    kernel = shared_space(0.0, 0.75, 12)
     for sp in (sp_can, sp_neg, kernel):
         xi = limits.xi_vector(sp)
         got = sp.norm_sq(xi.vector)

@@ -7,6 +7,9 @@ assemblies of op_norm and min_singular with their own offset loops."""
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from qfock import limits, ops
@@ -62,9 +65,12 @@ def _q_adjoint_oracle(A, src_level_max=None):
     return adj, reach, max(reach, 0)
 
 
-def _op_norm_oracle(A):
+def _op_norm_oracle(A, src_level_max=None):
+    """op_norm with its own offset loops and every entry of each
+    orthonormal block stored: (norm, matrix)."""
     space = A.space
-    src_level_max = max(space.depth - max(A.peak, 0), 0)
+    if src_level_max is None:
+        src_level_max = max(space.depth - max(A.peak, 0), 0)
     src_offset, tgt_offset = {}, {}
     src_dim = tgt_dim = 0
     for level in range(src_level_max + 1):
@@ -88,8 +94,11 @@ def _op_norm_oracle(A):
     mat = sps.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(tgt_dim, src_dim))
-    assert max(mat.shape) <= ops.NORM_DENSE_LIMIT
-    return float(np.linalg.norm(mat.toarray(), 2))
+    if max(mat.shape) <= ops.NORM_DENSE_LIMIT:
+        return float(np.linalg.norm(mat.toarray(), 2)), mat
+    v0 = np.random.default_rng(0).uniform(size=min(mat.shape))
+    s = spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)
+    return float(s.max()), mat
 
 
 def _min_singular_oracle(A, src_level_max):
@@ -184,11 +193,37 @@ def test_min_singular_matches_oracle(sp):
     assert ops.min_singular(eye) == _min_singular_oracle(eye, DEPTH)
 
 
-def test_op_norm_of_creation_powers_matches_oracle(sp):
+def test_op_norm_of_creation_powers_matches_oracle(sp, shared_space):
+    # depth 8 stays on the dense path; the depth-12 inputs take ARPACK:
+    # ce^6 on window 6 at q = 0 (4096 x 127, a flat spectrum), the
+    # full-window letter (8178 x 4095), and two words whose target rows
+    # mix several source blocks
+    sp12 = shared_space(sp.q, sp.lam, 12)
+    flat = shared_space(0.0, sp.lam, 12)
     ce = ops.creation_letter(sp, E)
-    for n in range(1, 5):
-        A = ce.power(n)
-        assert ops.op_norm(A) == _op_norm_oracle(A)
+    cases = [(ce.power(n), None) for n in range(1, 5)] + [
+        (ops.creation_letter(flat, E).power(6), 6),
+        (ops.creation_letter(sp12, E), None),
+        (ops.wen_operator(sp12, 3), None),
+        (ops.wick_balanced(sp12, 2), None),
+    ]
+    for A, level_max in cases:
+        norm, want = _op_norm_oracle(A, level_max)
+        assert (max(want.shape) > ops.NORM_DENSE_LIMIT) \
+            == (A.space.depth == 12)
+        assert ops.op_norm(A, level_max) == norm
+        window = A.space.depth - A.peak if level_max is None else level_max
+        mat = ops._assemble(A, window)
+        assert np.count_nonzero(mat.data) == mat.nnz
+        assert np.array_equal(mat.toarray(), want.toarray())
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(q=st.floats(-0.9, 0.9), lam=st.floats(0.05, 0.95),
+       word=st.lists(st.sampled_from([E, EBAR]), min_size=1, max_size=4))
+def test_op_norm_of_wick_words_matches_oracle_property(q, lam, word):
+    A = ops.wick(build_space(q=q, lam=lam, depth=DEPTH), tuple(word))
+    assert ops.op_norm(A) == _op_norm_oracle(A)[0]
 
 
 def test_adjoint_solves_only_requested_blocks():

@@ -216,10 +216,11 @@ class _UnitGramCache:
     """q-dependent, lambda-free part of the Gram data, shared between
     spaces that differ only in lambda.
 
-    Per block (level, signature): the word list, the unit Gram (all
-    letter lengths set to 1), its lower Cholesky factor, a condition
-    estimate, and the unit annihilation transfer matrices used both by
-    the Gram recursion and by the annihilation operators.
+    Per block (level, signature): the word list, the same words as a
+    small-integer array with their sorted base-L codes, the unit Gram (all letter
+    lengths set to 1), its lower Cholesky factor, a condition estimate,
+    and the unit annihilation transfer matrices used both by the Gram
+    recursion and by the annihilation operators.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -227,6 +228,8 @@ class _UnitGramCache:
         self.n_letters = n_letters
         self.words: dict = {}
         self.index: dict = {}
+        self.arrays: dict = {}
+        self.codes: dict = {}
         self.gram_unit: dict = {}
         self.chol_unit: dict = {}
         self.cond: dict = {}
@@ -244,33 +247,74 @@ class _UnitGramCache:
         self.block_words(sig)
         return self.index[sig][word]
 
+    def word_array(self, sig):
+        """The block's words as an array of the smallest signed integer
+        type that holds every letter (int8 up to 128 letters), one word
+        per row, in block_words order."""
+        if sig not in self.arrays:
+            ws = self.block_words(sig)
+            self.arrays[sig] = np.array(
+                ws, dtype=np.min_scalar_type(-self.n_letters)).reshape(
+                len(ws), sum(sig))
+        return self.arrays[sig]
+
+    def _word_codes(self, W: np.ndarray) -> np.ndarray:
+        """Base-L code of each row of W, first letter most significant;
+        within a block, lexicographic order is increasing code order."""
+        n = W.shape[1]
+        if self.n_letters ** n >= 2**63:
+            raise OverflowError(
+                f"words of length {n} over {self.n_letters} letters overflow "
+                f"64-bit codes")
+        weights = self.n_letters ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return W.astype(np.int64) @ weights
+
+    def rows_of(self, sig, W: np.ndarray) -> np.ndarray:
+        """Index in block sig of each word (row) of the integer array W;
+        raises KeyError if a word is not in the block."""
+        if sig not in self.codes:
+            self.codes[sig] = self._word_codes(self.word_array(sig))
+        codes = self.codes[sig]
+        if W.shape[1] != sum(sig):
+            raise KeyError(f"words of length {W.shape[1]} are not in block {sig}")
+        want = self._word_codes(W)
+        rows = np.searchsorted(codes, want)
+        found = rows < len(codes)
+        found[found] = codes[rows[found]] == want[found]
+        if not found.all():
+            missing = tuple(int(l) for l in W[np.argmin(found)])
+            raise KeyError(f"word {missing} is not in block {sig}")
+        return rows
+
     def transfer_matrix(self, sig, ell: int, side: str = "left"):
         """Unit annihilation transfer for removing letter ell from the
         block: rows index the reduced block, columns the source block,
         entry the sum over positions i (0-based, word length n) holding
         ell whose removal yields the row word, of q^i for removal from
         the left and of q^(n-1-i) for removal from the right.
+
+        Built one position at a time over the block's word array, so
+        every entry receives its terms in increasing i, as a loop over
+        each word's positions adds them; q^i is the running product
+        1.0 * q * ... * q.
         """
         key = (sig, ell, side)
         if key in self.transfer:
             return self.transfer[key]
         if sig[ell] == 0:
             raise KeyError(f"block {sig} holds no letter {ell}")
-        src = self.block_words(sig)
+        src = self.word_array(sig)
         red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
-        self.block_words(red_sig)
-        red_index = self.index[red_sig]
-        T = np.zeros((len(red_index), len(src)))
+        T = np.zeros((len(self.block_words(red_sig)), len(src)))
         q = self.q
         n = sum(sig)
         left = side == "left"
-        for col, w in enumerate(src):
-            qp = 1.0
-            for i, wl in enumerate(w):
-                if wl == ell:
-                    T[red_index[w[:i] + w[i + 1 :]], col] += (
-                        qp if left else q ** (n - 1 - i))
-                qp *= q
+        qp = 1.0
+        for i in range(n):
+            cols = np.flatnonzero(src[:, i] == ell)
+            rows = self.rows_of(red_sig, np.delete(src[cols], i, axis=1))
+            T[rows, cols] += qp if left else q ** (n - 1 - i)
+            qp *= q
         self.transfer[key] = T
         return T
 
@@ -371,6 +415,14 @@ class FockSpace:
 
     def word_index(self, word) -> int:
         return self._unit.word_index(tuple(word))
+
+    def word_array(self, sig) -> np.ndarray:
+        """block_words(sig) as an integer array, one word per row."""
+        return self._unit.word_array(tuple(sig))
+
+    def rows_of(self, sig, W: np.ndarray) -> np.ndarray:
+        """Index in block sig of each word (row) of the integer array W."""
+        return self._unit.rows_of(tuple(sig), W)
 
     def signature(self, word):
         return signature_of(word, self.n_letters)

@@ -101,17 +101,28 @@ class FockOperator:
 
     Antilinear operators store their linear part; application
     conjugates input coefficients first.
+
+    An index operator also declares index_fn(sig) -> (tgt, rows, scale),
+    or None where it drops the block: column j of its block matrix holds
+    the one entry scale, in row rows[j] of block tgt, and the rows are
+    distinct.  Without an action_fn its blocks are built from that map.
+    The builders of word maps, identity and modular_delta declare it;
+    memoized, real scalar multiples and products of two index operators
+    keep it, so products with one side an index operator are gathers.
     """
 
     def __init__(self, space: FockSpace, action_fn, reach: int, peak: int | None = None,
-                 label: str = "", antilinear: bool = False, cache: bool = True):
+                 label: str = "", antilinear: bool = False, cache: bool = True,
+                 index_fn=None):
         self.space = space
         self._action_fn = action_fn
+        self._index_fn = index_fn
         self.reach = reach
         self.peak = max(reach, 0) if peak is None else peak
         self.label = label
         self.antilinear = antilinear
         self._cache: dict | None = {} if cache else None
+        self._index_cache: dict | None = {} if cache else None
 
     def __repr__(self):
         tag = "antilinear " if self.antilinear else ""
@@ -122,28 +133,91 @@ class FockOperator:
         sig = tuple(sig)
         if self._cache is not None and sig in self._cache:
             return self._cache[sig]
-        out = self._action_fn(sig)
+        # an index operator without action_fn builds its blocks from its
+        # map; keeping no bound method on self keeps the operator out of
+        # a reference cycle, so its caches go when its last user does
+        out = (self._index_block(sig) if self._action_fn is None
+               else self._action_fn(sig))
         if self._cache is not None:
             self._cache[sig] = out
         return out
 
+    def index(self, sig):
+        """(tgt, rows, scale) of an index operator on block sig, or None
+        where it drops the block; None for every other operator."""
+        if self._index_fn is None:
+            return None
+        sig = tuple(sig)
+        if self._index_cache is not None and sig in self._index_cache:
+            return self._index_cache[sig]
+        out = self._index_fn(sig)
+        if self._index_cache is not None:
+            self._index_cache[sig] = out
+        return out
+
+    def _index_block(self, sig) -> dict:
+        """The dense block of an index operator.  "+ 0.0" turns a scale
+        of -0.0 (a product such as -1.0 * 0.0) into the +0.0 that the
+        GEMM of the factors gives."""
+        ix = self.index(sig)
+        if ix is None:
+            return {}
+        tgt, rows, scale = ix
+        M = np.zeros((len(self.space.block_words(tgt)), len(rows)))
+        M[rows, np.arange(len(rows))] = scale + 0.0
+        return {tgt: M}
+
     # -- algebra --------------------------------------------------------
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
+        """Lazy product; each block is what the dense Ma @ Mb gives, bit
+        for bit.  A product of two index operators is an index operator
+        (rows ra[rb], scale sa * sb).  With one index factor and a real
+        other block the product is a gather: the index block has one
+        entry per column, so the real GEMM adds one rounded s * b to
+        exact zeros from a zeroed result, which the gather computes
+        alone; "+= 0.0" turns a -0.0 into the +0.0 the GEMM gives, and
+        the result is C-ordered, as later GEMMs expect.  Complex blocks
+        keep the GEMM: its complex kernel can return -0.0 there."""
         if self.space is not other.space:
             raise ValueError("operators live on different spaces")
 
-        def act(sig):
-            acc: dict = {}
-            for mid, Mb in other.action(sig).items():
-                Mb_eff = Mb.conj() if self.antilinear else Mb
-                for tgt, Ma in self.action(mid).items():
-                    prod = Ma @ Mb_eff
-                    if tgt in acc:
-                        acc[tgt] = acc[tgt] + prod
+        index_fn = act = None
+        if self._index_fn is not None and other._index_fn is not None:
+            def index_fn(sig):
+                b = other.index(sig)
+                a = None if b is None else self.index(b[0])
+                if a is None:
+                    return None
+                return a[0], a[1][b[1]], a[2] * b[2]
+        elif other._index_fn is not None:
+            def act(sig):
+                b = other.index(sig)
+                if b is None:
+                    return {}
+                mid, rows, s = b
+                return {tgt: (Ma @ other.action(sig)[mid]
+                              if np.iscomplexobj(Ma)
+                              else _gather_columns(Ma, rows, s))
+                        for tgt, Ma in self.action(mid).items()}
+        else:
+            def act(sig):
+                acc: dict = {}
+                for mid, Mb in other.action(sig).items():
+                    if self.antilinear and np.iscomplexobj(Mb):
+                        Mb = Mb.conj()
+                    a = self.index(mid)
+                    if a is not None and not np.iscomplexobj(Mb):
+                        products = [(a[0], _gather_rows(self.space, a, Mb))]
                     else:
-                        acc[tgt] = prod
-            return acc
+                        products = [(tgt, Ma @ Mb)
+                                    for tgt, Ma in self.action(mid).items()]
+                    for tgt, prod in products:
+                        if tgt in acc:
+                            acc[tgt] = acc[tgt] + prod
+                        else:
+                            acc[tgt] = prod
+                return acc
 
         return FockOperator(
             self.space, act,
@@ -151,7 +225,7 @@ class FockOperator:
             peak=max(other.peak, other.reach + self.peak),
             label=f"({self.label}@{other.label})",
             antilinear=self.antilinear != other.antilinear,
-            cache=False,
+            cache=False, index_fn=index_fn,
         )
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
@@ -187,10 +261,16 @@ class FockOperator:
         def act(sig):
             return {tgt: s * M for tgt, M in self.action(sig).items()}
 
+        index_fn = None
+        if self._index_fn is not None and isinstance(s, float):
+            def index_fn(sig):
+                ix = self.index(sig)
+                return None if ix is None else (ix[0], ix[1], s * ix[2])
+
         return FockOperator(
             self.space, act, reach=self.reach, peak=self.peak,
             label=f"({scalar}*{self.label})", antilinear=self.antilinear,
-            cache=False,
+            cache=False, index_fn=index_fn,
         )
 
     __rmul__ = __mul__
@@ -226,12 +306,40 @@ class FockOperator:
                 in Window(self.space, src_level_max).images(self)}
 
 
-def identity(space: FockSpace) -> FockOperator:
-    def act(sig):
-        m = len(space.block_words(sig))
-        return {tuple(sig): np.eye(m)}
+def _gather_rows(space: FockSpace, index, Mb: np.ndarray) -> np.ndarray:
+    """Ma @ Mb for the block Ma of index = (tgt, rows, s): row rows[j]
+    of the product is s times row j of Mb, every other row is zero."""
+    tgt, rows, s = index
+    P = np.zeros((len(space.block_words(tgt)), Mb.shape[1]),
+                 dtype=np.result_type(np.float64, Mb))
+    P[rows] = s * Mb
+    P += 0.0
+    return P
 
-    return FockOperator(space, act, reach=0, label="id")
+
+def _gather_columns(Ma: np.ndarray, rows, s) -> np.ndarray:
+    """Ma @ Mb for a block Mb whose column j holds s in row rows[j]:
+    column j of the product is s times column rows[j] of Ma, written
+    into a C-ordered array (Ma[:, rows] alone comes out F-ordered)."""
+    P = np.empty((Ma.shape[0], len(rows)), dtype=np.result_type(Ma, np.float64))
+    np.multiply(Ma[:, rows], s, out=P)
+    P += 0.0
+    return P
+
+
+def _diagonal(space: FockSpace, label: str, factor=None) -> FockOperator:
+    """Index operator keeping every block, times the block scalar
+    factor(sig) (1.0 without a factor)."""
+
+    def index(sig):
+        rows = np.arange(len(space.block_words(sig)))
+        return sig, rows, 1.0 if factor is None else factor(sig)
+
+    return FockOperator(space, None, reach=0, label=label, index_fn=index)
+
+
+def identity(space: FockSpace) -> FockOperator:
+    return _diagonal(space, "id")
 
 
 def zero(space: FockSpace) -> FockOperator:
@@ -251,7 +359,8 @@ def memoized(A: FockOperator) -> FockOperator:
     """A with its block results cached; the cache lives as long as the
     returned operator."""
     return FockOperator(A.space, A._action_fn, reach=A.reach, peak=A.peak,
-                        label=A.label, antilinear=A.antilinear)
+                        label=A.label, antilinear=A.antilinear,
+                        index_fn=A._index_fn)
 
 
 def power_ladder(A: FockOperator, k_max: int) -> list:
@@ -270,36 +379,41 @@ def power_ladder(A: FockOperator, k_max: int) -> list:
 
 def _word_map(space: FockSpace, tgt_sig, word_fn, label: str, reach: int = 0,
               factor=None, antilinear: bool = False) -> FockOperator:
-    """Operator sending each word w of a block sig to the one word
+    """Index operator sending each word w of a block sig to the one word
     word_fn(w) of block tgt_sig(sig), times the block scalar factor(sig)
-    (1.0 without a factor); targets above the depth are dropped."""
+    (1.0 without a factor); targets above the depth are dropped.
 
-    def act(sig):
+    word_fn maps the block's word array (one word per row) to the
+    array of image words; their rows in the target block are found by
+    code lookup (FockSpace.rows_of), so the map is declared, never read
+    off the matrix."""
+
+    def index(sig):
         tgt = tgt_sig(sig)
         if sum(tgt) > space.depth:
-            return {}
-        words = space.block_words(sig)
-        tgt_index = {w: i for i, w in enumerate(space.block_words(tgt))}
-        M = np.zeros((len(tgt_index), len(words)))
-        rows = [tgt_index[word_fn(w)] for w in words]
-        M[rows, range(len(words))] = 1.0 if factor is None else factor(sig)
-        return {tgt: M}
+            return None
+        rows = space.rows_of(tgt, word_fn(space.word_array(sig)))
+        return tgt, rows, 1.0 if factor is None else factor(sig)
 
-    return FockOperator(space, act, reach=reach, label=label,
-                        antilinear=antilinear)
+    return FockOperator(space, None, reach=reach, label=label,
+                        antilinear=antilinear, index_fn=index)
+
+
+def _letter_column(W: np.ndarray, ell: int) -> np.ndarray:
+    return np.full((len(W), 1), ell, dtype=W.dtype)
 
 
 def creation_letter(space: FockSpace, ell: int) -> FockOperator:
     """Left creation: prepend the letter."""
     return _word_map(space, lambda sig: _sig_add(sig, ell),
-                     lambda w: (ell,) + w,
+                     lambda W: np.hstack((_letter_column(W, ell), W)),
                      f"c({space.letter_name(ell)})", reach=1)
 
 
 def right_creation_letter(space: FockSpace, ell: int) -> FockOperator:
     """Right creation: append the letter."""
     return _word_map(space, lambda sig: _sig_add(sig, ell),
-                     lambda w: w + (ell,),
+                     lambda W: np.hstack((W, _letter_column(W, ell))),
                      f"cr({space.letter_name(ell)})", reach=1)
 
 
@@ -387,7 +501,7 @@ def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
 
 def flip_unitary(space: FockSpace) -> FockOperator:
     """Word reversal; a self-inverse unitary of the deformed form."""
-    return _word_map(space, lambda sig: sig, lambda w: w[::-1], "flip")
+    return _word_map(space, lambda sig: sig, lambda W: W[:, ::-1], "flip")
 
 
 def conjugate_letter(ell: int) -> int:
@@ -414,20 +528,18 @@ def modular_delta(space: FockSpace, power: float = 1.0) -> FockOperator:
     """Real power of the modular operator: each letter is scaled by its
     generator eigenvalue to the -power, so blocks scale by a constant."""
 
-    def act(sig):
-        m = len(space.block_words(sig))
-        return {tuple(sig): _letter_power(space, sig, -power) * np.eye(m)}
-
-    return FockOperator(space, act, reach=0, label=f"Delta^{power}")
+    return _diagonal(space, f"Delta^{power}",
+                     lambda sig: _letter_power(space, sig, -power))
 
 
 def _bar_reversal(space: FockSpace, scale_power: float, label: str) -> FockOperator:
     """Linear part shared by the modular conjugations: reverse the word,
     conjugate each letter, scale by the product of generator eigenvalues
     to scale_power."""
+    table = np.array([conjugate_letter(l) for l in range(space.n_letters)])
     return _word_map(
         space, lambda sig: tuple(sig[conjugate_letter(l)] for l in range(len(sig))),
-        lambda w: tuple(conjugate_letter(l) for l in reversed(w)), label,
+        lambda W: table[W[:, ::-1]], label,
         factor=lambda sig: _letter_power(space, sig, scale_power),
         antilinear=True,
     )

@@ -1,7 +1,9 @@
 """Session fixtures for the objects that several test modules read: one
 default verification run, the calibration file, the canonical space and
-its rank-one report, and the boundedness scans."""
+its rank-one report, and the boundedness scans, read from the
+verification run."""
 
+import functools
 import json
 import time
 from importlib import resources
@@ -12,16 +14,33 @@ from qfock import cli, limits
 from qfock.fock import build_space
 
 
+def _scan_key(q, lam, depth, aux_letters, kind, kw):
+    return q, lam, depth, aux_letters, kind, tuple(sorted(kw.items()))
+
+
 @pytest.fixture(scope="session")
 def default_verify(tmp_path_factory):
     """One full default-configuration verification run, timed:
-    (exit code, report, seconds)."""
+    (exit code, report, seconds, scans), where scans holds the report of
+    every limits.boundedness_scan call the run made, by _scan_key."""
     d = tmp_path_factory.mktemp("verify")
-    t0 = time.perf_counter()
-    rc = cli.main(["verify", "--out", str(d)])
-    elapsed = time.perf_counter() - t0
+    scans = {}
+    scan = limits.boundedness_scan
+
+    @functools.wraps(scan)
+    def recording_scan(space, kind, **kw):
+        rep = scan(space, kind, **kw)
+        scans[_scan_key(space.q, space.lam, space.depth,
+                        space.params.aux_letters, kind, kw)] = rep
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "boundedness_scan", recording_scan)
+        t0 = time.perf_counter()
+        rc = cli.main(["verify", "--out", str(d)])
+        elapsed = time.perf_counter() - t0
     report = json.loads((d / "report.json").read_text())
-    return rc, report, elapsed
+    return rc, report, elapsed, scans
 
 
 @pytest.fixture(scope="session")
@@ -67,17 +86,17 @@ BOUNDEDNESS_SCANS = {
 
 
 @pytest.fixture(scope="session")
-def boundedness_scan(shared_space):
+def boundedness_scan(default_verify):
     """limits.boundedness_scan on the depth-12 space at (q, lam), for the
-    two points and the scans of BOUNDEDNESS_SCANS, each computed once."""
-    reports = {}
-    for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
-        sp = shared_space(q, lam, 12)
-        for kind, kw in BOUNDEDNESS_SCANS.items():
-            reports[q, lam, kind] = limits.boundedness_scan(sp, kind, **kw)
+    two points and the scans of BOUNDEDNESS_SCANS: the reports the
+    session verify computed, which must be exactly these scans."""
+    scans = default_verify[3]
+    assert set(scans) == {_scan_key(q, lam, 12, 0, kind, kw)
+                          for q, lam in ((0.3, 0.4), (-0.5, 0.3))
+                          for kind, kw in BOUNDEDNESS_SCANS.items()}
 
     def scan(q, lam, kind, **kw):
         assert kw == BOUNDEDNESS_SCANS[kind]
-        return reports[q, lam, kind]
+        return scans[_scan_key(q, lam, 12, 0, kind, kw)]
 
     return scan

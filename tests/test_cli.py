@@ -238,7 +238,7 @@ def test_config_line_and_flag_agree(key):
 
 @pytest.fixture(scope="module")
 def verify_out(default_verify):
-    rc, report, _ = default_verify
+    rc, report = default_verify[:2]
     return rc, report
 
 

@@ -1,11 +1,17 @@
 """Bit-identity of the word-map operators, the annihilation transfers
 and the operator chains against hand-written constructions kept here as
 oracles: one loop per operator, each writing its 0/1 (or block-scalar)
-entries word by word, one transfer loop per side, and one loop per
-chain that prepends each factor to the chain built so far."""
+entries word by word, one transfer loop per side, and chains composed
+block by block with the plain dense product, so the gathers of
+FockOperator.__matmul__ are held to the GEMM they replace."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock import ops
 from qfock.fock import E, EBAR, build_space
@@ -117,18 +123,22 @@ def _right_transfer_oracle(space, sig, ell):
     return T
 
 
-def _blocks(space):
-    return [sig for level in range(LEVEL_MAX + 1)
+def _blocks(space, level_max=LEVEL_MAX):
+    return [sig for level in range(level_max + 1)
             for sig in space.blocks_at_level(level)]
 
 
-def _assert_blocks_equal(op, oracle, space):
-    for sig in _blocks(space):
+def _assert_blocks_equal(op, oracle, space, level_max=LEVEL_MAX):
+    """Every block of op equals the oracle's byte for byte (so -0.0 and
+    +0.0 differ), with the same dtype, and is C-ordered."""
+    for sig in _blocks(space, level_max):
         got, want = op.action(sig), oracle(sig)
         assert got.keys() == want.keys(), sig
         for tgt, M in want.items():
-            assert got[tgt].dtype == M.dtype
-            assert np.array_equal(got[tgt], M), (sig, tgt)
+            assert got[tgt].dtype == M.dtype, (sig, tgt)
+            assert got[tgt].shape == M.shape, (sig, tgt)
+            assert got[tgt].flags.c_contiguous, (sig, tgt)
+            assert got[tgt].tobytes() == M.tobytes(), (sig, tgt)
 
 
 def test_creation_letters_bit_identical(sp):
@@ -171,11 +181,61 @@ def test_unit_transfers_bit_identical(sp):
                                       oracle(sp, sig, ell)), (sig, side)
 
 
-def _power_oracle(A, k):
-    out = ops.identity(A.space)
-    for _ in range(k):
-        out = A @ out
+def _dense_compose(A_actions, B_actions, antilinear=False):
+    """Blocks of A @ B, each formed with the plain dense product Ma @ Mb
+    (Mb.conj() for an antilinear left factor A) and added per target in
+    the order the middle blocks come."""
+    def act(sig):
+        acc = {}
+        for mid, Mb in B_actions(sig).items():
+            Mb_eff = Mb.conj() if antilinear else Mb
+            for tgt, Ma in A_actions(mid).items():
+                prod = Ma @ Mb_eff
+                acc[tgt] = acc[tgt] + prod if tgt in acc else prod
+        return acc
+    return act
+
+
+def _dense_sum(terms):
+    """Blocks of the sum of coef * A over the (coef, A_actions) terms,
+    added in term order."""
+    def act(sig):
+        acc = {}
+        for coef, A in terms:
+            for tgt, M in A(sig).items():
+                M = coef * M
+                acc[tgt] = acc[tgt] + M if tgt in acc else M
+        return acc
+    return act
+
+
+def _identity_oracle(space):
+    return lambda sig: {tuple(sig): np.eye(len(space.block_words(sig)))}
+
+
+def _dense_chain(space, factors):
+    """factors[0] @ (... @ (factors[-1] @ identity)), composed densely."""
+    out = _identity_oracle(space)
+    for A in reversed(factors):
+        out = _dense_compose(A, out)
     return out
+
+
+def _cre(space, ell):
+    return lambda sig: _creation_oracle(space, ell, sig)
+
+
+def _rcre(space, ell):
+    return lambda sig: _right_creation_oracle(space, ell, sig)
+
+
+def _ann(space, ell, side="left"):
+    def act(sig):
+        if sig[ell] == 0:
+            return {}
+        return {_sig_add(sig, ell, -1):
+                space.annihilation_transfer(sig, ell, side)}
+    return act
 
 
 def _wick_oracle(space, word):
@@ -184,14 +244,10 @@ def _wick_oracle(space, word):
     for mask in range(1 << n):
         J = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
         comp = [p for p in range(1, n + 1) if not mask & (1 << (p - 1))]
-        chain = ops.identity(space)
-        for p in reversed(comp):
-            chain = ops.annihilation_letter(
-                space, ops.conjugate_letter(word[p - 1])) @ chain
-        for p in reversed(J):
-            chain = ops.creation_letter(space, word[p - 1]) @ chain
-        terms.append(space.q ** crossings(n, J) * chain)
-    return ops._op_sum(space, terms, reach=n, peak=n)
+        chain = [_cre(space, word[p - 1]) for p in J] + [
+            _ann(space, ops.conjugate_letter(word[p - 1])) for p in comp]
+        terms.append((space.q ** crossings(n, J), _dense_chain(space, chain)))
+    return _dense_sum(terms)
 
 
 def _wick_right_oracle(space, word):
@@ -202,61 +258,54 @@ def _wick_right_oracle(space, word):
         compP = [p for p in range(1, n + 1) if not mask & (1 << (p - 1))]
         weight = space.q ** crossings(n, [n + 1 - p for p in P])
         scale = 1.0
-        chain = ops.identity(space)
         for p in compP:
-            ell = word[p - 1]
-            scale *= space.aeig[ell]
-            chain = ops.right_annihilation_letter(
-                space, ops.conjugate_letter(ell)) @ chain
-        for p in P:
-            chain = ops.right_creation_letter(space, word[p - 1]) @ chain
-        terms.append((weight * scale) * chain)
-    return ops._op_sum(space, terms, reach=n, peak=n)
+            scale *= space.aeig[word[p - 1]]
+        chain = [_rcre(space, word[p - 1]) for p in reversed(P)] + [
+            _ann(space, ops.conjugate_letter(word[p - 1]), "right")
+            for p in reversed(compP)]
+        terms.append((weight * scale, _dense_chain(space, chain)))
+    return _dense_sum(terms)
 
 
 def _wen_oracle(space, n):
-    ce = ops.creation_letter(space, E)
-    aeb = ops.annihilation_letter(space, EBAR)
-    terms = []
-    for k in range(n + 1):
-        chain = ops.identity(space)
-        for _ in range(k):
-            chain = aeb @ chain
-        for _ in range(n - k):
-            chain = ce @ chain
-        terms.append(q_binomial(n, k, space.q) * chain)
-    return ops._op_sum(space, terms, reach=n, peak=n)
+    return _dense_sum([
+        (q_binomial(n, k, space.q),
+         _dense_chain(space, [_cre(space, E)] * (n - k)
+                      + [_ann(space, EBAR)] * k))
+        for k in range(n + 1)])
 
 
 def _wick_balanced_oracle(space, n):
     coeff = wick_coefficients(n, space.q)
-    ce = ops.creation_letter(space, E)
-    ceb = ops.creation_letter(space, EBAR)
-    ae = ops.annihilation_letter(space, E)
-    aeb = ops.annihilation_letter(space, EBAR)
-    terms = []
-    for k in range(n + 1):
-        for l in range(n + 1):
-            chain = ops.identity(space)
-            for _ in range(n - l):
-                chain = aeb @ chain
-            for _ in range(n - k):
-                chain = ae @ chain
-            for _ in range(l):
-                chain = ce @ chain
-            for _ in range(k):
-                chain = ceb @ chain
-            terms.append(coeff[k, l] * chain)
-    return ops._op_sum(space, terms, reach=2 * n, peak=2 * n)
+    return _dense_sum([
+        (coeff[k, l],
+         _dense_chain(space, [_cre(space, EBAR)] * k + [_cre(space, E)] * l
+                      + [_ann(space, E)] * (n - k)
+                      + [_ann(space, EBAR)] * (n - l)))
+        for k in range(n + 1) for l in range(n + 1)])
+
+
+def _wick_right_balanced_oracle(space, n):
+    J = lambda sig: _bar_reversal_oracle(space, 0.5, sig)
+    JW = _dense_compose(J, _wick_balanced_oracle(space, n), antilinear=True)
+    return _dense_compose(JW, J, antilinear=True)
 
 
 AUX = 2
 CHAINS = {
     "c(e)^3": (lambda sp: ops.creation_letter(sp, E).power(3),
-               lambda sp: _power_oracle(ops.creation_letter(sp, E), 3)),
+               lambda sp: _dense_chain(sp, [_cre(sp, E)] * 3)),
     "c(Ebar)*^2": (
         lambda sp: ops.annihilation_letter(sp, EBAR).power(2),
-        lambda sp: _power_oracle(ops.annihilation_letter(sp, EBAR), 2)),
+        lambda sp: _dense_chain(sp, [_ann(sp, EBAR)] * 2)),
+    "c(e)^2 ladder rung": (
+        lambda sp: ops.power_ladder(ops.creation_letter(sp, E), 2)[2],
+        lambda sp: _dense_chain(sp, [_cre(sp, E)] * 2)),
+    "T-type c(e)*^2 c(e)^2": (
+        lambda sp: (ops.annihilation_letter(sp, E).power(2)
+                    @ ops.creation_letter(sp, E).power(2)),
+        lambda sp: _dense_compose(_dense_chain(sp, [_ann(sp, E)] * 2),
+                                  _dense_chain(sp, [_cre(sp, E)] * 2))),
     "W[e]": (lambda sp: ops.wick(sp, (E,)),
              lambda sp: _wick_oracle(sp, (E,))),
     "W[Ebar e]": (lambda sp: ops.wick(sp, (EBAR, E)),
@@ -271,10 +320,146 @@ CHAINS = {
                lambda sp: _wen_oracle(sp, 3)),
     "W[Ebar^2 e^2]": (lambda sp: ops.wick_balanced(sp, 2),
                       lambda sp: _wick_balanced_oracle(sp, 2)),
+    "Wr[Ebar^2 e^2]": (lambda sp: ops.wick_right_balanced(sp, 2),
+                       lambda sp: _wick_right_balanced_oracle(sp, 2)),
 }
 
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_chains_bit_identical(sp, name):
     build, oracle = CHAINS[name]
-    _assert_blocks_equal(build(sp), oracle(sp).action, sp)
+    _assert_blocks_equal(build(sp), oracle(sp), sp)
+
+
+def test_rows_of_finds_words_and_refuses_others(sp):
+    sig = (2, 1, 1)
+    W = sp.word_array(sig)
+    assert W.dtype == np.int8
+    assert [tuple(w) for w in W] == sp.block_words(sig)
+    assert np.array_equal(sp.rows_of(sig, W[::-1]), np.arange(len(W))[::-1])
+    with pytest.raises(KeyError):
+        sp.rows_of(sig, np.array([[0, 0, 0, 1]], dtype=np.int8))
+    with pytest.raises(KeyError):
+        sp.rows_of(sig, W[:, 1:])
+
+
+def test_word_maps_past_int8_letters():
+    """Word arrays widen past 128 letters; the letter 129 still prepends."""
+    space = build_space(q=0.3, lam=0.5, depth=2, aux_letters=128)
+    sig = (1,) + (0,) * 129
+    assert space.word_array(sig).dtype == np.int16
+    op = ops.creation_letter(space, 129)
+    _assert_blocks_equal(op, lambda s: _creation_oracle(space, 129, s),
+                         space, level_max=0)
+    got, want = op.action(sig), _creation_oracle(space, 129, sig)
+    assert got.keys() == want.keys()
+    assert all(got[t].tobytes() == want[t].tobytes() for t in want)
+
+
+def test_word_codes_refuse_overflow(sp):
+    unit = sp._unit
+    long_word = np.zeros((1, 40), dtype=np.int8)  # 3**40 >= 2**63
+    with pytest.raises(OverflowError):
+        unit._word_codes(long_word)
+    assert unit._word_codes(long_word[:, :39]).tolist() == [0]
+
+
+def test_index_operators_freed_without_cycle_collector(sp):
+    """An index operator holds no reference back to itself, so its block
+    caches go with its last user, not at the next cyclic collection."""
+    builders = (lambda: ops.creation_letter(sp, E),
+                lambda: ops.identity(sp),
+                lambda: ops.memoized(ops.creation_letter(sp, E)
+                                     @ ops.flip_unitary(sp)))
+    gc.disable()
+    try:
+        for build in builders:
+            op = build()
+            assert op.action((1, 1, 0))
+            ref = weakref.ref(op)
+            del op
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- the gather against the dense product, on random chains --------------
+
+PROPERTY_DEPTH = 8
+FACTOR_KINDS = ("c", "cr", "a", "ar", "flip", "J", "delta", "id")
+SCALARS = (None, -1.0, -0.25, 0.5, 1.5, 0.5 + 1j, -1j)
+
+
+def _factor(space, kind, ell, power, scalar):
+    """(library operator, oracle block function, antilinear)."""
+    if kind == "c":
+        op, oracle = ops.creation_letter(space, ell), _cre(space, ell)
+    elif kind == "cr":
+        op, oracle = ops.right_creation_letter(space, ell), _rcre(space, ell)
+    elif kind == "a":
+        op, oracle = ops.annihilation_letter(space, ell), _ann(space, ell)
+    elif kind == "ar":
+        op = ops.right_annihilation_letter(space, ell)
+        oracle = _ann(space, ell, "right")
+    elif kind == "flip":
+        op = ops.flip_unitary(space)
+        oracle = lambda sig: _flip_oracle(space, sig)
+    elif kind == "J":
+        op = ops.modular_ops(space).J
+        oracle = lambda sig: _bar_reversal_oracle(space, 0.5, sig)
+    elif kind == "delta":
+        op = ops.modular_delta(space, power)
+        oracle = lambda sig: _delta_oracle(space, power, sig)
+    else:
+        op, oracle = ops.identity(space), _identity_oracle(space)
+    if scalar is not None:
+        op = scalar * op
+        s = complex(scalar)
+        s = s.real if s.imag == 0.0 else s
+        oracle = (lambda base: lambda sig: {
+            tgt: s * M for tgt, M in base(sig).items()})(oracle)
+    return op, oracle, kind == "J"
+
+
+_FACTORS = st.tuples(st.sampled_from(FACTOR_KINDS), st.sampled_from((E, EBAR)),
+                     st.sampled_from((1.0, -0.5, 0.25)),
+                     st.sampled_from(SCALARS))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(-0.9, 0.9), lam=st.floats(0.05, 0.95),
+       factors=st.lists(_FACTORS, min_size=1, max_size=5),
+       nest_left=st.booleans())
+def test_gathers_match_dense_product_property(q, lam, factors, nest_left):
+    """Chains of 1-5 word maps, diagonal maps, annihilations and scalar
+    multiples, grouped left or right: every block equals the dense
+    composition byte for byte and is C-ordered, and an index operator's
+    declared (rows, scale) reproduces its block."""
+    space = build_space(q=q, lam=lam, depth=PROPERTY_DEPTH)
+    parts = [_factor(space, *f) for f in factors]
+    if nest_left:
+        op, oracle, anti = parts[0]
+        for op_b, oracle_b, anti_b in parts[1:]:
+            op = op @ op_b
+            oracle = _dense_compose(oracle, oracle_b, antilinear=anti)
+            anti = anti != anti_b
+    else:
+        op, oracle, anti = parts[-1]
+        for op_a, oracle_a, anti_a in reversed(parts[:-1]):
+            op = op_a @ op
+            oracle = _dense_compose(oracle_a, oracle, antilinear=anti_a)
+            anti = anti != anti_a
+    assert op.antilinear == anti
+    _assert_blocks_equal(op, oracle, space, level_max=PROPERTY_DEPTH)
+    for sig in _blocks(space, PROPERTY_DEPTH):
+        ix = op.index(sig)
+        if ix is None:
+            if op._index_fn is not None:
+                assert oracle(sig) == {}
+            continue
+        tgt, rows, scale = ix
+        (want_tgt, want), = oracle(sig).items()
+        declared = np.zeros(want.shape, dtype=want.dtype)
+        declared[rows, np.arange(len(rows))] = scale
+        assert tgt == want_tgt
+        assert np.array_equal(declared, want), sig

@@ -848,7 +848,7 @@ def _comp_table(ctx):
     for row in comp["rows"]:
         idx = {k: (tuple(v) if isinstance(v, list) else v)
                for k, v in row["indices"].items()}
-        rep = limits.comp_limit(ctx.can, n_max=5, **idx)
+        rep = limits.comp_limit(ctx.can, **idx)
         if not rep.monotone:
             worst = max(worst, 1.0)
         if rep.limit == 0.0:
@@ -861,21 +861,21 @@ def _comp_table(ctx):
     return worst
 
 
-def _scan(kind, **kw):
+def _scan(kind):
     """The worst gap of one boundedness scan on its two depth-12 spaces."""
     def run(ctx):
         worst = 0.0
         for sp in (ctx.space(0.3, 0.4, 12), ctx.space(-0.5, 0.3, 12)):
-            rep = limits.boundedness_scan(sp, kind, **kw)
+            rep = limits.boundedness_scan(sp, kind)
             worst = max(worst, max(rep.gaps))
         return worst
     return run
 
 
-check("limits/boundedness-creation")(_scan("creation_powers", n_max=10))
-check("limits/boundedness-wen")(_scan("wen_powers", n_max=10))
+check("limits/boundedness-creation")(_scan("creation_powers"))
+check("limits/boundedness-wen")(_scan("wen_powers"))
 check("limits/boundedness-weew")(_scan("weew_powers"))
-check("limits/boundedness-mixed-word")(_scan("mixed_word", n_max=4, m_word=8))
+check("limits/boundedness-mixed-word")(_scan("mixed_word"))
 
 
 @check("limits/decay-contraction", 0.05)

@@ -499,28 +499,6 @@ class FockSpace:
         eq = (words[:, None, None, :] == permuted[None, :, :, :]).all(axis=3)
         return self.u_factor(sig) * (eq @ qpow)
 
-    def inner_bruteforce(self, w, v) -> float:
-        """Permutation-sum inner product of two words (any signatures)."""
-        w, v = tuple(w), tuple(v)
-        if len(w) != len(v):
-            return 0.0
-        n = len(w)
-        if n > BRUTE_FORCE_MAX_LEVEL:
-            raise ValueError(f"brute force at level {n} exceeds cap")
-        total = 0.0
-        for perm in itertools.permutations(range(n)):
-            prod = 1.0
-            for j in range(n):
-                if w[j] != v[perm[j]]:
-                    prod = 0.0
-                    break
-                prod *= self.u[w[j]]
-            if prod:
-                from .qcomb import inversions
-
-                total += self.q ** inversions(perm) * prod
-        return total
-
     # -- vectors --------------------------------------------------------
 
     def inner(self, f: "FockVector", g: "FockVector") -> complex:

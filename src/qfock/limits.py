@@ -67,6 +67,14 @@ WINDOW_MARGIN = 2
 T_CAP = 6
 # rank_one_diagnostics compresses onto source levels <= WINDOW_CAP
 WINDOW_CAP = 8
+# comp_limit follows its pairings up to n = COMP_N_MAX
+COMP_N_MAX = 5
+# boundedness_scan: powers up to POWER_SCAN_MAX; the mixed word is a
+# head of up to MIXED_HEAD_MAX cycling letters and a tail of MIXED_TAIL
+# repeated letters
+POWER_SCAN_MAX = 10
+MIXED_HEAD_MAX = 4
+MIXED_TAIL = 8
 
 
 # -- report plumbing -----------------------------------------------------
@@ -258,10 +266,10 @@ def s_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
     return out
 
 
-def s_series_identity_gap(space: FockSpace, n: int,
-                          src_level_max: int | None = None) -> float:
+def s_series_identity_gap(space: FockSpace, n: int) -> float:
     """Relative action gap between the step-n candidate and its
-    annihilation-sandwich expansion; zero up to roundoff at every n."""
+    annihilation-sandwich expansion on source levels <= depth - n; zero
+    up to roundoff at every n."""
     q, lam = space.q, space.lam
     ae = ops.annihilation_letter(space, E)
     aeb = ops.annihilation_letter(space, EBAR)
@@ -270,9 +278,7 @@ def s_series_identity_gap(space: FockSpace, n: int,
         coef = q_binomial(n, k, q) * (1.0 - q) ** k * lam ** (k / 2.0)
         term = coef * (ae.power(k) @ t_n_operator(space, n - k) @ aeb.power(k))
         total = term if total is None else total + term
-    if src_level_max is None:
-        src_level_max = space.depth - n
-    return ops.action_gap(s_n_operator(space, n), total, src_level_max)
+    return ops.action_gap(s_n_operator(space, n), total, space.depth - n)
 
 
 def adjoint_vacuum(space: FockSpace, A: ops.FockOperator,
@@ -698,7 +704,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
 
 
 def comp_limit(space: FockSpace, a: int, b: int, alpha: int, beta: int,
-               eta=(), chi=(), n_max: int | None = None) -> ConvergenceReport:
+               eta=(), chi=()) -> ConvergenceReport:
     """Scaled pairings of padded balanced words against the closed-form
     decoupled limit.
 
@@ -713,9 +719,7 @@ def comp_limit(space: FockSpace, a: int, b: int, alpha: int, beta: int,
     feas = min(N - b - beta - j, N - a - alpha - i)
     if feas < 0:
         raise ValueError("padding already exceeds the depth at n = 0")
-    n_hi = feas // 2
-    if n_max is not None:
-        n_hi = min(n_hi, n_max)
+    n_hi = min(feas // 2, COMP_N_MAX)
 
     dirac = (a == b + j) and (alpha + i == beta)
     fam = d_family(q, j_max=0)
@@ -770,9 +774,7 @@ def _balanced_word_bound(q: float, lam: float, n: int) -> float:
     return bc.c_q ** 6 * (s1 + s2)
 
 
-def boundedness_scan(space: FockSpace, kind: str,
-                     n_max: int | None = None,
-                     m_word: int = 5) -> ConvergenceReport:
+def boundedness_scan(space: FockSpace, kind: str) -> ConvergenceReport:
     """Scaled operator-norm scans with their analytic ceilings.
 
     kinds: creation_powers (scaled powers of the letter and of its
@@ -788,9 +790,7 @@ def boundedness_scan(space: FockSpace, kind: str,
     bc = bound_constants(q)
 
     if kind == "creation_powers":
-        hi = N - 1 if n_max is None else n_max
-        if hi > N - 1:
-            raise ValueError(f"power {hi} exceeds depth budget {N - 1}")
+        hi = min(POWER_SCAN_MAX, N - 1)
         ce = ops.creation_letter(space, E)
         cb = ops.creation_letter(space, EBAR)
         bound = 1.0 if q >= 0 else math.sqrt(bc.c_q * bc.d_sup)
@@ -808,9 +808,7 @@ def boundedness_scan(space: FockSpace, kind: str,
         return _report("creation_powers", space, values, None, gaps, details)
 
     if kind == "wen_powers":
-        hi = N - 1 if n_max is None else n_max
-        if hi > N - 1:
-            raise ValueError(f"power {hi} exceeds depth budget {N - 1}")
+        hi = min(POWER_SCAN_MAX, N - 1)
         scale_const = 1.0 if q >= 0 else bc.c_q * bc.d_sup
         values, gaps = [], []
         for n in range(1, hi + 1):
@@ -825,9 +823,7 @@ def boundedness_scan(space: FockSpace, kind: str,
         return _report("wen_powers", space, values, None, gaps, details)
 
     if kind == "weew_powers":
-        hi = (N - 2) // 2 if n_max is None else n_max
-        if 2 * hi + 2 > N:
-            raise ValueError(f"balanced size {hi} exceeds depth budget")
+        hi = (N - 2) // 2
         values, gaps = [], []
         for n in range(1, hi + 1):
             v = (1.0 - q) ** n * ops.op_norm(ops.wick_balanced(space, n))
@@ -838,29 +834,12 @@ def boundedness_scan(space: FockSpace, kind: str,
         return _report("weew_powers", space, values, None, gaps, details)
 
     if kind == "mixed_word":
-        hi = 4 if n_max is None else n_max
-        need = hi + m_word
-        if need <= 10 and space.params.aux_letters >= 2 and N >= need:
-            sp = space
-        elif need <= 10:
-            sp = build_space(replace(space.params, aux_letters=2,
-                                     depth=min(max(N, need), 10)))
-        else:
-            # deep words blow the four-letter budget; the two model
-            # letters alone keep the level-(hi+m) blocks affordable
-            sp = build_space(replace(space.params, aux_letters=0,
-                                     depth=need))
-        if sp.params.aux_letters >= 2:
-            aux0, aux1 = 2, 3
-            # unit letters: plain aux plus the two model letters rescaled
-            cycle = [(aux1, 1.0), (E, lam ** 0.25), (EBAR, lam ** -0.25)]
-            tail = (aux0, 1.0)
-        else:
-            cycle = [(EBAR, lam ** -0.25), (E, lam ** 0.25)]
-            tail = (E, lam ** 0.25)
-        m = min(m_word, sp.depth - hi)
-        if m < 1:
-            raise ValueError("no room for the repeated tail letter")
+        hi, m = MIXED_HEAD_MAX, MIXED_TAIL
+        # the two model letters, rescaled to unit letters, on a space
+        # just deep enough for the longest word
+        sp = build_space(replace(space.params, aux_letters=0, depth=hi + m))
+        cycle = [(EBAR, lam ** -0.25), (E, lam ** 0.25)]
+        tail = (E, lam ** 0.25)
         bound_tail = math.sqrt(q_factorial(m, q))
         values, gaps = [], []
         for n in range(1, hi + 1):
@@ -883,23 +862,16 @@ def boundedness_scan(space: FockSpace, kind: str,
 # -- decay of adjoint hits on padded words ------------------------------
 
 
-def lim_decay(space: FockSpace, n1: int = 0, n2: int = 0, psi=(),
-              n_max: int | None = None) -> ConvergenceReport:
-    """Scaled annihilation hits on conjugate-padded words; both tracked
-    sequences decay to zero at rate about |q|."""
-    N = space.depth
+def lim_decay(space: FockSpace) -> ConvergenceReport:
+    """Scaled annihilation hits on the balanced words Ebar^n e^n and on
+    Ebar^n; both tracked sequences decay to zero at rate about |q|."""
     q, lam = space.q, space.lam
-    psi = tuple(psi)
     ae = ops.annihilation_letter(space, E)
-    feas = (N - n1 - n2 - len(psi)) // 2
-    hi = feas if n_max is None else min(n_max, feas)
-    if hi < 0:
-        raise ValueError("padding already exceeds the depth")
     values, gaps = [], []
-    for n in range(hi + 1):
-        wa = (EBAR,) * (n + n1) + (E,) * (n + n2) + psi
+    for n in range(space.depth // 2 + 1):
+        wa = (EBAR,) * n + (E,) * n
         a_val = (1.0 - q) ** n * space.norm(ae.apply(FockVector.word(wa)))
-        wb = (EBAR,) * (n + n1) + psi
+        wb = (EBAR,) * n
         b_val = (1.0 - q) ** (n / 2.0) * lam ** (-n / 4.0) \
             * space.norm(ae.apply(FockVector.word(wb)))
         values.append((n, {"balanced": a_val, "single": b_val}))

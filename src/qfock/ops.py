@@ -34,8 +34,6 @@ __all__ = [
     "annihilation_letter",
     "right_creation_letter",
     "right_annihilation_letter",
-    "creation",
-    "annihilation",
     "flip_unitary",
     "field",
     "wick",
@@ -99,16 +97,16 @@ class FockOperator:
     that would exceed the truncation depth are dropped silently; the
     ``peak`` attribute tells which source levels are unaffected by that.
 
-    Antilinear operators store their linear part; application
-    conjugates input coefficients first.
+    Blocks are real.  Antilinear operators store their linear part;
+    application conjugates input coefficients first.
 
     An index operator also declares index_fn(sig) -> (tgt, rows, scale),
     or None where it drops the block: column j of its block matrix holds
     the one entry scale, in row rows[j] of block tgt, and the rows are
     distinct.  Without an action_fn its blocks are built from that map.
     The builders of word maps, identity and modular_delta declare it;
-    memoized, real scalar multiples and products of two index operators
-    keep it, so products with one side an index operator are gathers.
+    memoized, scalar multiples and products of two index operators keep
+    it, so products with one side an index operator are gathers.
     """
 
     def __init__(self, space: FockSpace, action_fn, reach: int, peak: int | None = None,
@@ -172,13 +170,12 @@ class FockOperator:
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         """Lazy product; each block is what the dense Ma @ Mb gives, bit
         for bit.  A product of two index operators is an index operator
-        (rows ra[rb], scale sa * sb).  With one index factor and a real
-        other block the product is a gather: the index block has one
-        entry per column, so the real GEMM adds one rounded s * b to
-        exact zeros from a zeroed result, which the gather computes
-        alone; "+= 0.0" turns a -0.0 into the +0.0 the GEMM gives, and
-        the result is C-ordered, as later GEMMs expect.  Complex blocks
-        keep the GEMM: its complex kernel can return -0.0 there."""
+        (rows ra[rb], scale sa * sb).  With one index factor the product
+        is a gather: the index block has one entry per column, so the
+        GEMM adds one rounded s * b to exact zeros from a zeroed result,
+        which the gather computes alone; "+= 0.0" turns a -0.0 into the
+        +0.0 the GEMM gives, and the result is C-ordered, as later GEMMs
+        expect."""
         if self.space is not other.space:
             raise ValueError("operators live on different spaces")
 
@@ -196,18 +193,14 @@ class FockOperator:
                 if b is None:
                     return {}
                 mid, rows, s = b
-                return {tgt: (Ma @ other.action(sig)[mid]
-                              if np.iscomplexobj(Ma)
-                              else _gather_columns(Ma, rows, s))
+                return {tgt: _gather_columns(Ma, rows, s)
                         for tgt, Ma in self.action(mid).items()}
         else:
             def act(sig):
                 acc: dict = {}
                 for mid, Mb in other.action(sig).items():
-                    if self.antilinear and np.iscomplexobj(Mb):
-                        Mb = Mb.conj()
                     a = self.index(mid)
-                    if a is not None and not np.iscomplexobj(Mb):
+                    if a is not None:
                         products = [(a[0], _gather_rows(self.space, a, Mb))]
                     else:
                         products = [(tgt, Ma @ Mb)
@@ -254,15 +247,17 @@ class FockOperator:
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        s = complex(scalar)
-        if s.imag == 0.0:
-            s = s.real
+        # blocks are real; float() alone would only warn on a numpy
+        # complex scalar and drop its imaginary part
+        if isinstance(scalar, (complex, np.complexfloating)):
+            raise TypeError(f"operator blocks are real, got {scalar!r}")
+        s = float(scalar)
 
         def act(sig):
             return {tgt: s * M for tgt, M in self.action(sig).items()}
 
         index_fn = None
-        if self._index_fn is not None and isinstance(s, float):
+        if self._index_fn is not None:
             def index_fn(sig):
                 ix = self.index(sig)
                 return None if ix is None else (ix[0], ix[1], s * ix[2])
@@ -310,8 +305,7 @@ def _gather_rows(space: FockSpace, index, Mb: np.ndarray) -> np.ndarray:
     """Ma @ Mb for the block Ma of index = (tgt, rows, s): row rows[j]
     of the product is s times row j of Mb, every other row is zero."""
     tgt, rows, s = index
-    P = np.zeros((len(space.block_words(tgt)), Mb.shape[1]),
-                 dtype=np.result_type(np.float64, Mb))
+    P = np.zeros((len(space.block_words(tgt)), Mb.shape[1]))
     P[rows] = s * Mb
     P += 0.0
     return P
@@ -321,7 +315,7 @@ def _gather_columns(Ma: np.ndarray, rows, s) -> np.ndarray:
     """Ma @ Mb for a block Mb whose column j holds s in row rows[j]:
     column j of the product is s times column rows[j] of Ma, written
     into a C-ordered array (Ma[:, rows] alone comes out F-ordered)."""
-    P = np.empty((Ma.shape[0], len(rows)), dtype=np.result_type(Ma, np.float64))
+    P = np.empty((Ma.shape[0], len(rows)))
     np.multiply(Ma[:, rows], s, out=P)
     P += 0.0
     return P
@@ -378,10 +372,10 @@ def power_ladder(A: FockOperator, k_max: int) -> list:
 
 
 def _word_map(space: FockSpace, tgt_sig, word_fn, label: str, reach: int = 0,
-              factor=None, antilinear: bool = False) -> FockOperator:
+              antilinear: bool = False) -> FockOperator:
     """Index operator sending each word w of a block sig to the one word
-    word_fn(w) of block tgt_sig(sig), times the block scalar factor(sig)
-    (1.0 without a factor); targets above the depth are dropped.
+    word_fn(w) of block tgt_sig(sig), with scale 1.0; targets above the
+    depth are dropped.
 
     word_fn maps the block's word array (one word per row) to the
     array of image words; their rows in the target block are found by
@@ -393,28 +387,27 @@ def _word_map(space: FockSpace, tgt_sig, word_fn, label: str, reach: int = 0,
         if sum(tgt) > space.depth:
             return None
         rows = space.rows_of(tgt, word_fn(space.word_array(sig)))
-        return tgt, rows, 1.0 if factor is None else factor(sig)
+        return tgt, rows, 1.0
 
     return FockOperator(space, None, reach=reach, label=label,
                         antilinear=antilinear, index_fn=index)
 
 
-def _letter_column(W: np.ndarray, ell: int) -> np.ndarray:
-    return np.full((len(W), 1), ell, dtype=W.dtype)
-
-
 def creation_letter(space: FockSpace, ell: int) -> FockOperator:
     """Left creation: prepend the letter."""
-    return _word_map(space, lambda sig: _sig_add(sig, ell),
-                     lambda W: np.hstack((_letter_column(W, ell), W)),
-                     f"c({space.letter_name(ell)})", reach=1)
+    return _word_map(
+        space, lambda sig: _sig_add(sig, ell),
+        lambda W: np.hstack((np.full((len(W), 1), ell, W.dtype), W)),
+        f"c({space.letter_name(ell)})", reach=1)
 
 
 def right_creation_letter(space: FockSpace, ell: int) -> FockOperator:
-    """Right creation: append the letter."""
-    return _word_map(space, lambda sig: _sig_add(sig, ell),
-                     lambda W: np.hstack((W, _letter_column(W, ell))),
-                     f"cr({space.letter_name(ell)})", reach=1)
+    """Right creation, F c F: appending a letter is prepending it to the
+    reversed word."""
+    F = flip_unitary(space)
+    out = memoized(F @ creation_letter(space, ell) @ F)
+    out.label = f"cr({space.letter_name(ell)})"
+    return out
 
 
 def _annihilation_letter(space: FockSpace, ell: int, side: str) -> FockOperator:
@@ -436,53 +429,6 @@ def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
 
 def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
     return _annihilation_letter(space, ell, "right")
-
-
-def _one_particle_coeffs(space: FockSpace, v) -> np.ndarray:
-    """Accept {letter index: coeff}, a sequence, or a single index."""
-    if isinstance(v, (int, np.integer)):
-        out = np.zeros(space.n_letters, dtype=complex)
-        out[v] = 1.0
-        return out
-    if isinstance(v, dict):
-        out = np.zeros(space.n_letters, dtype=complex)
-        for ell, c in v.items():
-            out[ell] = c
-        return out
-    out = np.asarray(v, dtype=complex)
-    if out.shape != (space.n_letters,):
-        raise ValueError(f"one-particle vector needs {space.n_letters} entries")
-    return out
-
-
-def _real_if_possible(c: complex):
-    return c.real if c.imag == 0.0 else c
-
-
-def _letter_sum(space: FockSpace, v, letter, conj: bool, reach: int, peak: int,
-                label: str) -> FockOperator:
-    """Sum of letter(space, ell) weighted by the coefficients of the
-    one-particle vector v, conjugated for the annihilations."""
-    coeffs = _one_particle_coeffs(space, v)
-    parts = [
-        _real_if_possible(np.conj(c) if conj else c) * letter(space, ell)
-        for ell, c in enumerate(coeffs)
-        if c != 0
-    ]
-    out = _op_sum(space, parts, reach=reach, peak=peak)
-    out.label = label
-    return out
-
-
-def creation(space: FockSpace, v) -> FockOperator:
-    """Left creation by a one-particle vector: prepend, linear in v."""
-    return _letter_sum(space, v, creation_letter, False, 1, 1, "c(v)")
-
-
-def annihilation(space: FockSpace, v) -> FockOperator:
-    """Left annihilation: the deformed adjoint of creation(space, v);
-    conjugate linear in v."""
-    return _letter_sum(space, v, annihilation_letter, True, -1, 0, "c(v)*")
 
 
 def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
@@ -532,42 +478,33 @@ def modular_delta(space: FockSpace, power: float = 1.0) -> FockOperator:
                      lambda sig: _letter_power(space, sig, -power))
 
 
-def _bar_reversal(space: FockSpace, scale_power: float, label: str) -> FockOperator:
-    """Linear part shared by the modular conjugations: reverse the word,
-    conjugate each letter, scale by the product of generator eigenvalues
-    to scale_power."""
-    table = np.array([conjugate_letter(l) for l in range(space.n_letters)])
-    return _word_map(
-        space, lambda sig: tuple(sig[conjugate_letter(l)] for l in range(len(sig))),
-        lambda W: table[W[:, ::-1]], label,
-        factor=lambda sig: _letter_power(space, sig, scale_power),
-        antilinear=True,
-    )
-
-
 @dataclass
 class ModularOps:
-    """The conjugation S, the modular conjugation J = S Delta^(-1/2),
-    and the modular operator Delta on the truncated space.  S and J are
-    antilinear: their FockOperators conjugate input coefficients."""
+    """The conjugation S and the modular conjugation J = S Delta^(-1/2)
+    on the truncated space.  Both are antilinear: their FockOperators
+    conjugate input coefficients."""
 
     S: FockOperator
     J: FockOperator
-    Delta: FockOperator
 
 
 def modular_ops(space: FockSpace) -> ModularOps:
-    S = _bar_reversal(space, 0.0, "S")
-    J = _bar_reversal(space, 0.5, "J")
-    Delta = modular_delta(space, 1.0)
-    return ModularOps(S=S, J=J, Delta=Delta)
+    """S reverses a word and conjugates each letter; J is S after
+    modular_delta(space, -0.5)."""
+    table = np.array([conjugate_letter(l) for l in range(space.n_letters)])
+    S = _word_map(
+        space, lambda sig: tuple(sig[conjugate_letter(l)] for l in range(len(sig))),
+        lambda W: table[W[:, ::-1]], "S", antilinear=True)
+    J = memoized(S @ modular_delta(space, -0.5))
+    J.label = "J"
+    return ModularOps(S=S, J=J)
 
 
-def field(space: FockSpace, v) -> FockOperator:
-    """Field operator creation(v) + annihilation(v); deformed-self-adjoint
-    for real letter combinations."""
-    out = creation(space, v) + annihilation(space, v)
-    out.label = "field"
+def field(space: FockSpace, ell: int) -> FockOperator:
+    """Field operator of a letter, its creation plus its annihilation;
+    deformed-self-adjoint."""
+    out = creation_letter(space, ell) + annihilation_letter(space, ell)
+    out.label = f"field({space.letter_name(ell)})"
     return out
 
 
@@ -709,9 +646,9 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
         if not row:
             return {}
         G_tgt = space.gram(sig)
-        # adjoint block src <- sig: G_src^{-1} M^H G_sig
+        # adjoint block src <- sig: G_src^{-1} M^T G_sig
         return {src: cho_solve((space.gram_chol(src), True),
-                               M.conj().T @ G_tgt)
+                               M.T @ G_tgt)
                 for src, M in row}
 
     return FockOperator(

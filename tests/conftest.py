@@ -14,8 +14,8 @@ from qfock import cli, limits
 from qfock.fock import build_space
 
 
-def _scan_key(q, lam, depth, aux_letters, kind, kw):
-    return q, lam, depth, aux_letters, kind, tuple(sorted(kw.items()))
+def _scan_key(q, lam, depth, aux_letters, kind):
+    return q, lam, depth, aux_letters, kind
 
 
 @pytest.fixture(scope="session")
@@ -28,10 +28,10 @@ def default_verify(tmp_path_factory):
     scan = limits.boundedness_scan
 
     @functools.wraps(scan)
-    def recording_scan(space, kind, **kw):
-        rep = scan(space, kind, **kw)
+    def recording_scan(space, kind):
+        rep = scan(space, kind)
         scans[_scan_key(space.q, space.lam, space.depth,
-                        space.params.aux_letters, kind, kw)] = rep
+                        space.params.aux_letters, kind)] = rep
         return rep
 
     with pytest.MonkeyPatch.context() as mp:
@@ -76,13 +76,9 @@ def rank_one_can(sp_can):
     return limits.rank_one_diagnostics(sp_can)
 
 
-# each scan kind with its arguments, as the tests call it
-BOUNDEDNESS_SCANS = {
-    "creation_powers": {"n_max": 10},
-    "wen_powers": {"n_max": 10},
-    "weew_powers": {},
-    "mixed_word": {"n_max": 4, "m_word": 8},
-}
+# the scan kinds the session verify runs
+BOUNDEDNESS_SCANS = ("creation_powers", "wen_powers", "weew_powers",
+                     "mixed_word")
 
 
 @pytest.fixture(scope="session")
@@ -91,12 +87,11 @@ def boundedness_scan(default_verify):
     two points and the scans of BOUNDEDNESS_SCANS: the reports the
     session verify computed, which must be exactly these scans."""
     scans = default_verify[3]
-    assert set(scans) == {_scan_key(q, lam, 12, 0, kind, kw)
+    assert set(scans) == {_scan_key(q, lam, 12, 0, kind)
                           for q, lam in ((0.3, 0.4), (-0.5, 0.3))
-                          for kind, kw in BOUNDEDNESS_SCANS.items()}
+                          for kind in BOUNDEDNESS_SCANS}
 
-    def scan(q, lam, kind, **kw):
-        assert kw == BOUNDEDNESS_SCANS[kind]
-        return scans[_scan_key(q, lam, 12, 0, kind, kw)]
+    def scan(q, lam, kind):
+        return scans[_scan_key(q, lam, 12, 0, kind)]
 
     return scan

@@ -143,7 +143,7 @@ def test_criterion_5_product_form_limits(cal, sp_can):
     for frozen in cal["comp"]["rows"]:
         idx = {k: (tuple(v) if isinstance(v, list) else v)
                for k, v in frozen["indices"].items()}
-        rep = limits.comp_limit(sp, n_max=5, **idx)
+        rep = limits.comp_limit(sp, **idx)
         gaps = rep.gaps[-4:]
         mono = all(b < a or (a == b == 0.0)
                    for a, b in zip(gaps, gaps[1:]))
@@ -209,7 +209,7 @@ def test_criterion_7_norm_boundedness(boundedness_scan):
     mixed_ok = True
     worst_pos = 0.0
     for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
-        rep = boundedness_scan(q, lam, "creation_powers", n_max=10)
+        rep = boundedness_scan(q, lam, "creation_powers")
         if q >= 0:
             for _, val in rep.values:
                 for key in ("letter", "conjugate"):
@@ -217,9 +217,9 @@ def test_criterion_7_norm_boundedness(boundedness_scan):
             pos_one_ok = pos_one_ok and worst_pos <= 1e-10
         else:
             neg_ok = neg_ok and max(rep.gaps) <= 1e-10
-        wrep = boundedness_scan(q, lam, "wen_powers", n_max=10)
+        wrep = boundedness_scan(q, lam, "wen_powers")
         wen_ok = wen_ok and max(wrep.gaps) <= 1e-10
-        mrep = boundedness_scan(q, lam, "mixed_word", n_max=4, m_word=8)
+        mrep = boundedness_scan(q, lam, "mixed_word")
         mixed_ok = mixed_ok and max(mrep.gaps) <= 1e-10 \
             and mrep.details["flip_max"] <= 1e-10
     ok = pos_one_ok and neg_ok and wen_ok and mixed_ok

@@ -1,6 +1,7 @@
 """Truncated deformed Fock spaces: enumeration, Gram data, the two
 inner-product paths, budget guards, serialization."""
 
+import itertools
 import json
 import math
 
@@ -19,7 +20,7 @@ from qfock.fock import (
     vector_from_json,
     vector_to_json,
 )
-from qfock.qcomb import q_factorial
+from qfock.qcomb import inversions, q_factorial
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,26 @@ def test_cholesky_factors(sp, sp_neg):
         assert space.gram_cond((2, 2)) >= 1.0
 
 
+def _inner_bruteforce(space, w, v):
+    """Permutation-sum inner product of two words: the oracle for
+    FockSpace.inner."""
+    if len(w) != len(v):
+        return 0.0
+    n = len(w)
+    assert n <= BRUTE_FORCE_MAX_LEVEL
+    total = 0.0
+    for perm in itertools.permutations(range(n)):
+        prod = 1.0
+        for j in range(n):
+            if w[j] != v[perm[j]]:
+                prod = 0.0
+                break
+            prod *= space.u[w[j]]
+        if prod:
+            total += space.q ** inversions(perm) * prod
+    return total
+
+
 def test_inner_agreement_with_bruteforce(sp):
     words = [w for lv in range(1, 4) for s in sp.blocks_at_level(lv)
              for w in sp.block_words(s)]
@@ -136,7 +157,7 @@ def test_inner_agreement_with_bruteforce(sp):
             if len(wa) != len(wb):
                 continue
             fast = sp.inner(FockVector.word(wa), FockVector.word(wb))
-            slow = sp.inner_bruteforce(wa, wb)
+            slow = _inner_bruteforce(sp, wa, wb)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 

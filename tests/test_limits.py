@@ -322,7 +322,7 @@ def test_comp_limits_against_calibration(cal, sp_can):
     for frozen in cal["comp"]["rows"]:
         idx = {k: (tuple(v) if isinstance(v, list) else v)
                for k, v in frozen["indices"].items()}
-        rep = limits.comp_limit(sp_can, n_max=5, **idx)
+        rep = limits.comp_limit(sp_can, **idx)
         assert rep.monotone
         assert rep.limit == pytest.approx(frozen["limit"], abs=1e-12)
         for (_, got), (_, want) in zip(rep.values, frozen["values"]):
@@ -338,7 +338,7 @@ def test_comp_limit_conjugate_pad_closed_form(sp_can):
     # factor instead of collapsing it to zero
     q, lam = sp_can.q, sp_can.lam
     fam = d_family(q, j_max=0)
-    rep = limits.comp_limit(sp_can, 1, 0, 0, 0, eta=(EBAR,), n_max=5)
+    rep = limits.comp_limit(sp_can, 1, 0, 0, 0, eta=(EBAR,))
     want = fam.d_inf ** 2 * math.sqrt(lam) / (1.0 - q)
     assert rep.limit == pytest.approx(want, rel=1e-12)
 
@@ -347,19 +347,21 @@ def test_comp_limit_conjugate_pad_closed_form(sp_can):
 
 
 @pytest.mark.parametrize("kind,kw", [
-    ("creation_powers", {"n_max": 10}),
-    ("wen_powers", {"n_max": 10}),
-    ("weew_powers", {}),
-    ("mixed_word", {"n_max": 4, "m_word": 8}),
+    ("creation_powers", {"steps": 10}),
+    ("wen_powers", {"steps": 10}),
+    ("weew_powers", {"steps": 5}),
+    ("mixed_word", {"steps": 4, "m": 8}),
 ])
 def test_boundedness_scans(kind, kw, boundedness_scan):
+    """Each depth-12 scan stays under its ceiling, over the number of
+    steps and the tail length m that limits fixes for its kind."""
     for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
-        rep = boundedness_scan(q, lam, kind, **kw)
+        rep = boundedness_scan(q, lam, kind)
         assert max(rep.gaps) <= TOL
-        assert rep.values
+        assert len(rep.values) == kw["steps"]
         if kind == "mixed_word":
             assert rep.details["flip_max"] <= TOL
-            assert rep.details["m"] == 8
+            assert rep.details["m"] == kw["m"]
 
 
 def test_boundedness_scan_rejects_unknown_kind(sp_can):

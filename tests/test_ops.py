@@ -33,13 +33,6 @@ def test_creation_annihilation_adjoint(sp):
     assert ops.action_gap(ops.q_adjoint(cb), ab, 8) < TOL
 
 
-def test_vector_creation_adjoint_complex(sp):
-    v = {E: 0.3, EBAR: 0.7j}
-    c = ops.creation(sp, v)
-    a = ops.annihilation(sp, v)
-    assert ops.action_gap(ops.q_adjoint(c), a, 6) < TOL
-
-
 def test_commutation_relation(sp):
     q = sp.q
     ce = ops.creation_letter(sp, E)
@@ -91,6 +84,13 @@ def test_annihilation_power_closed_form(sp):
             * lam ** (-n / 2.0)
         want = FockVector.word((E,) * (m - n), coeff=coef)
         assert _max_coeff(got - want) / coef < TOL
+
+
+@pytest.mark.parametrize("scalar", [0.5j, np.complex128(0.5j),
+                                    np.complex64(1.0)])
+def test_complex_scalar_refused(sp, scalar):
+    with pytest.raises(TypeError):
+        scalar * ops.creation_letter(sp, E)
 
 
 def test_operator_algebra_reach_and_power(sp):

@@ -81,7 +81,7 @@ def comp_section():
                    {"a": 1, "b": 0, "alpha": 0, "beta": 0},
                    {"a": 1, "b": 0, "alpha": 0, "beta": 0,
                     "eta": (limits.EBAR,)}):
-        rep = limits.comp_limit(sp, n_max=5, **kwargs)
+        rep = limits.comp_limit(sp, **kwargs)
         rows.append({"indices": {k: (list(v) if isinstance(v, tuple) else v)
                                  for k, v in kwargs.items()},
                      "limit": rep.limit,

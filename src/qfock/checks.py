@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import limits, ops
-from .fock import E, EBAR, FockVector, build_space
+from .fock import E, EBAR, FockVector, _UnitGramCache, build_space
 from .qcomb import (
     bound_constants,
     crossings,
@@ -149,8 +149,8 @@ class Context:
 
 
 def _grid_row(task) -> dict:
-    """Worker: every grid entry's [(gap, note), ...] on one q row, its
-    lambdas sharing one space's Gram caches."""
+    """Worker: every grid entry's [(gap, note), ...] on one q row; its
+    spaces share one Gram cache while base is alive."""
     q, lams, depth, max_words = task
     base = build_space(q=q, lam=lams[0], depth=depth,
                        max_total_words=max_words)
@@ -398,13 +398,14 @@ def _inner_conjugate_symmetry(sp):
 
 @check("fock/rescale-consistency", over="point")
 def _rescale_consistency(sp):
-    fresh = build_space(q=sp.q, lam=sp.lam, depth=4,
-                        max_total_words=sp.params.max_total_words)
+    # a private cache: a space built here would share sp's cache and
+    # compare each block with itself
+    cold = _UnitGramCache(sp.q, sp.n_letters)
     worst = 0.0
     for level in range(1, 5):
         for sig in sp.blocks_at_level(level):
-            worst = max(worst, float(np.abs(sp.gram(sig)
-                                            - fresh.gram(sig)).max()))
+            fresh = sp.u_factor(sig) * cold.gram(sig)
+            worst = max(worst, float(np.abs(sp.gram(sig) - fresh).max()))
     return worst
 
 

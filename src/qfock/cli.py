@@ -29,8 +29,6 @@ from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, limits, ops
 from .fock import (
     MAX_DEPTH,
@@ -93,12 +91,6 @@ class RunConfig:
 
     def effective_terms(self) -> int:
         return self.terms if self.terms else self.depth // 2
-
-    def to_text(self) -> str:
-        lines = ["# run configuration"]
-        lines += [f"{key} = {_show(getattr(self, name))}"
-                  for key, name in _KEYS.items()]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -273,11 +265,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_point(q, lam, depth, terms, max_words, base=None):
-    """One sweep row.  With ``base`` the point runs on
-    ``base.with_lambda(lam)`` and shares its Gram caches; otherwise on a
-    fresh space.  Returns the row and the space used (None if none could
-    be built)."""
+def _sweep_point(q, lam, depth, terms, max_words):
+    """One sweep row.  Returns the row and its space (None if none could
+    be built), which shares its Gram caches with every live space at q."""
     t0 = time.perf_counter()
     row = {"q": q, "lambda": lam, "depth": depth, "threshold": None,
            "analytic_verdict": None, "min_singular": None,
@@ -285,14 +275,9 @@ def _sweep_point(q, lam, depth, terms, max_words, base=None):
            "runtime_ms": None}
     sp = None
     try:
-        if base is None:
-            sp = build_space(q=q, lam=lam, depth=depth,
-                             max_total_words=max_words)
-        else:
-            sp = base.with_lambda(lam)
+        sp = build_space(q=q, lam=lam, depth=depth, max_total_words=max_words)
         cert = limits.invertibility_certificate(
-            q, lam, truncations=(depth,),
-            space_factory=lambda _q, _l, _n: sp, n_terms=terms)
+            q, lam, truncations=(depth,), n_terms=terms)
         row["threshold"] = cert.threshold
         row["analytic_verdict"] = cert.analytic_verdict
         row["min_singular"] = cert.min_singular[0][2]
@@ -307,17 +292,12 @@ def _sweep_point(q, lam, depth, terms, max_words, base=None):
 
 
 def _sweep_q_row(args):
-    """Worker: one q value, every lambda on one space's Gram caches;
-    the first point that builds a space pays for the shared Gram work."""
+    """Worker: one q value, every lambda.  The row keeps its spaces
+    until it ends, so its points share one set of Gram caches, and the
+    first point that builds a space pays for the shared Gram work."""
     q, lams, depth, terms, max_words = args
-    rows = []
-    base = None
-    for lam in lams:
-        row, sp = _sweep_point(q, lam, depth, terms, max_words, base)
-        if base is None:
-            base = sp
-        rows.append(row)
-    return rows
+    points = [_sweep_point(q, lam, depth, terms, max_words) for lam in lams]
+    return [row for row, _ in points]
 
 
 def _sweep_csv(rows) -> str:
@@ -482,7 +462,7 @@ def cmd_dump(cfg: RunConfig, ns) -> int:
         for (src, tgt), M in sorted(mats.items()):
             blocks.append({
                 "source": list(src), "target": list(tgt),
-                "matrix": [[float(x) for x in row] for row in np.real(M)],
+                "matrix": [[float(x) for x in row] for row in M],
             })
         payload = {"format": "qfock-operator-dump-1", "q": sp.q,
                    "lambda": sp.lam, "name": ns.name, "n": ns.n,

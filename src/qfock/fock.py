@@ -9,11 +9,12 @@ combinations of length-n words over the alphabet.
 Because the one-particle inner product is diagonal on letters, the
 deformed Gram form of a level is block diagonal over letter multisets,
 and inside a block the lambda-dependence is a single positive scalar.
-The q-dependent "unit" Gram blocks are therefore computed once per
-deformation parameter and shared across lambda values; they are built by
-a level recursion through annihilation transfer matrices, with a
-brute-force permutation sum kept as an independent test oracle for small
-levels.
+The q-dependent "unit" Gram blocks therefore depend only on q and the
+block's letter multiset, not on lambda or the depth: every live space at
+one (q, letter count) reads them from one cache, which is freed with the
+last such space.  They are built by a level recursion through
+annihilation transfer matrices, with a brute-force permutation sum kept
+as an independent test oracle for small levels.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import json
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,8 +215,8 @@ def _cond_estimate(L: np.ndarray) -> float:
 
 
 class _UnitGramCache:
-    """q-dependent, lambda-free part of the Gram data, shared between
-    spaces that differ only in lambda.
+    """q-dependent, lambda-free part of the Gram data, shared by every
+    space at one (q, letter count) whatever its lambda and depth.
 
     Per block (level, signature): the word list, the same words as a
     small-integer array with their sorted base-L codes, the unit Gram (all letter
@@ -365,20 +367,23 @@ class _UnitGramCache:
         return L
 
 
+# (q, n_letters) -> the unit Gram cache of the live spaces there
+_GRAM_CACHES = weakref.WeakValueDictionary()
+
+
 class FockSpace:
     """A truncated model: parameters, letters, and cached Gram data."""
 
-    def __init__(self, params: ModelParams, _unit_cache: _UnitGramCache | None = None):
+    def __init__(self, params: ModelParams):
         params.check_word_budget()
         self.params = params
         self.letters = _make_letters(params)
         self.u = np.array([l.u_norm_sq for l in self.letters])
         self.aeig = np.array([l.a_eigenvalue for l in self.letters])
-        if _unit_cache is None:
-            _unit_cache = _UnitGramCache(params.q, params.n_letters)
-        elif _unit_cache.q != params.q or _unit_cache.n_letters != params.n_letters:
-            raise ValueError("unit cache belongs to a different model")
-        self._unit = _unit_cache
+        key = (params.q, params.n_letters)
+        self._unit = _GRAM_CACHES.get(key)
+        if self._unit is None:
+            self._unit = _GRAM_CACHES[key] = _UnitGramCache(*key)
 
     # -- basic structure ------------------------------------------------
 
@@ -399,9 +404,9 @@ class FockSpace:
         return self.params.n_letters
 
     def with_lambda(self, lam: float) -> "FockSpace":
-        """A space at a different lambda sharing this one's q-dependent
-        Gram caches."""
-        return FockSpace(replace(self.params, lam=lam), _unit_cache=self._unit)
+        """The space at a different lambda; like every space at this q,
+        it shares this one's Gram caches."""
+        return FockSpace(replace(self.params, lam=lam))
 
     def blocks_at_level(self, level: int):
         """All multiset signatures at a level (may enumerate lazily

@@ -8,8 +8,9 @@ to the caller.
 
 The compression sequence (``t_n_operator``), the inverse-candidate
 series (``s_n_operator`` / ``s_infinity``), and the rank-one witness
-sequence (``z_n_operator``) all act on a shared ``FockSpace``; the
-sweep shares one space's Gram data across the lambdas of each q.
+sequence (``z_n_operator``) all act on a shared ``FockSpace``, whose
+Gram data every live space with the same q and letter count shares,
+whatever its lambda or depth.
 """
 
 import math
@@ -92,8 +93,6 @@ def _trend_nonincreasing(gaps, rtol=0.05, atol=1e-12) -> bool:
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -447,7 +446,6 @@ def invertibility_threshold(q: float) -> float:
 
 def invertibility_certificate(q: float, lam: float,
                               truncations=(8, 10, 12),
-                              space_factory=None,
                               n_terms: int | None = None) -> InvertibilityCertificate:
     """Analytic invertibility data for the limit series at (q, lam),
     plus measured smallest singular values across truncation depths.
@@ -481,10 +479,7 @@ def invertibility_certificate(q: float, lam: float,
     sigmas = []
     tails = []
     for N in sorted(truncations):
-        if space_factory is None:
-            space = build_space(q=q, lam=lam, depth=N)
-        else:
-            space = space_factory(q, lam, N)
+        space = build_space(q=q, lam=lam, depth=N)
         series = s_infinity(space, n_terms=n_terms, t_cap=T_CAP)
         window = max(N - WINDOW_MARGIN, 0)
         sigma = ops.min_singular(series.op, src_level_max=window)

@@ -1,16 +1,18 @@
 """Session fixtures for the objects that several test modules read: one
 default verification run, the calibration file, the canonical space and
 its rank-one report, and the boundedness scans, read from the
-verification run."""
+verification run; and cold_gram_caches, for tests that must see no Gram
+data that an earlier space built."""
 
 import functools
 import json
 import time
+import weakref
 from importlib import resources
 
 import pytest
 
-from qfock import cli, limits
+from qfock import cli, fock, limits
 from qfock.fock import build_space
 
 
@@ -51,17 +53,27 @@ def cal():
 
 @pytest.fixture(scope="session")
 def shared_space():
-    """shared_space(q, lam, depth): the space at (q, lam, depth); the
-    spaces at one (q, depth) share their Gram caches through
-    FockSpace.with_lambda, so a block is factored once a session."""
-    units = {}
-
+    """shared_space(q, lam, depth): the session's space at (q, lam,
+    depth).  Keeping it alive keeps the Gram cache of its q, which every
+    space at that q reads, so a block is factored once a session."""
+    @functools.cache
     def space(q, lam, depth):
-        if (q, depth) not in units:
-            units[q, depth] = build_space(q=q, lam=lam, depth=depth)
-        return units[q, depth].with_lambda(lam)
+        return build_space(q=q, lam=lam, depth=depth)
 
     return space
+
+
+@pytest.fixture
+def cold_gram_caches(monkeypatch):
+    """Installs an empty Gram cache registry, so that the spaces built
+    next share no Gram data with any space built before; returns the
+    installer, to go cold again."""
+    def cold():
+        monkeypatch.setattr(fock, "_GRAM_CACHES",
+                            weakref.WeakValueDictionary())
+
+    cold()
+    return cold
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,7 @@ from qfock.cli import ConfigError, RunConfig
 
 
 def test_config_round_trip():
-    cfg = RunConfig(q_grid=(0.1, -0.3), lam_grid=(0.2, 0.5), depth=10,
-                    terms=4, jobs=3, fmt="json", out_dir="some/dir",
-                    tol_identity=1e-9)
-    assert RunConfig.from_text(cfg.to_text()) == cfg
-    assert RunConfig.from_text(RunConfig().to_text()) == RunConfig()
+    assert RunConfig.from_text(DEFAULT_TEXT) == RunConfig()
 
 
 def test_config_parses_comments_and_spacing():
@@ -189,7 +185,6 @@ command-line flags override file values; exit codes: 0 ok, 1 check failure, \
 
 
 def test_default_text_and_epilog_pinned():
-    assert RunConfig().to_text() == DEFAULT_TEXT
     assert cli._config_epilog() == DEFAULT_EPILOG
 
 
@@ -480,13 +475,14 @@ def _json_rows_without_runtime(out_dir):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_grouped_sweep_matches_cold_points(tmp_path, jobs):
+def test_grouped_sweep_matches_cold_points(tmp_path, jobs, cold_gram_caches):
     assert cli.main(["sweep", "--q", "-0.3,0.3", "--lambda", "0.15,0.3,0.5",
                      "--depth", "8", "--jobs", str(jobs), "--format", "json",
                      "--out", str(tmp_path)]) == 0
     want = []
     for q in (-0.3, 0.3):
         for lam in (0.15, 0.3, 0.5):
+            cold_gram_caches()
             row, _ = cli._sweep_point(q, lam, 8, 4,
                                       RunConfig().max_total_words)
             del row["runtime_ms"]

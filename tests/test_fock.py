@@ -1,13 +1,16 @@
 """Truncated deformed Fock spaces: enumeration, Gram data, the two
 inner-product paths, budget guards, serialization."""
 
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from qfock import fock, limits
 from qfock.fock import (
     BRUTE_FORCE_MAX_LEVEL,
     E,
@@ -187,19 +190,69 @@ def test_cross_signature_orthogonality(sp):
     assert sp.inner(f, h) == 0.0
 
 
-def test_with_lambda_shares_unit_data(sp):
+def _gram_data(space, level_max):
+    """Every Gram reading of the blocks up to level_max: gram, Cholesky
+    factor, condition estimate and both annihilation transfers."""
+    out = {}
+    for level in range(level_max + 1):
+        for sig in space.blocks_at_level(level):
+            out[sig] = [space.gram(sig), space.gram_chol(sig),
+                        np.array(space.gram_cond(sig))]
+            out[sig] += [space.annihilation_transfer(sig, ell, side)
+                         for ell in range(space.n_letters) if sig[ell]
+                         for side in ("left", "right")]
+    return out
+
+
+def test_with_lambda_shares_unit_data(sp, cold_gram_caches, monkeypatch):
+    # one cache per (q, letter count), across lambda and depth
     other = sp.with_lambda(0.15)
-    assert other.q == sp.q
-    assert other.lam == 0.15
-    fresh = build_space(q=sp.q, lam=0.15, depth=4)
-    for level in range(1, 5):
-        for sig in fresh.blocks_at_level(level):
-            assert np.allclose(other.gram(sig), fresh.gram(sig),
-                               rtol=0, atol=0)
+    assert (other.q, other.lam) == (sp.q, 0.15)
+    cold_gram_caches()
+    a = build_space(q=0.3, lam=0.4, depth=8)
+    assert a.with_lambda(0.15)._unit is a._unit
+    assert build_space(q=0.3, lam=0.15, depth=5)._unit is a._unit
+    assert build_space(q=-0.5, lam=0.4, depth=8)._unit is not a._unit
+    assert build_space(q=0.3, lam=0.4, depth=5,
+                       aux_letters=1)._unit is not a._unit
     # scaled blocks differ from the original by exactly the u ratio
     ratio = other.u_factor((2, 1)) / sp.u_factor((2, 1))
     assert np.allclose(other.gram((2, 1)), ratio * sp.gram((2, 1)),
                        rtol=1e-14)
+
+    # the cache is freed with its last space
+    a.gram_chol((2, 2))
+    unit = weakref.ref(a._unit)
+    del a
+    gc.collect()
+    assert unit() is None
+
+    # a depth-10 space on a cache a depth-12 space grew first reads the
+    # same bits as a cold depth-10 space
+    for q in (-0.5, 0.3):
+        cold_gram_caches()
+        deep = build_space(q=q, lam=0.4, depth=12)
+        _gram_data(deep, 12)
+        warm = _gram_data(build_space(q=q, lam=0.3, depth=10), 10)
+        cold_gram_caches()
+        cold = _gram_data(build_space(q=q, lam=0.3, depth=10), 10)
+        assert warm.keys() == cold.keys()
+        for sig in cold:
+            assert all(np.array_equal(w, c)
+                       for w, c in zip(warm[sig], cold[sig], strict=True))
+
+    # one certificate over three truncations builds one cache
+    built = []
+
+    class CountedCache(fock._UnitGramCache):
+        def __init__(self, *key):
+            super().__init__(*key)
+            built.append(key)
+
+    cold_gram_caches()
+    monkeypatch.setattr(fock, "_UnitGramCache", CountedCache)
+    limits.invertibility_certificate(0.3, 0.3, truncations=(8, 10, 12))
+    assert built == [(0.3, 2)]
 
 
 def test_vector_algebra():

@@ -226,7 +226,7 @@ def test_op_norm_of_wick_words_matches_oracle_property(q, lam, word):
     assert ops.op_norm(A) == _op_norm_oracle(A)[0]
 
 
-def test_adjoint_solves_only_requested_blocks():
+def test_adjoint_solves_only_requested_blocks(cold_gram_caches):
     sp = build_space(q=0.3, lam=0.4, depth=10)
     ce = ops.creation_letter(sp, E)
     ae = ops.annihilation_letter(sp, E)

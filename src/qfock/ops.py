@@ -713,14 +713,32 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
         return 0.0
     if max(mat.shape) <= NORM_DENSE_LIMIT:
         return float(np.linalg.norm(mat.toarray(), 2))
+    return _sparse_norm(mat)
+
+
+def _sparse_norm(mat) -> float:
+    """Largest singular value of a sparse matrix by ARPACK: the steps of
+    scipy's svds(mat, k=1) with every random draw seeded.
+
+    Left to itself ARPACK takes each vector it draws from fresh OS
+    entropy, so the value moved in its last bits from call to call: svds
+    fixes only the start vector (a positive one, which converged faster
+    than a normal one on the boundedness scans), and its eigsh draws a
+    fresh vector when a Lanczos run breaks down, as it does on the
+    depth-12 creation letter."""
+    import scipy.linalg as la
     import scipy.sparse.linalg as spla
 
-    # a fixed start vector: left to itself ARPACK draws one from fresh OS
-    # entropy, so flat spectra gave a different value, or error 3, per
-    # call.  A positive start converged faster than a normal one on the
-    # boundedness scans.
-    v0 = np.random.default_rng(0).uniform(size=min(mat.shape))
-    s = spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)
+    A = spla.aslinearoperator(mat)
+    X, XH = (A, A.H) if mat.shape[0] >= mat.shape[1] else (A.H, A)
+    n = min(mat.shape)
+    gram = spla.LinearOperator(
+        shape=(n, n), dtype=mat.dtype,
+        matvec=lambda x: XH.matvec(X.matvec(x)))
+    v0 = np.random.default_rng(0).uniform(size=n)
+    _, vec = spla.eigsh(gram, k=1, v0=v0, rng=0)
+    vec, _ = np.linalg.qr(vec)
+    s = la.svd(X.matmat(vec), compute_uv=False, overwrite_a=True)
     return float(s.max())
 
 

@@ -14,7 +14,9 @@ block's letter multiset, not on lambda or the depth: every live space at
 one (q, letter count) reads them from one cache, which is freed with the
 last such space.  They are built by a level recursion through
 annihilation transfer matrices, with a brute-force permutation sum kept
-as an independent test oracle for small levels.
+as an independent test oracle for small levels.  A transfer has at most
+n nonzero entries in a column of n-letter words, and the cache keeps
+only those; every reader gets a fresh dense copy.
 """
 
 from __future__ import annotations
@@ -203,11 +205,13 @@ def _cond_estimate(L: np.ndarray) -> float:
     lo = 0.0
     from scipy.linalg import solve_triangular
 
+    # L is a cached factor, checked finite once by _UnitGramCache.chol,
+    # and y is finite until an overflow, which the norm catches
     for _ in range(8):
-        y = solve_triangular(L, y, lower=True)
-        y = solve_triangular(L.T, y, lower=False)
+        y = solve_triangular(L, y, lower=True, check_finite=False)
+        y = solve_triangular(L.T, y, lower=False, check_finite=False)
         nrm = np.linalg.norm(y)
-        if nrm == 0.0:
+        if nrm == 0.0 or not np.isfinite(nrm):
             return np.inf
         lo = nrm
         y /= nrm
@@ -220,9 +224,12 @@ class _UnitGramCache:
 
     Per block (level, signature): the word list, the same words as a
     small-integer array with their sorted base-L codes, the unit Gram (all letter
-    lengths set to 1), its lower Cholesky factor, a condition estimate,
-    and the unit annihilation transfer matrices used both by the Gram
-    recursion and by the annihilation operators.
+    lengths set to 1), its lower Cholesky factor, checked finite once
+    so that solves against it skip the check, a condition estimate,
+    and per removed letter and side the unit annihilation transfer as
+    its nonzero entries (shape, flat indices, values), which
+    transfer_matrix scatters into a fresh array for the Gram recursion
+    and the annihilation operators.  No dense transfer is stored.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -288,37 +295,45 @@ class _UnitGramCache:
             raise KeyError(f"word {missing} is not in block {sig}")
         return rows
 
-    def transfer_matrix(self, sig, ell: int, side: str = "left"):
+    def transfer_matrix(self, sig, ell: int, side: str = "left",
+                        scale: float = 1.0) -> np.ndarray:
         """Unit annihilation transfer for removing letter ell from the
-        block: rows index the reduced block, columns the source block,
-        entry the sum over positions i (0-based, word length n) holding
-        ell whose removal yields the row word, of q^i for removal from
-        the left and of q^(n-1-i) for removal from the right.
+        block, times scale, as a fresh array: rows index the reduced
+        block, columns the source block, entry the sum over positions i
+        (0-based, word length n) holding ell whose removal yields the
+        row word, of q^i for removal from the left and of q^(n-1-i) for
+        removal from the right.
 
         Built one position at a time over the block's word array, so
         every entry receives its terms in increasing i, as a loop over
         each word's positions adds them; q^i is the running product
-        1.0 * q * ... * q.
+        1.0 * q * ... * q.  The cache keeps only the nonzero entries
+        (at most n per column) and each call scatters scale times them
+        into zeros, which is scale * T bit for bit for a positive scale:
+        every zero stays +0.0.
         """
         key = (sig, ell, side)
-        if key in self.transfer:
-            return self.transfer[key]
-        if sig[ell] == 0:
-            raise KeyError(f"block {sig} holds no letter {ell}")
-        src = self.word_array(sig)
-        red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
-        T = np.zeros((len(self.block_words(red_sig)), len(src)))
-        q = self.q
-        n = sum(sig)
-        left = side == "left"
-        qp = 1.0
-        for i in range(n):
-            cols = np.flatnonzero(src[:, i] == ell)
-            rows = self.rows_of(red_sig, np.delete(src[cols], i, axis=1))
-            T[rows, cols] += qp if left else q ** (n - 1 - i)
-            qp *= q
-        self.transfer[key] = T
-        return T
+        if key not in self.transfer:
+            if sig[ell] == 0:
+                raise KeyError(f"block {sig} holds no letter {ell}")
+            src = self.word_array(sig)
+            red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
+            T = np.zeros((len(self.block_words(red_sig)), len(src)))
+            q = self.q
+            n = sum(sig)
+            left = side == "left"
+            qp = 1.0
+            for i in range(n):
+                cols = np.flatnonzero(src[:, i] == ell)
+                rows = self.rows_of(red_sig, np.delete(src[cols], i, axis=1))
+                T[rows, cols] += qp if left else q ** (n - 1 - i)
+                qp *= q
+            nz = np.flatnonzero(T)
+            self.transfer[key] = (T.shape, nz, T.flat[nz])
+        shape, nz, vals = self.transfer[key]
+        out = np.zeros(shape)
+        out.flat[nz] = scale * vals
+        return out
 
     def gram(self, sig):
         if sig in self.gram_unit:
@@ -354,6 +369,11 @@ class _UnitGramCache:
                 f"Gram block level={sum(sig)} signature={sig} is not "
                 f"numerically positive definite at q={self.q}: {exc}"
             ) from None
+        # checked once here, so solves against the factor skip the check
+        if not np.isfinite(L).all():
+            raise GramFactorizationError(
+                f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
+                f"has a non-finite Cholesky factor")
         cond = _cond_estimate(L)
         self.cond[sig] = cond
         if cond > COND_LIMIT:
@@ -480,7 +500,7 @@ class FockSpace:
     def annihilation_transfer(self, sig, ell: int, side: str = "left") -> np.ndarray:
         """Block matrix of the left or right annihilation of letter ell
         on the block: includes the letter's squared length."""
-        return self.u[ell] * self._unit.transfer_matrix(tuple(sig), ell, side)
+        return self._unit.transfer_matrix(tuple(sig), ell, side, self.u[ell])
 
     def gram_bruteforce(self, sig) -> np.ndarray:
         """Permutation-sum Gram of a block; independent oracle path,

@@ -668,10 +668,43 @@ def _orthonormal_block(space: FockSpace, M: np.ndarray, src_sig, tgt_sig):
     return L_tgt.T @ X
 
 
+def _orthonormal_images(A: FockOperator, src) -> list:
+    """[(tgt, Mo)]: the blocks of A out of block src in the orthonormal
+    frames, targets in action order.
+
+    An index operator (tgt, rows, s) builds no block through action(),
+    so nothing lands in its cache: the transposed block, column rows[j]
+    equal to s e_j, is written straight into the Fortran-ordered array
+    that _orthonormal_block's solve copies M.T into, and solved in
+    place; the solve and the GEMM are the same calls, bit for bit.
+    (Solving s I alone is not: OpenBLAS handles the last columns of a
+    right-hand side, width mod its unroll, in another kernel, so a
+    column's bits depend on where it sits.)  The solve skips the
+    finiteness check: the cached factor was checked when it was built,
+    and the right-hand side holds only zeros and s."""
+    from scipy.linalg import solve_triangular
+
+    space = A.space
+    if A._index_fn is None:
+        return [(tgt, _orthonormal_block(space, M, src, tgt))
+                for tgt, M in A.action(src).items()]
+    ix = A.index(src)
+    if ix is None:
+        return []
+    tgt, rows, s = ix
+    B = np.zeros((len(rows), len(space.block_words(tgt))), order="F")
+    B[np.arange(len(rows)), rows] = s + 0.0
+    X = solve_triangular(space.gram_chol(src), B, lower=True,
+                         overwrite_b=True, check_finite=False).T
+    return [(tgt, space.gram_chol(tgt).T @ X)]
+
+
 def _assemble(A: FockOperator, src_level_max: int):
     """Stack the orthonormal-coordinate blocks of A over the window into
     one sparse matrix: columns in window order, target rows in the order
-    the targets are first seen, only the nonzero entries stored.
+    the targets are first seen, only the nonzero entries stored.  The
+    window is walked one source block at a time, so one orthonormal
+    block at a time is dense.
 
     A creation-type block feeds only the first rows of its target, so
     most entries are exact zeros; dropping them keeps every bit, because
@@ -681,18 +714,20 @@ def _assemble(A: FockOperator, src_level_max: int):
 
     space = A.space
     window = Window(space, src_level_max)
-    images = window.images(A)
-    tgt_offset, tgt_dim = _offsets(
-        space, dict.fromkeys(tgt for _, tgt, _ in images))
-    if not images:
-        return sp.csr_matrix((max(tgt_dim, 1), max(window.width, 1)))
+    tgt_offset: dict = {}
+    tgt_dim = 0
     rows, cols, vals = [], [], []
-    for src, tgt, M in images:
-        Mo = _orthonormal_block(space, M, src, tgt)
-        rr, cc = np.nonzero(Mo)
-        rows.append(rr + tgt_offset[tgt])
-        cols.append(cc + window.offset[src])
-        vals.append(Mo[rr, cc])
+    for src in window.blocks:
+        for tgt, Mo in _orthonormal_images(A, src):
+            if tgt not in tgt_offset:
+                tgt_offset[tgt] = tgt_dim
+                tgt_dim += Mo.shape[0]
+            rr, cc = np.nonzero(Mo)
+            rows.append((rr + tgt_offset[tgt]).astype(np.int32))
+            cols.append((cc + window.offset[src]).astype(np.int32))
+            vals.append(Mo[rr, cc])
+    if not tgt_offset:
+        return sp.csr_matrix((1, max(window.width, 1)))
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(tgt_dim, window.width),
@@ -765,20 +800,20 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
         if ra != rb:
             parent[ra] = rb
 
-    actions = {sig: A.action(sig)
-               for sig in Window(space, src_level_max).blocks}
-    for sig, act in actions.items():
+    images = {sig: _orthonormal_images(A, sig)
+              for sig in Window(space, src_level_max).blocks}
+    for sig, blocks in images.items():
         find(sig)
-        for tgt in act:
+        for tgt, _ in blocks:
             union(sig, tgt)
     groups: dict = {}
-    for sig in actions:
+    for sig in images:
         groups.setdefault(find(sig), []).append(sig)
     smallest = np.inf
     for root, sigs in groups.items():
         tgts = set()
         for sig in sigs:
-            tgts.update(actions[sig].keys())
+            tgts.update(tgt for tgt, _ in images[sig])
         col_off, ncol = _offsets(space, sigs)
         row_off, nrow = _offsets(space, sorted(tgts | set(sigs)))
         if max(nrow, ncol) > SINGULAR_DENSE_LIMIT:
@@ -788,8 +823,7 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
             )
         dense = np.zeros((nrow, ncol))
         for sig in sigs:
-            for tgt, M in actions[sig].items():
-                Mo = _orthonormal_block(space, M, sig, tgt)
+            for tgt, Mo in images[sig]:
                 r0, c0 = row_off[tgt], col_off[sig]
                 dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
         s = np.linalg.svd(dense, compute_uv=False)

@@ -132,6 +132,17 @@ def test_cholesky_factors(sp, sp_neg):
         assert space.gram_cond((2, 2)) >= 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_factor_refused(bad):
+    # cholesky hands a NaN or inf Gram back as a factor without raising;
+    # solves against cached factors rely on this one check
+    unit = fock._UnitGramCache(0.3, 2)
+    unit.gram_unit[(1, 1)] = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(fock.GramFactorizationError, match="non-finite"):
+        unit.chol((1, 1))
+    assert (1, 1) not in unit.chol_unit
+
+
 def _inner_bruteforce(space, w, v):
     """Permutation-sum inner product of two words: the oracle for
     FockSpace.inner."""

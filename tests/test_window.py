@@ -2,7 +2,9 @@
 eager constructions kept here as oracles: an adjoint that solves every
 block of the window up front, the hand-written block offsets and
 stacked images of the rank-one compression, and the sparse and dense
-assemblies of op_norm and min_singular with their own offset loops."""
+assemblies of op_norm and min_singular with their own offset loops, and
+the dense blocks that op_norm's assembly of an index operator no longer
+builds."""
 
 import numpy as np
 import pytest
@@ -98,6 +100,32 @@ def _op_norm_oracle(A, src_level_max=None):
     if max(mat.shape) <= ops.NORM_DENSE_LIMIT:
         return float(np.linalg.norm(mat.toarray(), 2)), mat
     return ops._sparse_norm(mat), mat
+
+
+def _assemble_oracle(A, src_level_max):
+    """op_norm's assembly through dense blocks: every block from
+    A.action, rewritten by _orthonormal_block, its nonzero entries
+    stacked, target rows in the order the targets are first seen."""
+    space = A.space
+    window = ops.Window(space, src_level_max)
+    images = window.images(A)
+    tgt_offset = {}
+    tgt_dim = 0
+    rows, cols, vals = [], [], []
+    for src, tgt, M in images:
+        if tgt not in tgt_offset:
+            tgt_offset[tgt] = tgt_dim
+            tgt_dim += M.shape[0]
+        Mo = ops._orthonormal_block(space, M, src, tgt)
+        rr, cc = np.nonzero(Mo)
+        rows.append(rr + tgt_offset[tgt])
+        cols.append(cc + window.offset[src])
+        vals.append(Mo[rr, cc])
+    if not images:
+        return sps.csr_matrix((1, window.width))
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(tgt_dim, window.width))
 
 
 def _min_singular_oracle(A, src_level_max):
@@ -215,6 +243,52 @@ def test_op_norm_of_creation_powers_matches_oracle(sp, shared_space):
         mat = ops._assemble(A, window)
         assert np.count_nonzero(mat.data) == mat.nnz
         assert np.array_equal(mat.toarray(), want.toarray())
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: ops.creation_letter(s, E),
+    lambda s: ops.creation_letter(s, EBAR),
+    lambda s: ops.creation_letter(s, E).power(3),
+    lambda s: ops.flip_unitary(s),
+    lambda s: 0.0 * ops.creation_letter(s, E),
+    lambda s: -1.0 * ops.creation_letter(s, E),
+], ids=["ce", "cEbar", "ce^3", "flip", "zero-ce", "minus-ce"])
+def test_index_assembly_matches_dense_oracle(sp, shared_space, make):
+    A = make(shared_space(sp.q, sp.lam, 10))
+    window = A.space.depth - A.peak
+    got = ops._assemble(A, window)
+    want = _assemble_oracle(A, window)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_index_blocks_keep_their_solve_columns(shared_space):
+    # the flip's level-11 blocks at depth 12 (up to 462 words): a solve
+    # of s I on the source columns alone moved bits of block (5, 6) on
+    # OpenBLAS, whose last columns, width mod its unroll, run in another
+    # kernel; each column must sit where _orthonormal_block puts it
+    space = shared_space(-0.5, 0.4, 12)
+    for A in (ops.flip_unitary(space), ops.modular_ops(space).J):
+        for sig in space.blocks_at_level(11):
+            got = ops._orthonormal_images(A, sig)
+            assert not A._cache
+            want = [(tgt, ops._orthonormal_block(space, M, sig, tgt))
+                    for tgt, M in A.action(sig).items()]
+            assert [t for t, _ in got] == [t for t, _ in want]
+            assert all(g.tobytes() == w.tobytes()
+                       for (_, g), (_, w) in zip(got, want)), sig
+            A._cache.clear()
+
+
+def test_norms_of_index_operators_build_no_blocks(shared_space):
+    space = shared_space(-0.5, 0.4, 10)
+    ce = ops.creation_letter(space, E)
+    ops.op_norm(ce)
+    assert ce._cache == {} and ce._index_cache
+    eye = ops.identity(space)
+    ops.min_singular(eye, 6)
+    assert eye._cache == {}
 
 
 def test_sparse_norm_repeats_its_value(shared_space):

@@ -191,6 +191,33 @@ def test_unit_transfers_bit_identical(sp):
                                       oracle(sp, sig, ell)), (sig, side)
 
 
+def test_unit_transfers_kept_as_entries_and_returned_fresh(sp):
+    """The cache keeps each transfer as its nonzero entries, at most n
+    per source column, and every call scatters them into a fresh array,
+    so a caller's edit reaches no other reader; the annihilation blocks
+    are the letter's squared length times the oracle, byte for byte."""
+    unit = sp._unit
+    for sig in _blocks(sp):
+        for ell in range(sp.n_letters):
+            if sig[ell] == 0:
+                continue
+            for side, oracle in (("left", _transfer_oracle),
+                                 ("right", _right_transfer_oracle)):
+                want = oracle(sp, sig, ell)
+                unit.transfer_matrix(sig, ell, side)[:] = np.nan
+                got = unit.transfer_matrix(sig, ell, side)
+                assert got.tobytes() == want.tobytes(), (sig, side)
+                ann = sp.annihilation_transfer(sig, ell, side)
+                assert ann.shape == want.shape
+                assert ann.tobytes() == (sp.u[ell] * want).tobytes()
+    assert unit.transfer
+    for (sig, ell, side), stored in unit.transfer.items():
+        bound = sum(sig) * len(unit.block_words(sig))
+        arrays = [part for part in stored if isinstance(part, np.ndarray)]
+        assert arrays and all(a.ndim == 1 and a.size <= bound
+                              for a in arrays), (sig, ell, side)
+
+
 def _dense_compose(A_actions, B_actions, antilinear=False):
     """Blocks of A @ B, each formed with the plain dense product Ma @ Mb
     (Mb.conj() for an antilinear left factor A) and added per target in

@@ -63,6 +63,12 @@ SWEEP_COLUMNS = ("q", "lambda", "depth", "threshold", "analytic_verdict",
 # the model
 DEPTH_MIN = 4
 TAIL_BUDGET_MAX = 8.0
+# the block scalars lambda^(+-n/2), n <= depth, must lie within
+# 2^(+-SCALE_EXPONENT_MAX): the normal float range, 2^(+-1022), less 64
+# bits for the unit Gram entries they multiply (at most [n]_q! <=
+# (1 - |q|)^-n < 2^47 in the envelope) and for sums over a block's
+# words (at most 3432 < 2^12)
+SCALE_EXPONENT_MAX = 1022 - 64
 
 
 class ConfigError(Exception):
@@ -150,6 +156,10 @@ def _show(value) -> str:
 def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
     """Reject parameter points the truncated model cannot support.
 
+    A lambda whose block scalars lambda^(+-depth/2) leave the float
+    range, less the margin of SCALE_EXPONENT_MAX, is refused: the Gram
+    blocks and the operator products would overflow.
+
     The series-tail guard bounds lam^{(K+1)/2} / (1 - sqrt(lam)); past
     TAIL_BUDGET_MAX the truncated series says nothing about its limit,
     so the point is refused rather than reported with a vacuous bound.
@@ -179,6 +189,13 @@ def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
     for lam in cfg.lam_grid:
         if not (0.0 < lam < 1.0):
             raise ConfigError(f"lambda = {lam} outside (0, 1)")
+        exponent = cfg.depth / 2.0 * -math.log2(lam)
+        if exponent > SCALE_EXPONENT_MAX:
+            raise ConfigError(
+                f"lambda = {lam} at depth {cfg.depth}: the block scalars "
+                f"lambda^(+-depth/2) reach 2^(+-{exponent:.0f}), beyond the "
+                f"2^(+-{SCALE_EXPONENT_MAX}) that floats hold with room for "
+                f"the Gram entries")
         tail_budget = lam ** ((K + 1) / 2.0) / (1.0 - math.sqrt(lam))
         if tail_budget > TAIL_BUDGET_MAX:
             raise ConfigError(

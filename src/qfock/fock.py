@@ -485,12 +485,20 @@ class FockSpace:
     def gram(self, sig) -> np.ndarray:
         """Deformed Gram matrix of one multiset block, word order as in
         block_words."""
-        sig = tuple(sig)
-        return self.u_factor(sig) * self._unit.gram(sig)
+        return self.u_factor(sig) * self.unit_gram(sig)
 
     def gram_chol(self, sig) -> np.ndarray:
-        sig = tuple(sig)
-        return math.sqrt(self.u_factor(sig)) * self._unit.chol(sig)
+        return math.sqrt(self.u_factor(sig)) * self.unit_chol(sig)
+
+    def unit_gram(self, sig) -> np.ndarray:
+        """gram(sig) / u_factor(sig): the cached unit Gram block itself,
+        shared by every space at this (q, letter count); read only."""
+        return self._unit.gram(tuple(sig))
+
+    def unit_chol(self, sig) -> np.ndarray:
+        """The lower Cholesky factor of unit_gram(sig), cached and read
+        only like it."""
+        return self._unit.chol(tuple(sig))
 
     def gram_cond(self, sig) -> float:
         sig = tuple(sig)

@@ -16,6 +16,7 @@ accumulate peak additively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,9 @@ __all__ = [
     "conjugate_letter",
 ]
 
-# op_norm takes a dense 2-norm up to this matrix size and ARPACK above
-# it; min_singular refuses components larger than SINGULAR_DENSE_LIMIT
+# op_norm takes a dense 2-norm up to this matrix size and the Gram
+# pencil above it; min_singular refuses components larger than
+# SINGULAR_DENSE_LIMIT
 NORM_DENSE_LIMIT = 3000
 SINGULAR_DENSE_LIMIT = 4000
 
@@ -668,113 +670,175 @@ def _orthonormal_block(space: FockSpace, M: np.ndarray, src_sig, tgt_sig):
     return L_tgt.T @ X
 
 
-def _orthonormal_images(A: FockOperator, src) -> list:
-    """[(tgt, Mo)]: the blocks of A out of block src in the orthonormal
-    frames, targets in action order.
+def _images(A: FockOperator, src) -> list:
+    """[(tgt, M)]: the blocks of A out of block src in word coordinates,
+    targets in action order.  For an index operator M is the pair
+    (rows, scale) of its index map, and no block is built through
+    action(), so nothing lands in its cache."""
+    if A._index_fn is None:
+        return list(A.action(src).items())
+    ix = A.index(src)
+    return [] if ix is None else [(ix[0], ix[1:])]
 
-    An index operator (tgt, rows, s) builds no block through action(),
-    so nothing lands in its cache: the transposed block, column rows[j]
-    equal to s e_j, is written straight into the Fortran-ordered array
-    that _orthonormal_block's solve copies M.T into, and solved in
-    place; the solve and the GEMM are the same calls, bit for bit.
-    (Solving s I alone is not: OpenBLAS handles the last columns of a
-    right-hand side, width mod its unroll, in another kernel, so a
-    column's bits depend on where it sits.)  The solve skips the
-    finiteness check: the cached factor was checked when it was built,
-    and the right-hand side holds only zeros and s."""
+
+def _orthonormal_images(A: FockOperator, src, images=None) -> list:
+    """[(tgt, Mo)]: the blocks of A out of block src (its _images, if
+    given) in the orthonormal frames, targets in action order.
+
+    An index block (rows, s) is never built: its transposed block,
+    column rows[j] equal to s e_j, is written straight into the
+    Fortran-ordered array that _orthonormal_block's solve copies M.T
+    into, and solved in place; the solve and the GEMM are the same
+    calls, bit for bit.  (Solving s I alone is not: OpenBLAS handles the
+    last columns of a right-hand side, width mod its unroll, in another
+    kernel, so a column's bits depend on where it sits.)  The solve
+    skips the finiteness check: the cached factor was checked when it
+    was built, and the right-hand side holds only zeros and s."""
     from scipy.linalg import solve_triangular
 
     space = A.space
-    if A._index_fn is None:
-        return [(tgt, _orthonormal_block(space, M, src, tgt))
-                for tgt, M in A.action(src).items()]
-    ix = A.index(src)
-    if ix is None:
-        return []
-    tgt, rows, s = ix
-    B = np.zeros((len(rows), len(space.block_words(tgt))), order="F")
-    B[np.arange(len(rows)), rows] = s + 0.0
-    X = solve_triangular(space.gram_chol(src), B, lower=True,
-                         overwrite_b=True, check_finite=False).T
-    return [(tgt, space.gram_chol(tgt).T @ X)]
+    out = []
+    for tgt, M in _images(A, src) if images is None else images:
+        if isinstance(M, np.ndarray):
+            out.append((tgt, _orthonormal_block(space, M, src, tgt)))
+            continue
+        rows, s = M
+        B = np.zeros((len(rows), len(space.block_words(tgt))), order="F")
+        B[np.arange(len(rows)), rows] = s + 0.0
+        X = solve_triangular(space.gram_chol(src), B, lower=True,
+                             overwrite_b=True, check_finite=False).T
+        out.append((tgt, space.gram_chol(tgt).T @ X))
+    return out
 
 
-def _assemble(A: FockOperator, src_level_max: int):
-    """Stack the orthonormal-coordinate blocks of A over the window into
-    one sparse matrix: columns in window order, target rows in the order
-    the targets are first seen, only the nonzero entries stored.  The
-    window is walked one source block at a time, so one orthonormal
-    block at a time is dense.
+def _components(keys, edges) -> list:
+    """The keys grouped into the connected components of the graph with
+    the given edges (pairs of nodes; a node need not be a key): groups
+    in the order of their first key, keys in their given order."""
+    parent: dict = {}
 
-    A creation-type block feeds only the first rows of its target, so
-    most entries are exact zeros; dropping them keeps every bit, because
-    scipy's sparse products add each row's (column's) products in stored
-    order from +0.0, and a dropped 0.0 product never changes such a sum."""
-    import scipy.sparse as sp
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    space = A.space
-    window = Window(space, src_level_max)
-    tgt_offset: dict = {}
-    tgt_dim = 0
-    rows, cols, vals = [], [], []
-    for src in window.blocks:
-        for tgt, Mo in _orthonormal_images(A, src):
-            if tgt not in tgt_offset:
-                tgt_offset[tgt] = tgt_dim
-                tgt_dim += Mo.shape[0]
-            rr, cc = np.nonzero(Mo)
-            rows.append((rr + tgt_offset[tgt]).astype(np.int32))
-            cols.append((cc + window.offset[src]).astype(np.int32))
-            vals.append(Mo[rr, cc])
-    if not tgt_offset:
-        return sp.csr_matrix((1, max(window.width, 1)))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(tgt_dim, window.width),
-    )
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(find(key), []).append(key)
+    return list(groups.values())
+
+
+def _target_offsets(space: FockSpace, images: dict):
+    """Offsets of the targets of {src: _images} in the order they are
+    first seen, in one stacked index, and the total height."""
+    return _offsets(space, dict.fromkeys(
+        tgt for row in images.values() for tgt, _ in row))
+
+
+def _assemble(A: FockOperator, window: Window, images: dict) -> np.ndarray:
+    """The orthonormal-frame blocks of A over the window, from its
+    {src: _images} in window order, in one dense matrix: columns in
+    window order, target rows in the order the targets are first seen.
+    Adding 0.0 turns a -0.0 entry into the +0.0 of an unwritten one."""
+    tgt_offset, height = _target_offsets(A.space, images)
+    dense = np.zeros((height, window.width))
+    for src, row in images.items():
+        c0 = window.offset[src]
+        for tgt, Mo in _orthonormal_images(A, src, row):
+            r0 = tgt_offset[tgt]
+            dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] = Mo
+    dense += 0.0
+    return dense
+
+
+def _pencil_norm(space: FockSpace, images: dict) -> float:
+    """sqrt of the largest eigenvalue of the pencil (K, G_src), K the sum
+    over targets t of M_t^T G_t M_t, on each component of the source
+    blocks of {src: _images} that share a target.
+
+    With G = u G^ per block (u the block scalar, G^ the cached unit
+    Gram) and L^ the cached unit factor of G^, the reduced block of
+    sources (i, j) is C_ij = L^_i^{-1} K^_ij L^_j^{-T}, where K^_ij sums
+    u_t / sqrt(u_i u_j) M_ti^T G^_t M_tj: the scalars are applied to
+    these products, never to a copy of a Gram block or factor.  An index
+    block (rows, s) makes the product the gather s_i s_j G^_t[rows_i,
+    rows_j].  Only the lower blocks are formed, which is what eigvalsh
+    reads.  A source without targets adds nothing, and a zero K gives
+    0.0."""
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dsygst
+
+    groups = _components(
+        [src for src, row in images.items() if row],
+        [(src, ("to", tgt)) for src, row in images.items() for tgt, _ in row])
+    top = 0.0
+    for srcs in groups:
+        offset, width = _offsets(space, srcs)
+        by_tgt: dict = {}
+        for src in srcs:
+            for tgt, M in images[src]:
+                by_tgt.setdefault(tgt, []).append((src, M))
+        K = np.zeros((width, width))
+        filled = set()
+        for tgt, row in by_tgt.items():
+            G = space.unit_gram(tgt)
+            u = space.u_factor(tgt)
+            for a, (sj, Mj) in enumerate(row):
+                GMj = G @ Mj if isinstance(Mj, np.ndarray) else None
+                for si, Mi in row[a:]:
+                    scale = u / math.sqrt(space.u_factor(si)) \
+                        / math.sqrt(space.u_factor(sj))
+                    if GMj is None:
+                        P = G[np.ix_(Mi[0], Mj[0])]
+                        P *= scale * Mi[1] * Mj[1]
+                    else:
+                        P = Mi.T @ GMj
+                        P *= scale
+                    r0, c0 = offset[si], offset[sj]
+                    K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
+                    filled.add((si, sj))
+        for si, sj in filled:
+            rs, cs = (slice(offset[s], offset[s] + len(space.block_words(s)))
+                      for s in (si, sj))
+            if si == sj:
+                # LAPACK's reduction of a symmetric block: half the flops
+                # of the two solves; it writes the lower triangle
+                K[rs, rs] = dsygst(K[rs, rs], space.unit_chol(si), lower=1)[0]
+                continue
+            X = solve_triangular(space.unit_chol(si), K[rs, cs], lower=True,
+                                 check_finite=False)
+            K[rs, cs] = solve_triangular(space.unit_chol(sj), X.T,
+                                         lower=True, check_finite=False).T
+        top = max(top, np.linalg.eigvalsh(K)[-1])
+    return math.sqrt(top)
 
 
 def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     """Largest singular value of A over source levels <= src_level_max,
     measured in the orthonormal frames of the deformed form.
 
-    The truncated value never exceeds the untruncated operator norm.
+    Up to NORM_DENSE_LIMIT rows and columns it is the dense 2-norm of
+    the blocks rewritten in those frames; above it, the square root of
+    the largest eigenvalue of the Gram pencil (_pencil_norm), solved per
+    component by a dense symmetric eigensolver.  No iterative solver,
+    so a value repeats bit for bit.  The truncated value never exceeds
+    the untruncated operator norm.
     """
     space = A.space
     if src_level_max is None:
         src_level_max = max(space.depth - max(A.peak, 0), 0)
-    mat = _assemble(A, src_level_max)
-    if mat.nnz == 0:
-        return 0.0
-    if max(mat.shape) <= NORM_DENSE_LIMIT:
-        return float(np.linalg.norm(mat.toarray(), 2))
-    return _sparse_norm(mat)
-
-
-def _sparse_norm(mat) -> float:
-    """Largest singular value of a sparse matrix by ARPACK: the steps of
-    scipy's svds(mat, k=1) with every random draw seeded.
-
-    Left to itself ARPACK takes each vector it draws from fresh OS
-    entropy, so the value moved in its last bits from call to call: svds
-    fixes only the start vector (a positive one, which converged faster
-    than a normal one on the boundedness scans), and its eigsh draws a
-    fresh vector when a Lanczos run breaks down, as it does on the
-    depth-12 creation letter."""
-    import scipy.linalg as la
-    import scipy.sparse.linalg as spla
-
-    A = spla.aslinearoperator(mat)
-    X, XH = (A, A.H) if mat.shape[0] >= mat.shape[1] else (A.H, A)
-    n = min(mat.shape)
-    gram = spla.LinearOperator(
-        shape=(n, n), dtype=mat.dtype,
-        matvec=lambda x: XH.matvec(X.matvec(x)))
-    v0 = np.random.default_rng(0).uniform(size=n)
-    _, vec = spla.eigsh(gram, k=1, v0=v0, rng=0)
-    vec, _ = np.linalg.qr(vec)
-    s = la.svd(X.matmat(vec), compute_uv=False, overwrite_a=True)
-    return float(s.max())
+    window = Window(space, src_level_max)
+    images = {src: _images(A, src) for src in window.blocks}
+    if max(_target_offsets(space, images)[1], window.width) \
+            <= NORM_DENSE_LIMIT:
+        return float(np.linalg.norm(_assemble(A, window, images), 2))
+    return _pencil_norm(space, images)
 
 
 def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
@@ -785,32 +849,13 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
-    # union-find over blocks connected by nonzero action entries
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     images = {sig: _orthonormal_images(A, sig)
               for sig in Window(space, src_level_max).blocks}
-    for sig, blocks in images.items():
-        find(sig)
-        for tgt, _ in blocks:
-            union(sig, tgt)
-    groups: dict = {}
-    for sig in images:
-        groups.setdefault(find(sig), []).append(sig)
+    # blocks connected by nonzero action entries
+    groups = _components(images, [(sig, tgt) for sig, blocks in images.items()
+                                  for tgt, _ in blocks])
     smallest = np.inf
-    for root, sigs in groups.items():
+    for sigs in groups:
         tgts = set()
         for sig in sigs:
             tgts.update(tgt for tgt, _ in images[sig])
@@ -818,8 +863,8 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
         row_off, nrow = _offsets(space, sorted(tgts | set(sigs)))
         if max(nrow, ncol) > SINGULAR_DENSE_LIMIT:
             raise ValueError(
-                f"component around {root} is {nrow}x{ncol}, too large for a "
-                f"dense smallest-singular-value computation"
+                f"component around {sigs[0]} is {nrow}x{ncol}, too large "
+                f"for a dense smallest-singular-value computation"
             )
         dense = np.zeros((nrow, ncol))
         for sig in sigs:

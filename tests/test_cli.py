@@ -3,6 +3,7 @@ determinism, report layout, dump formats."""
 
 import argparse
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -69,6 +70,26 @@ def test_tail_budget_guard_boundary():
     bad = replace(RunConfig(), lam_grid=(0.95,), depth=14)
     with pytest.raises(ConfigError, match="tail budget"):
         cli.validate_config(bad)
+
+
+def test_block_scalar_range_guard_boundary(tmp_path, capsys):
+    # at depth 6 the edge is lambda = 2^(-958/3), about 7.4e-97; beyond
+    # it the sweep's products overflowed (lambda = 1e-200 gave an error
+    # row after RuntimeWarnings), inside it a sweep runs cleanly
+    edge = 2.0 ** (-cli.SCALE_EXPONENT_MAX / 3.0)
+    argv = ["sweep", "--q", "0.3", "--depth", "6", "--out", str(tmp_path)]
+    for lam in (1e-200, edge * 0.99):
+        assert cli.main(argv + ["--lambda", repr(lam)]) == 2
+        assert "block scalars" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv + ["--lambda", repr(edge * 1.01)]) == 0
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[2]
+    assert row.split(",")[8] == "ok"
+    # at depth 14 the edge is about 6.3e-42
+    cli.validate_config(replace(RunConfig(), lam_grid=(1e-30,), depth=14))
+    with pytest.raises(ConfigError, match="block scalars"):
+        cli.validate_config(replace(RunConfig(), lam_grid=(1e-60,), depth=14))
 
 
 def test_terms_validated_only_where_read():

@@ -364,6 +364,20 @@ def test_boundedness_scans(kind, kw, boundedness_scan):
             assert rep.details["m"] == kw["m"]
 
 
+def test_scan_values_sit_clear_of_their_bounds(boundedness_scan):
+    """On the two depth-12 spaces of verify's scans, every creation, wen
+    and weew value is at least 1e-9 relative below its bound, so the
+    scans' hinge gaps read 0.0 whatever op_norm's last bits are."""
+    for q, lam in ((0.3, 0.4), (-0.5, 0.3)):
+        rep = boundedness_scan(q, lam, "creation_powers")
+        for _, v in rep.values:
+            assert max(v["letter"], v["conjugate"]) \
+                <= rep.details["bound"] * (1.0 - 1e-9)
+        for kind in ("wen_powers", "weew_powers"):
+            for _, v in boundedness_scan(q, lam, kind).values:
+                assert v["value"] <= v["bound"] * (1.0 - 1e-9)
+
+
 def test_boundedness_scan_rejects_unknown_kind(sp_can):
     with pytest.raises(ValueError):
         limits.boundedness_scan(sp_can, "no_such_scan")

@@ -226,17 +226,17 @@ def test_creation_norm_bounded(sp):
 
 
 def test_op_norm_same_value_every_call(shared_space):
-    # a 4096 x 127 matrix takes the ARPACK path, and its flat q = 0
-    # spectrum makes the last bits depend on the start vector
+    # a 4096 x 127 matrix takes the Gram pencil; its flat q = 0 spectrum
+    # made ARPACK's last bits depend on the start vector
     sp0 = shared_space(0.0, 0.3, 12)
     A = ops.creation_letter(sp0, E).power(6)
     assert len({ops.op_norm(A, src_level_max=6) for _ in range(10)}) == 1
 
 
-@pytest.mark.parametrize("level_max", [5, 11], ids=["dense", "arpack"])
+@pytest.mark.parametrize("level_max", [5, 11], ids=["dense", "pencil"])
 def test_op_norm_of_zero_operator(shared_space, level_max):
-    # window 11 at depth 12 is 8178 x 4095, the ARPACK path; ARPACK
-    # itself stops with error -9 on a matrix whose entries are all zero
+    # window 11 at depth 12 is 8178 x 4095, the Gram-pencil path, where
+    # a zero operator gives a zero pencil
     ce = ops.creation_letter(shared_space(0.3, 0.4, 12), E)
     for A in (0.0 * ce, ce - ce):
         assert ops.op_norm(A, src_level_max=level_max) == 0.0

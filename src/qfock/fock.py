@@ -226,10 +226,10 @@ class _UnitGramCache:
     small-integer array with their sorted base-L codes, the unit Gram (all letter
     lengths set to 1), its lower Cholesky factor, checked finite once
     so that solves against it skip the check, a condition estimate,
-    and per removed letter and side the unit annihilation transfer as
-    its nonzero entries (shape, flat indices, values), which
-    transfer_matrix scatters into a fresh array for the Gram recursion
-    and the annihilation operators.  No dense transfer is stored.
+    and per removed letter the unit annihilation transfer as its
+    nonzero entries (shape, flat indices, values), which transfer_matrix
+    scatters into a fresh array for the Gram recursion and the
+    annihilation letters.  No dense transfer is stored.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -295,39 +295,34 @@ class _UnitGramCache:
             raise KeyError(f"word {missing} is not in block {sig}")
         return rows
 
-    def transfer_matrix(self, sig, ell: int, side: str = "left",
-                        scale: float = 1.0) -> np.ndarray:
-        """Unit annihilation transfer for removing letter ell from the
-        block, times scale, as a fresh array: rows index the reduced
-        block, columns the source block, entry the sum over positions i
-        (0-based, word length n) holding ell whose removal yields the
-        row word, of q^i for removal from the left and of q^(n-1-i) for
-        removal from the right.
+    def transfer_matrix(self, sig, ell: int, scale: float = 1.0) -> np.ndarray:
+        """Unit left annihilation transfer for removing letter ell from
+        the block, times scale, as a fresh array: rows index the reduced
+        block, columns the source block, entry the sum of q^i over the
+        positions i (0-based) holding ell whose removal yields the row
+        word.
 
         Built one position at a time over the block's word array, so
         every entry receives its terms in increasing i, as a loop over
         each word's positions adds them; q^i is the running product
         1.0 * q * ... * q.  The cache keeps only the nonzero entries
-        (at most n per column) and each call scatters scale times them
-        into zeros, which is scale * T bit for bit for a positive scale:
-        every zero stays +0.0.
+        (at most n per column of n-letter words) and each call scatters
+        scale times them into zeros, which is scale * T bit for bit for
+        a positive scale: every zero stays +0.0.
         """
-        key = (sig, ell, side)
+        key = (sig, ell)
         if key not in self.transfer:
             if sig[ell] == 0:
                 raise KeyError(f"block {sig} holds no letter {ell}")
             src = self.word_array(sig)
             red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
             T = np.zeros((len(self.block_words(red_sig)), len(src)))
-            q = self.q
-            n = sum(sig)
-            left = side == "left"
             qp = 1.0
-            for i in range(n):
+            for i in range(sum(sig)):
                 cols = np.flatnonzero(src[:, i] == ell)
                 rows = self.rows_of(red_sig, np.delete(src[cols], i, axis=1))
-                T[rows, cols] += qp if left else q ** (n - 1 - i)
-                qp *= q
+                T[rows, cols] += qp
+                qp *= self.q
             nz = np.flatnonzero(T)
             self.transfer[key] = (T.shape, nz, T.flat[nz])
         shape, nz, vals = self.transfer[key]
@@ -505,10 +500,10 @@ class FockSpace:
         self._unit.chol(sig)
         return self._unit.cond[sig]
 
-    def annihilation_transfer(self, sig, ell: int, side: str = "left") -> np.ndarray:
-        """Block matrix of the left or right annihilation of letter ell
-        on the block: includes the letter's squared length."""
-        return self._unit.transfer_matrix(tuple(sig), ell, side, self.u[ell])
+    def annihilation_transfer(self, sig, ell: int) -> np.ndarray:
+        """Block matrix of the (left) annihilation of letter ell on the
+        block: includes the letter's squared length."""
+        return self._unit.transfer_matrix(tuple(sig), ell, self.u[ell])
 
     def gram_bruteforce(self, sig) -> np.ndarray:
         """Permutation-sum Gram of a block; independent oracle path,

@@ -412,25 +412,25 @@ def right_creation_letter(space: FockSpace, ell: int) -> FockOperator:
     return out
 
 
-def _annihilation_letter(space: FockSpace, ell: int, side: str) -> FockOperator:
+def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
+    """Left annihilation: the block's annihilation transfer."""
     def act(sig):
         if sig[ell] == 0:
             return {}
-        tgt = _sig_add(sig, ell, -1)
-        return {tgt: space.annihilation_transfer(sig, ell, side)}
+        return {_sig_add(sig, ell, -1): space.annihilation_transfer(sig, ell)}
 
-    tag = "c" if side == "left" else "cr"
-    return FockOperator(
-        space, act, reach=-1, label=f"{tag}({space.letter_name(ell)})*"
-    )
-
-
-def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
-    return _annihilation_letter(space, ell, "left")
+    return FockOperator(space, act, reach=-1,
+                        label=f"c({space.letter_name(ell)})*")
 
 
 def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
-    return _annihilation_letter(space, ell, "right")
+    """Right annihilation, F a F = (F c F)*: F is unitary for the form,
+    and each product with it is a gather, so every block is the left
+    block with its rows and columns permuted."""
+    F = flip_unitary(space)
+    out = memoized(F @ annihilation_letter(space, ell) @ F)
+    out.label = f"cr({space.letter_name(ell)})*"
+    return out
 
 
 def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:

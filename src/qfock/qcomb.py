@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "bound_constants",
     "inversions",
     "crossings",
-    "subset_crossing_sum",
     "wick_coefficients",
     "pair_partition_moment",
     "ENUMERATION_CAP",
@@ -93,16 +91,11 @@ def q_binomial(n: int, k: int, q: float) -> float:
 @dataclass
 class DFamily:
     """Partial products d_j = prod_{i<=j}(1 - q^i), their limit, and
-    the reciprocals c_j = 1/d_j.
-
-    d_inf_tail bounds the relative error of the truncated infinite
-    product: the true limit lies within d_inf * (1 +/- d_inf_tail).
-    """
+    the reciprocals c_j = 1/d_j."""
 
     q: float
     d: list[float]
     d_inf: float
-    d_inf_tail: float
     c: list[float] = field(init=False)
 
     def __post_init__(self):
@@ -112,9 +105,7 @@ class DFamily:
 def d_family(q: float, j_max: int) -> DFamily:
     """Compute d_0..d_{j_max} and the truncated limit d_inf.
 
-    The limit product is cut off once |q|^i < _PRODUCT_TOL; the reported
-    tail is sum_{i>I} |q|^i / (1-|q|) exponentiated, a rigorous
-    multiplicative error bound for the dropped factors.
+    The limit product is cut off once |q|^i < _PRODUCT_TOL.
     """
     _check_q(q)
     if j_max < 0:
@@ -125,22 +116,17 @@ def d_family(q: float, j_max: int) -> DFamily:
         p *= q
         ds.append(ds[-1] * (1.0 - p))
     if q == 0.0:
-        return DFamily(q=q, d=ds, d_inf=1.0, d_inf_tail=0.0)
+        return DFamily(q=q, d=ds, d_inf=1.0)
     # extend the product until the dropped factors are below _PRODUCT_TOL
     aq = abs(q)
     d_inf = ds[-1]
     p_abs = aq**j_max
     p_signed = q**j_max
-    i = j_max
     while p_abs >= _PRODUCT_TOL:
         p_abs *= aq
         p_signed *= q
-        i += 1
         d_inf *= 1.0 - p_signed
-    # remaining factors prod_{i>I}(1-q^i): |log| <= sum |q|^i/(1-|q|)
-    log_tail = p_abs * aq / ((1.0 - aq) * (1.0 - aq))
-    tail = math.expm1(log_tail)
-    return DFamily(q=q, d=ds, d_inf=d_inf, d_inf_tail=tail)
+    return DFamily(q=q, d=ds, d_inf=d_inf)
 
 
 @dataclass
@@ -155,31 +141,25 @@ class BoundConstants:
     q: float
     c_q: float
     d_sup: float
-    d_sup_argmax: int
 
 
 def bound_constants(q: float) -> BoundConstants:
     _check_q(q)
     aq = abs(q)
     if aq == 0.0:
-        return BoundConstants(q=q, c_q=1.0, d_sup=1.0, d_sup_argmax=0)
+        return BoundConstants(q=q, c_q=1.0, d_sup=1.0)
     c_q = 1.0 / d_family(aq, 0).d_inf
     # scan the signed partial products until the factors are within
     # _PRODUCT_TOL of 1; beyond that point d_j is monotone within the tail
     # bound, so the running max is the sup.
     sup = 1.0
-    arg = 0
     dj = 1.0
     p = 1.0
-    j = 0
     while abs(p) >= _PRODUCT_TOL:
         p *= q
-        j += 1
         dj *= 1.0 - p
-        if dj > sup:
-            sup = dj
-            arg = j
-    return BoundConstants(q=q, c_q=c_q, d_sup=sup, d_sup_argmax=arg)
+        sup = max(sup, dj)
+    return BoundConstants(q=q, c_q=c_q, d_sup=sup)
 
 
 def inversions(perm) -> int:
@@ -199,22 +179,6 @@ def crossings(n: int, subset) -> int:
             raise ValueError(f"subset element {j} outside 1..{n}")
     comp = [k for k in range(1, n + 1) if k not in J]
     return sum(j > k for j in J for k in comp)
-
-
-def subset_crossing_sum(n: int, k: int, q: float) -> float:
-    """sum over J subset of {1..n}, |J| = k, of q^c(J, J^c).
-
-    Brute-force subset enumeration; agrees with q_binomial(n, k, q),
-    which is the checked route used by the closed-form coefficients.
-    """
-    _check_q(q)
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"subset enumeration for n={n} exceeds cap {ENUMERATION_CAP}")
-    total = 0.0
-    for J in itertools.combinations(range(1, n + 1), k):
-        total += q ** crossings(n, J)
-    return total
 
 
 def wick_coefficients(n: int, q: float, cap: int = ENUMERATION_CAP):

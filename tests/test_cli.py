@@ -7,7 +7,6 @@ import warnings
 from dataclasses import replace
 
 import pytest
-from scipy.sparse.linalg import ArpackError
 
 from qfock import checks, cli, limits, ops
 from qfock.cli import ConfigError, RunConfig
@@ -411,12 +410,9 @@ def test_grid_records_on_empty_grid(monkeypatch):
         assert (r.gap, r.note, r.passed) == (0.0, "empty grid", True)
 
 
-@pytest.mark.parametrize("error", [ArpackError(3), ValueError("synthetic")],
-                         ids=["ArpackError", "ValueError"])
-def test_verify_records_crash_at_grid_point(tmp_path, capsys, monkeypatch,
-                                            error):
+def test_verify_records_crash_at_grid_point(tmp_path, capsys, monkeypatch):
     def op_norm(A, src_level_max=None):
-        raise error
+        raise ValueError("synthetic")
 
     monkeypatch.setattr(ops, "op_norm", op_norm)
     _only(monkeypatch, lambda c: c.over)
@@ -426,8 +422,7 @@ def test_verify_records_crash_at_grid_point(tmp_path, capsys, monkeypatch,
     report = json.loads((tmp_path / "report.json").read_text())
     failed = {c["name"]: c["note"] for c in report["checks"]
               if not c["passed"]}
-    assert failed == {"ops/creation-norm-bound":
-                      f"{type(error).__name__}: {error}"}
+    assert failed == {"ops/creation-norm-bound": "ValueError: synthetic"}
     assert report["summary"]["total"] == 14
     assert "first failing check: ops/creation-norm-bound" \
         in capsys.readouterr().err

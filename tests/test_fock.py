@@ -203,15 +203,14 @@ def test_cross_signature_orthogonality(sp):
 
 def _gram_data(space, level_max):
     """Every Gram reading of the blocks up to level_max: gram, Cholesky
-    factor, condition estimate and both annihilation transfers."""
+    factor, condition estimate and annihilation transfers."""
     out = {}
     for level in range(level_max + 1):
         for sig in space.blocks_at_level(level):
             out[sig] = [space.gram(sig), space.gram_chol(sig),
                         np.array(space.gram_cond(sig))]
-            out[sig] += [space.annihilation_transfer(sig, ell, side)
-                         for ell in range(space.n_letters) if sig[ell]
-                         for side in ("left", "right")]
+            out[sig] += [space.annihilation_transfer(sig, ell)
+                         for ell in range(space.n_letters) if sig[ell]]
     return out
 
 

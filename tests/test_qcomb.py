@@ -22,7 +22,6 @@ from qfock.qcomb import (
     q_binomial,
     q_factorial,
     q_int,
-    subset_crossing_sum,
     wick_coefficients,
 )
 
@@ -132,6 +131,13 @@ def test_crossings_hand_value():
     assert crossings(4, (3, 4)) == 4
     assert crossings(3, ()) == 0
     assert crossings(2, (1, 2)) == 0
+
+
+def subset_crossing_sum(n: int, k: int, q: float) -> float:
+    """sum over J subset of {1..n}, |J| = k, of q^c(J, J^c), by
+    enumerating the subsets: the oracle of the deformed binomial."""
+    return sum(q ** crossings(n, J)
+               for J in itertools.combinations(range(1, n + 1), k))
 
 
 def test_subset_crossing_sum_binomial_identity():
@@ -303,5 +309,3 @@ def test_enumeration_caps_raise():
         pair_partition_moment(-2, 0.3)
     with pytest.raises(ValueError):
         wick_coefficients(ENUMERATION_CAP + 1, 0.3)
-    with pytest.raises(ValueError):
-        subset_crossing_sum(ENUMERATION_CAP + 5, 2, 0.3)

@@ -3,9 +3,12 @@ and the operator chains against hand-written constructions kept here as
 oracles: one loop per operator, each writing its 0/1 (or block-scalar)
 entries word by word, one transfer loop per side, and chains composed
 block by block with the plain dense product, so the gathers of
-FockOperator.__matmul__ are held to the GEMM they replace."""
+FockOperator.__matmul__ are held to the GEMM they replace.  The library
+builds the right annihilation letters as F a F; the right transfer loop
+stays here as their independent oracle."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -185,10 +188,34 @@ def test_unit_transfers_bit_identical(sp):
         for ell in range(sp.n_letters):
             if sig[ell] == 0:
                 continue
-            for side, oracle in (("left", _transfer_oracle),
-                                 ("right", _right_transfer_oracle)):
-                assert np.array_equal(unit.transfer_matrix(sig, ell, side),
-                                      oracle(sp, sig, ell)), (sig, side)
+            assert np.array_equal(unit.transfer_matrix(sig, ell),
+                                  _transfer_oracle(sp, sig, ell)), sig
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.25, 0.5, 0.3, -0.7, 0.9])
+def test_right_annihilation_matches_right_transfer_oracle(q):
+    """F a F against the hand-written right transfer (weights q^(n-1-i)
+    by position): byte for byte where q is a power of two, so every
+    weight and sum is exact, and elsewhere within 2 eps of each block's
+    largest entry, the rounding of the two summation orders."""
+    space = build_space(q=q, lam=0.4, depth=LEVEL_MAX + 1, aux_letters=1)
+    exact = math.frexp(abs(q))[0] == 0.5
+    eps = np.finfo(float).eps
+    for ell in range(space.n_letters):
+        op = ops.right_annihilation_letter(space, ell)
+        for sig in _blocks(space):
+            got = op.action(sig)
+            if sig[ell] == 0:
+                assert got == {}, sig
+                continue
+            (tgt, M), = got.items()
+            want = space.u[ell] * _right_transfer_oracle(space, sig, ell)
+            assert tgt == _sig_add(sig, ell, -1)
+            assert M.shape == want.shape and M.flags.c_contiguous, sig
+            if exact:
+                assert M.tobytes() == want.tobytes(), sig
+            else:
+                assert np.abs(M - want).max() <= 2 * eps * np.abs(want).max(), sig
 
 
 def test_unit_transfers_kept_as_entries_and_returned_fresh(sp):
@@ -201,21 +228,19 @@ def test_unit_transfers_kept_as_entries_and_returned_fresh(sp):
         for ell in range(sp.n_letters):
             if sig[ell] == 0:
                 continue
-            for side, oracle in (("left", _transfer_oracle),
-                                 ("right", _right_transfer_oracle)):
-                want = oracle(sp, sig, ell)
-                unit.transfer_matrix(sig, ell, side)[:] = np.nan
-                got = unit.transfer_matrix(sig, ell, side)
-                assert got.tobytes() == want.tobytes(), (sig, side)
-                ann = sp.annihilation_transfer(sig, ell, side)
-                assert ann.shape == want.shape
-                assert ann.tobytes() == (sp.u[ell] * want).tobytes()
+            want = _transfer_oracle(sp, sig, ell)
+            unit.transfer_matrix(sig, ell)[:] = np.nan
+            got = unit.transfer_matrix(sig, ell)
+            assert got.tobytes() == want.tobytes(), sig
+            ann = sp.annihilation_transfer(sig, ell)
+            assert ann.shape == want.shape
+            assert ann.tobytes() == (sp.u[ell] * want).tobytes()
     assert unit.transfer
-    for (sig, ell, side), stored in unit.transfer.items():
+    for (sig, ell), stored in unit.transfer.items():
         bound = sum(sig) * len(unit.block_words(sig))
         arrays = [part for part in stored if isinstance(part, np.ndarray)]
         assert arrays and all(a.ndim == 1 and a.size <= bound
-                              for a in arrays), (sig, ell, side)
+                              for a in arrays), (sig, ell)
 
 
 def _dense_compose(A_actions, B_actions, antilinear=False):
@@ -266,13 +291,18 @@ def _rcre(space, ell):
     return lambda sig: _right_creation_oracle(space, ell, sig)
 
 
-def _ann(space, ell, side="left"):
+def _ann(space, ell):
     def act(sig):
         if sig[ell] == 0:
             return {}
-        return {_sig_add(sig, ell, -1):
-                space.annihilation_transfer(sig, ell, side)}
+        return {_sig_add(sig, ell, -1): space.annihilation_transfer(sig, ell)}
     return act
+
+
+def _rann(space, ell):
+    """flip @ a @ flip, composed densely."""
+    flip = lambda sig: _flip_oracle(space, sig)
+    return _dense_compose(_dense_compose(flip, _ann(space, ell)), flip)
 
 
 def _wick_oracle(space, word):
@@ -298,7 +328,7 @@ def _wick_right_oracle(space, word):
         for p in compP:
             scale *= space.aeig[word[p - 1]]
         chain = [_rcre(space, word[p - 1]) for p in reversed(P)] + [
-            _ann(space, ops.conjugate_letter(word[p - 1]), "right")
+            _rann(space, ops.conjugate_letter(word[p - 1]))
             for p in reversed(compP)]
         terms.append((weight * scale, _dense_chain(space, chain)))
     return _dense_sum(terms)
@@ -402,12 +432,14 @@ def test_word_codes_refuse_overflow(sp):
 
 
 def test_index_operators_freed_without_cycle_collector(sp):
-    """An index operator holds no reference back to itself, so its block
-    caches go with its last user, not at the next cyclic collection."""
+    """An index operator, and F a F built from them, holds no reference
+    back to itself, so its block caches go with its last user, not at
+    the next cyclic collection."""
     builders = (lambda: ops.creation_letter(sp, E),
                 lambda: ops.identity(sp),
                 lambda: ops.memoized(ops.creation_letter(sp, E)
-                                     @ ops.flip_unitary(sp)))
+                                     @ ops.flip_unitary(sp)),
+                lambda: ops.right_annihilation_letter(sp, E))
     gc.disable()
     try:
         for build in builders:
@@ -437,7 +469,7 @@ def _factor(space, kind, ell, power, scalar):
         op, oracle = ops.annihilation_letter(space, ell), _ann(space, ell)
     elif kind == "ar":
         op = ops.right_annihilation_letter(space, ell)
-        oracle = _ann(space, ell, "right")
+        oracle = _rann(space, ell)
     elif kind == "flip":
         op = ops.flip_unitary(space)
         oracle = lambda sig: _flip_oracle(space, sig)

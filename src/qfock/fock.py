@@ -16,7 +16,11 @@ last such space.  They are built by a level recursion through
 annihilation transfer matrices, with a brute-force permutation sum kept
 as an independent test oracle for small levels.  A transfer has at most
 n nonzero entries in a column of n-letter words, and the cache keeps
-only those; every reader gets a fresh dense copy.
+only those; every reader gets a fresh dense copy.  A block's words
+follow the same recursion: its word array stacks, for each letter in
+increasing order, that letter in front of the reduced block's array,
+which is lexicographic order and the row order of the Gram blocks.
+Words are looked up by their base-L codes.
 """
 
 from __future__ import annotations
@@ -151,29 +155,11 @@ def signature_of(word, n_letters: int):
     return tuple(sig)
 
 
-def _multiset_words(sig):
-    """All words with the given letter counts, lexicographic order."""
-    total = sum(sig)
-    if total == 0:
-        return [()]
-    out = []
-    counts = list(sig)
-    word = []
-
-    def rec():
-        if len(word) == total:
-            out.append(tuple(word))
-            return
-        for ell in range(len(counts)):
-            if counts[ell]:
-                counts[ell] -= 1
-                word.append(ell)
-                rec()
-                word.pop()
-                counts[ell] += 1
-
-    rec()
-    return out
+def _sig_add(sig, ell: int, delta: int = 1):
+    """The signature with delta more copies of letter ell."""
+    out = list(sig)
+    out[ell] += delta
+    return tuple(out)
 
 
 def _compositions(total: int, parts: int):
@@ -222,50 +208,57 @@ class _UnitGramCache:
     """q-dependent, lambda-free part of the Gram data, shared by every
     space at one (q, letter count) whatever its lambda and depth.
 
-    Per block (level, signature): the word list, the same words as a
-    small-integer array with their sorted base-L codes, the unit Gram (all letter
-    lengths set to 1), its lower Cholesky factor, checked finite once
-    so that solves against it skip the check, a condition estimate,
-    and per removed letter the unit annihilation transfer as its
-    nonzero entries (shape, flat indices, values), which transfer_matrix
-    scatters into a fresh array for the Gram recursion and the
-    annihilation letters.  No dense transfer is stored.
+    Per block (level, signature): one word table, the words as a
+    small-integer array in lexicographic order with their sorted base-L
+    codes (words are looked up by code only; the tuples that vectors
+    and dumps need are read off the array when first asked for), the
+    unit Gram (all letter lengths set to 1), its lower Cholesky factor,
+    checked finite once so that solves against it skip the check, a
+    condition estimate, and per removed letter the unit annihilation
+    transfer as its nonzero entries (shape, flat indices, values),
+    which transfer_matrix scatters into a fresh array for the Gram
+    recursion and the annihilation letters.  No dense transfer is
+    stored.
     """
 
     def __init__(self, q: float, n_letters: int):
         self.q = q
         self.n_letters = n_letters
-        self.words: dict = {}
-        self.index: dict = {}
         self.arrays: dict = {}
         self.codes: dict = {}
+        self.words: dict = {}
         self.gram_unit: dict = {}
         self.chol_unit: dict = {}
         self.cond: dict = {}
         self.transfer: dict = {}
 
-    def block_words(self, sig):
-        if sig not in self.words:
-            ws = _multiset_words(sig)
-            self.words[sig] = ws
-            self.index[sig] = {w: i for i, w in enumerate(ws)}
-        return self.words[sig]
-
-    def word_index(self, word):
-        sig = signature_of(word, self.n_letters)
-        self.block_words(sig)
-        return self.index[sig][word]
-
     def word_array(self, sig):
-        """The block's words as an array of the smallest signed integer
-        type that holds every letter (int8 up to 128 letters), one word
-        per row, in block_words order."""
+        """The block's words in lexicographic order as an array of the
+        smallest signed integer type that holds every letter (int8 up to
+        128 letters), one word per row.  Built by the recursion of the
+        Gram blocks: for each letter ell in the block, in increasing
+        order, the column ell next to the array of the block without
+        one ell."""
         if sig not in self.arrays:
-            ws = self.block_words(sig)
-            self.arrays[sig] = np.array(
-                ws, dtype=np.min_scalar_type(-self.n_letters)).reshape(
-                len(ws), sum(sig))
+            dtype = np.min_scalar_type(-self.n_letters)
+            if sum(sig) == 0:
+                W = np.zeros((1, 0), dtype)
+            else:
+                parts = []
+                for ell in range(self.n_letters):
+                    if sig[ell]:
+                        R = self.word_array(_sig_add(sig, ell, -1))
+                        parts.append(np.hstack(
+                            (np.full((len(R), 1), ell, dtype), R)))
+                W = np.vstack(parts)
+            self.arrays[sig] = W
         return self.arrays[sig]
+
+    def block_words(self, sig):
+        """The rows of word_array(sig) as tuples, built on first use."""
+        if sig not in self.words:
+            self.words[sig] = [tuple(w) for w in self.word_array(sig).tolist()]
+        return self.words[sig]
 
     def _word_codes(self, W: np.ndarray) -> np.ndarray:
         """Base-L code of each row of W, first letter most significant;
@@ -315,8 +308,8 @@ class _UnitGramCache:
             if sig[ell] == 0:
                 raise KeyError(f"block {sig} holds no letter {ell}")
             src = self.word_array(sig)
-            red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
-            T = np.zeros((len(self.block_words(red_sig)), len(src)))
+            red_sig = _sig_add(sig, ell, -1)
+            T = np.zeros((len(self.word_array(red_sig)), len(src)))
             qp = 1.0
             for i in range(sum(sig)):
                 cols = np.flatnonzero(src[:, i] == ell)
@@ -333,22 +326,20 @@ class _UnitGramCache:
     def gram(self, sig):
         if sig in self.gram_unit:
             return self.gram_unit[sig]
-        words = self.block_words(sig)
-        n = sum(sig)
-        if n == 0:
+        m = len(self.word_array(sig))
+        if sum(sig) == 0:
             G = np.ones((1, 1))
         else:
             rows = []
             for ell in range(self.n_letters):
                 if sig[ell] == 0:
                     continue
-                red_sig = tuple(c - (i == ell) for i, c in enumerate(sig))
-                G_red = self.gram(red_sig)
+                G_red = self.gram(_sig_add(sig, ell, -1))
                 rows.append(G_red @ self.transfer_matrix(sig, ell))
             G = np.vstack(rows)
-            # lexicographic word order lists first letters in increasing
-            # order, so the stacked rows already align with `words`
-            assert G.shape == (len(words), len(words))
+            # word_array stacks its rows over the first letter in the
+            # same increasing order, so the stacked rows align with it
+            assert G.shape == (m, m)
             G = 0.5 * (G + G.T)
         self.gram_unit[sig] = G
         return G
@@ -434,10 +425,12 @@ class FockSpace:
         return self._unit.block_words(tuple(sig))
 
     def word_index(self, word) -> int:
-        return self._unit.word_index(tuple(word))
+        W = np.array(word, dtype=np.int64).reshape(1, len(word))
+        return int(self.rows_of(self.signature(word), W)[0])
 
     def word_array(self, sig) -> np.ndarray:
-        """block_words(sig) as an integer array, one word per row."""
+        """The block's words as an integer array, one word per row, in
+        the order of block_words and of the Gram rows."""
         return self._unit.word_array(tuple(sig))
 
     def rows_of(self, sig, W: np.ndarray) -> np.ndarray:
@@ -514,11 +507,9 @@ class FockSpace:
             raise ValueError(
                 f"brute-force Gram at level {n} exceeds cap {BRUTE_FORCE_MAX_LEVEL}"
             )
-        words = np.array(self._unit.block_words(sig), dtype=np.int64).reshape(
-            len(self._unit.block_words(sig)), n
-        )
         if n == 0:
             return np.ones((1, 1))
+        words = self.word_array(sig)
         from .qcomb import inversions
 
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
@@ -603,14 +594,14 @@ class FockVector:
         """Group into {signature: (index array, coefficient array)}."""
         grouped: dict = {}
         for w, c in self.terms.items():
-            sig = space.signature(w)
-            grouped.setdefault(sig, []).append((space.word_index(w), c))
+            grouped.setdefault(space.signature(w), []).append((w, c))
         out = {}
         for sig, pairs in grouped.items():
-            pairs.sort()
-            idx = np.array([p[0] for p in pairs], dtype=np.int64)
-            coef = np.array([p[1] for p in pairs], dtype=np.complex128)
-            out[sig] = (idx, coef)
+            W = np.array([w for w, _ in pairs], dtype=np.int64)
+            idx = space.rows_of(sig, W.reshape(len(pairs), sum(sig)))
+            order = np.argsort(idx)
+            coef = np.array([c for _, c in pairs], dtype=np.complex128)
+            out[sig] = (idx[order], coef[order])
         return out
 
 

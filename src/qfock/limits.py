@@ -374,16 +374,20 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
     out = ops.FockOperator(space, act, reach=0, peak=0,
                            label=f"Sinf[{K}]")
 
-    bc = bound_constants(q)
-    if q > 0:
-        coef = bc.c_q
-    elif q < 0:
-        coef = bc.c_q ** 2 * bc.d_sup * (1.0 - q)
-    else:
-        coef = 1.0
     root = math.sqrt(lam)
-    tail = coef * root ** (K + 1) / (1.0 - root)
+    tail = _series_tail_coef(bound_constants(q)) * root ** (K + 1) \
+        / (1.0 - root)
     return TruncatedSeries(op=out, n_terms=K, tail_bound=tail)
+
+
+def _series_tail_coef(bc) -> float:
+    """C in the bound C lam^(k/2) on the k-th term of the limit series:
+    c_q for q > 0, c_q^2 d_sup (1 - q) for q < 0, 1 at q = 0."""
+    if bc.q > 0:
+        return bc.c_q
+    if bc.q < 0:
+        return bc.c_q ** 2 * bc.d_sup * (1.0 - bc.q)
+    return 1.0
 
 
 # -- invertibility certificates -----------------------------------------
@@ -462,15 +466,12 @@ def invertibility_certificate(q: float, lam: float,
     threshold = invertibility_threshold(q)
     if q > 0:
         t_inv = 1.0 / d_inf
-        v_coef = bc.c_q
     elif q < 0:
         t_inv = (1.0 - q) / d_inf
-        v_coef = bc.c_q ** 2 * bc.d_sup * (1.0 - q)
     else:
         t_inv = 1.0
-        v_coef = 1.0
     root = math.sqrt(lam)
-    v_norm_bound = v_coef * root / (1.0 - root)
+    v_norm_bound = _series_tail_coef(bc) * root / (1.0 - root)
     product = t_inv * v_norm_bound
     verdict = bool(lam < threshold)
 
@@ -524,6 +525,13 @@ def xi_norm_sq_limit(q: float, lam: float, terms: int = 400) -> float:
     return fam.d_inf ** 2 * float(np.sum(lam ** np.arange(terms + 1) / d ** 2))
 
 
+def _xi_coef(fam, lam: float, k: int) -> float:
+    """Coefficient of the pair word Ebar^k e^k in the distinguished
+    vector, d_inf (1-q)^k lam^(k/2) / d_k^2, from the caller's d family
+    (the bits of its d_inf depend on its j_max)."""
+    return fam.d_inf * (1.0 - fam.q) ** k * lam ** (k / 2.0) / fam.d[k] ** 2
+
+
 def xi_vector(space: FockSpace, n_terms: int | None = None,
               compute_residual: bool = True) -> XiVector:
     """Truncated distinguished vector: balanced conjugate/plain pair
@@ -542,11 +550,8 @@ def xi_vector(space: FockSpace, n_terms: int | None = None,
     fam = d_family(q, j_max=K)
     d = fam.d
     d_inf = fam.d_inf
-    terms = {}
-    for k in range(K + 1):
-        terms[(EBAR,) * k + (E,) * k] = (
-            d_inf * (1.0 - q) ** k * lam ** (k / 2.0) / d[k] ** 2)
-    vec = FockVector(terms)
+    vec = FockVector({(EBAR,) * k + (E,) * k: _xi_coef(fam, lam, k)
+                      for k in range(K + 1)})
     closed = d_inf ** 2 * sum(lam ** k / d[k] ** 2 for k in range(K + 1))
     bc = bound_constants(q)
     tail = d_inf * bc.c_q * lam ** ((K + 1) / 2.0) / math.sqrt(1.0 - lam)
@@ -557,14 +562,11 @@ def xi_vector(space: FockSpace, n_terms: int | None = None,
         K_res = min(K, (N - 2) // 2)
         window = 2 * (K_res - 1)
         if window >= 0:
-            wick_xi_parts = []
-            for k in range(K_res + 1):
-                coef = d_inf * (1.0 - q) ** k * lam ** (k / 2.0) / d[k] ** 2
-                wick_xi_parts.append((coef, ops.wick_balanced(space, k)))
             e_vec = FockVector.word((E,))
             acc = FockVector()
-            for coef, W in wick_xi_parts:
-                acc = acc + coef * W.apply(e_vec)
+            for k in range(K_res + 1):
+                acc = acc + _xi_coef(fam, lam, k) \
+                    * ops.wick_balanced(space, k).apply(e_vec)
             rhs = math.sqrt(lam) * (1.0 - q) \
                 * ops.wick(space, (EBAR,)).apply(acc)
             diff = (rhs - vec).truncate(window)
@@ -660,13 +662,11 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         # window coordinates of the distinguished vector
         xi_coords = np.zeros(window.width, dtype=complex)
         for k in range(L // 2 + 1):
-            coef = fam.d_inf * (1.0 - q) ** k * lam ** (k / 2.0) \
-                / fam.d[k] ** 2
             word = (EBAR,) * k + (E,) * k
             sig = space.signature(word)
             Lc = space.gram_chol(sig)
             x = np.zeros(len(Lc), dtype=complex)
-            x[space.word_index(word)] = coef
+            x[space.word_index(word)] = _xi_coef(fam, lam, k)
             offset = window.offset[sig]
             xi_coords[offset:offset + len(Lc)] += Lc.conj().T @ x
         xi_win_norm = float(np.linalg.norm(xi_coords))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, FockVector, E, EBAR
+from .fock import FockSpace, FockVector, E, EBAR, _sig_add
 from .qcomb import q_binomial, wick_coefficients, crossings, ENUMERATION_CAP
 
 __all__ = [
@@ -58,12 +58,6 @@ NORM_DENSE_LIMIT = 3000
 SINGULAR_DENSE_LIMIT = 4000
 
 
-def _sig_add(sig, ell, delta=1):
-    out = list(sig)
-    out[ell] += delta
-    return tuple(out)
-
-
 def _offsets(space: FockSpace, sigs):
     """Offsets of the given blocks, in the given order, in one stacked
     index, and the total width."""
@@ -71,7 +65,7 @@ def _offsets(space: FockSpace, sigs):
     width = 0
     for sig in sigs:
         offset[sig] = width
-        width += len(space.block_words(sig))
+        width += len(space.word_array(sig))
     return offset, width
 
 
@@ -163,7 +157,7 @@ class FockOperator:
         if ix is None:
             return {}
         tgt, rows, scale = ix
-        M = np.zeros((len(self.space.block_words(tgt)), len(rows)))
+        M = np.zeros((len(self.space.word_array(tgt)), len(rows)))
         M[rows, np.arange(len(rows))] = scale + 0.0
         return {tgt: M}
 
@@ -284,8 +278,7 @@ class FockOperator:
         for sig, (idx, coef) in vec.by_blocks(self.space).items():
             if self.antilinear:
                 coef = np.conj(coef)
-            words_src = self.space.block_words(sig)
-            x = np.zeros(len(words_src), dtype=coef.dtype)
+            x = np.zeros(len(self.space.word_array(sig)), dtype=coef.dtype)
             x[idx] = coef
             for tgt, M in self.action(sig).items():
                 y = M @ x
@@ -307,7 +300,7 @@ def _gather_rows(space: FockSpace, index, Mb: np.ndarray) -> np.ndarray:
     """Ma @ Mb for the block Ma of index = (tgt, rows, s): row rows[j]
     of the product is s times row j of Mb, every other row is zero."""
     tgt, rows, s = index
-    P = np.zeros((len(space.block_words(tgt)), Mb.shape[1]))
+    P = np.zeros((len(space.word_array(tgt)), Mb.shape[1]))
     P[rows] = s * Mb
     P += 0.0
     return P
@@ -328,7 +321,7 @@ def _diagonal(space: FockSpace, label: str, factor=None) -> FockOperator:
     factor(sig) (1.0 without a factor)."""
 
     def index(sig):
-        rows = np.arange(len(space.block_words(sig)))
+        rows = np.arange(len(space.word_array(sig)))
         return sig, rows, 1.0 if factor is None else factor(sig)
 
     return FockOperator(space, None, reach=0, label=label, index_fn=index)
@@ -593,7 +586,7 @@ def wick_balanced(space: FockSpace, n: int) -> FockOperator:
     """Wick operator of (conjugate letter)^n (letter)^n via the factored
     normal-ordered coefficient matrix; (n+1)^2 monomials instead of a
     4^n splitting enumeration."""
-    coeff = wick_coefficients(n, space.q, cap=max(n, ENUMERATION_CAP))
+    coeff = wick_coefficients(n, space.q)
     ce = creation_letter(space, E)
     ceb = creation_letter(space, EBAR)
     ae = annihilation_letter(space, E)
@@ -703,7 +696,7 @@ def _orthonormal_images(A: FockOperator, src, images=None) -> list:
             out.append((tgt, _orthonormal_block(space, M, src, tgt)))
             continue
         rows, s = M
-        B = np.zeros((len(rows), len(space.block_words(tgt))), order="F")
+        B = np.zeros((len(rows), len(space.word_array(tgt))), order="F")
         B[np.arange(len(rows)), rows] = s + 0.0
         X = solve_triangular(space.gram_chol(src), B, lower=True,
                              overwrite_b=True, check_finite=False).T
@@ -804,7 +797,7 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
                     K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
                     filled.add((si, sj))
         for si, sj in filled:
-            rs, cs = (slice(offset[s], offset[s] + len(space.block_words(s)))
+            rs, cs = (slice(offset[s], offset[s] + len(space.word_array(s)))
                       for s in (si, sj))
             if si == sj:
                 # LAPACK's reduction of a symmetric block: half the flops

@@ -181,7 +181,7 @@ def crossings(n: int, subset) -> int:
     return sum(j > k for j in J for k in comp)
 
 
-def wick_coefficients(n: int, q: float, cap: int = ENUMERATION_CAP):
+def wick_coefficients(n: int, q: float):
     """Coefficient matrix of the normal-ordered expansion of the Wick
     operator of the balanced word (conjugate letter repeated n times,
     then the letter n times).
@@ -192,8 +192,6 @@ def wick_coefficients(n: int, q: float, cap: int = ENUMERATION_CAP):
     halves of the word plus the forced (n-k)*l cross-half crossings.
     """
     _check_q(q)
-    if n > cap:
-        raise ValueError(f"coefficient enumeration for n={n} exceeds cap {cap}")
     half = [q_binomial(n, k, q) for k in range(n + 1)]
     coeff = np.empty((n + 1, n + 1))
     for k in range(n + 1):

@@ -27,3 +27,63 @@ def test_package_imports_resolve():
     assert names
     missing = [n for n in names if not hasattr(qfock, n)]
     assert not missing
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _traced_layers() -> dict:
+    """spans.LAYERS, read off the source without running it."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no LAYERS")
+
+
+def test_traced_names_resolve():
+    """The benchmark's tracer wraps each name of spans.LAYERS in its
+    qfock module, and a method only where its class defines it."""
+    missing = []
+    for layer, fns in _traced_layers().items():
+        module = importlib.import_module(f"qfock.{layer}")
+        for fn in fns:
+            cls_name, _, meth = fn.rpartition(".")
+            owner = getattr(module, cls_name, None) if cls_name else module
+            if owner is None or not callable(vars(owner).get(meth)):
+                missing.append(f"{layer}.{fn}")
+    assert not missing
+    assert hasattr(importlib.import_module("qfock.fock"),
+                   "GramFactorizationError")
+
+
+def test_benchmark_session_calls_resolve():
+    """Every qfock name perfbench/child.py imports, and every attribute
+    it reads off a space or off the ops and limits modules, exists."""
+    from qfock.fock import FockSpace
+
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    owners = {"space": FockSpace,
+              "ops": importlib.import_module("qfock.ops"),
+              "limits": importlib.import_module("qfock.limits")}
+    used = set()
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("qfock."):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                used.add(alias.name)
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in owners:
+            used.add(node.attr)
+            if not hasattr(owners[node.value.id], node.attr):
+                missing.append(f"{node.value.id}.{node.attr}")
+    assert not missing
+    assert {"gram_cond", "blocks_at_level", "block_words", "gram_chol",
+            "build_space", "op_norm", "moment_check"} <= used

@@ -70,6 +70,47 @@ def test_enumeration_counts(sp):
             assert sp.signature(w) == tuple(sig)
 
 
+def _multiset_permutations(sig):
+    """Oracle: the distinct rearrangements of the block's letters,
+    sorted lexicographically."""
+    letters = [ell for ell, count in enumerate(sig) for _ in range(count)]
+    return sorted(set(itertools.permutations(letters)))
+
+
+@pytest.mark.parametrize("aux, depth", [(0, 8), (1, 8), (2, 8), (128, 2)])
+def test_word_tables_match_permutation_oracle(aux, depth):
+    space = build_space(q=0.3, lam=0.4, depth=depth, aux_letters=aux)
+    for level in range(depth + 1):
+        for sig in space.blocks_at_level(level):
+            W = space.word_array(sig)
+            assert W.shape == (len(W), level)
+            want = _multiset_permutations(sig)
+            assert [tuple(w) for w in W.tolist()] == want
+            assert space.block_words(sig) == want
+
+
+def test_word_index_round_trips():
+    space = build_space(q=-0.5, lam=0.4, depth=6, aux_letters=1)
+    for level in range(space.depth + 1):
+        for sig in space.blocks_at_level(level):
+            for i, w in enumerate(space.block_words(sig)):
+                assert space.word_index(w) == i
+
+
+def test_by_blocks_sorts_rows_and_keeps_coefficients(sp):
+    rng = np.random.default_rng(11)
+    words = [w for lv in range(6) for s in sp.blocks_at_level(lv)
+             for w in sp.block_words(s)]
+    picked = [words[i] for i in rng.permutation(len(words))[:40]]
+    vec = FockVector({w: complex(*rng.standard_normal(2)) for w in picked})
+    blocks = vec.by_blocks(sp)
+    assert sum(len(idx) for idx, _ in blocks.values()) == len(picked)
+    for sig, (idx, coef) in blocks.items():
+        assert np.all(np.diff(idx) > 0)
+        words_sig = sp.block_words(sig)
+        assert [vec.terms[words_sig[i]] for i in idx] == list(coef)
+
+
 def test_letter_names_and_word_parsing(sp):
     assert sp.letter_name(E) == "e"
     assert sp.letter_name(EBAR) == "Ebar"

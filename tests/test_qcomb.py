@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qfock import qcomb
 from qfock.qcomb import (
-    ENUMERATION_CAP,
     PAIRING_CAP,
     bound_constants,
     crossings,
@@ -307,5 +306,3 @@ def test_enumeration_caps_raise():
         pair_partition_moment(18, 0.3)
     with pytest.raises(ValueError, match="moment order"):
         pair_partition_moment(-2, 0.3)
-    with pytest.raises(ValueError):
-        wick_coefficients(ENUMERATION_CAP + 1, 0.3)

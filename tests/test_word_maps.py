@@ -8,6 +8,7 @@ builds the right annihilation letters as F a F; the right transfer loop
 stays here as their independent oracle."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -402,7 +403,8 @@ def test_rows_of_finds_words_and_refuses_others(sp):
     sig = (2, 1, 1)
     W = sp.word_array(sig)
     assert W.dtype == np.int8
-    assert [tuple(w) for w in W] == sp.block_words(sig)
+    assert [tuple(w) for w in W.tolist()] == sorted(
+        set(itertools.permutations((0, 0, 1, 2))))
     assert np.array_equal(sp.rows_of(sig, W[::-1]), np.arange(len(W))[::-1])
     with pytest.raises(KeyError):
         sp.rows_of(sig, np.array([[0, 0, 0, 1]], dtype=np.int8))

@@ -325,10 +325,8 @@ def _sweep_csv(rows) -> str:
             val = row[col]
             if col == "analytic_verdict":
                 cells.append("" if val is None else str(bool(val)).lower())
-            elif col in ("depth",):
+            elif col in ("depth", "status"):
                 cells.append(str(val))
-            elif col == "status":
-                cells.append(val)
             elif col == "runtime_ms":
                 cells.append("" if val is None else f"{val:.3f}")
             else:
@@ -409,101 +407,82 @@ _DUMP_OPERATORS = {
 }
 
 
+def _dump_xi(cfg: RunConfig, sp, ns):
+    K = cfg.effective_terms()
+    xi = limits.xi_vector(sp, n_terms=K)
+    vec_payload = json.loads(vector_to_json(sp, xi.vector))
+    payload = {
+        "format": "qfock-xi-dump-1",
+        "q": sp.q, "lambda": sp.lam, "depth": sp.depth, "terms": K,
+        "norm_sq_closed_form": xi.norm_sq_closed_form,
+        "tail_bound": xi.tail_bound,
+        "fixed_point_residual": xi.fixed_point_residual,
+        "vector": vec_payload,
+    }
+    rows = [(lv["level"], term["word"], _fmt_float(term["coeff"][0]))
+            for lv in vec_payload["levels"] for term in lv["terms"]]
+    return "xi", payload, "level,word,coeff", rows
+
+
+def _dump_gram(cfg: RunConfig, sp, ns):
+    level = ns.level
+    if not (0 <= level <= sp.depth):
+        raise ConfigError(f"gram level {level} outside [0, {sp.depth}]")
+    blocks = [json.loads(gram_block_to_json(sp, sig))
+              for sig in sp.blocks_at_level(level)]
+    payload = {"format": "qfock-gram-dump-1", "q": sp.q,
+               "lambda": sp.lam, "level": level, "blocks": blocks}
+    rows = [(b, i, j, _fmt_float(val)) for b, blk in enumerate(blocks)
+            for i, rowv in enumerate(blk["matrix"])
+            for j, val in enumerate(rowv)]
+    return f"gram_level{level}", payload, "block,i,j,value", rows
+
+
+def _dump_operator(cfg: RunConfig, sp, ns):
+    maker = _DUMP_OPERATORS.get(ns.name)
+    if maker is None:
+        raise ConfigError(
+            f"unknown operator selector {ns.name!r}; "
+            f"choose from {sorted(_DUMP_OPERATORS)}")
+    A = maker(sp, ns.n)
+    src_max = min(max(0, sp.depth - max(A.peak, 0)), 4)
+    blocks = [{"source": list(src), "target": list(tgt),
+               "matrix": [[float(x) for x in row] for row in M]}
+              for (src, tgt), M in sorted(A.materialize(src_max).items())]
+    payload = {"format": "qfock-operator-dump-1", "q": sp.q,
+               "lambda": sp.lam, "name": ns.name, "n": ns.n,
+               "reach": A.reach, "peak": A.peak,
+               "source_level_max": src_max, "blocks": blocks}
+    rows = [("+".join(map(str, blk["source"])),
+             "+".join(map(str, blk["target"])), i, j, _fmt_float(val))
+            for blk in blocks for i, rowv in enumerate(blk["matrix"])
+            for j, val in enumerate(rowv)]
+    return (f"operator_{ns.name}{ns.n}", payload, "source,target,i,j,value",
+            rows)
+
+
+_DUMPERS = {"xi": _dump_xi, "gram": _dump_gram, "operator": _dump_operator}
+
+
 def cmd_dump(cfg: RunConfig, ns) -> int:
+    """Write one object: its dumper gives the file stem, the JSON payload
+    and the CSV header and rows; the CSV opens with the payload's format
+    tag."""
+    dumper = _DUMPERS.get(ns.object)
+    if dumper is None:
+        raise ConfigError(f"unknown dump object {ns.object!r}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sp = _dump_space(cfg)
-
-    if ns.object == "xi":
-        K = cfg.effective_terms()
-        xi = limits.xi_vector(sp, n_terms=K)
-        vec_payload = json.loads(vector_to_json(sp, xi.vector))
-        payload = {
-            "format": "qfock-xi-dump-1",
-            "q": sp.q, "lambda": sp.lam, "depth": sp.depth, "terms": K,
-            "norm_sq_closed_form": xi.norm_sq_closed_form,
-            "tail_bound": xi.tail_bound,
-            "fixed_point_residual": xi.fixed_point_residual,
-            "vector": vec_payload,
-        }
-        if cfg.fmt == "json":
-            path = out / "xi.json"
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n")
-        else:
-            path = out / "xi.csv"
-            lines = ["# qfock-xi-dump-1", "level,word,coeff"]
-            for lv in vec_payload["levels"]:
-                for term in lv["terms"]:
-                    lines.append(f"{lv['level']},{term['word']},"
-                                 f"{_fmt_float(term['coeff'][0])}")
-            path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
-        return 0
-
-    if ns.object == "gram":
-        level = ns.level
-        if not (0 <= level <= sp.depth):
-            raise ConfigError(f"gram level {level} outside [0, {sp.depth}]")
-        blocks = [json.loads(gram_block_to_json(sp, sig))
-                  for sig in sp.blocks_at_level(level)]
-        payload = {"format": "qfock-gram-dump-1", "q": sp.q,
-                   "lambda": sp.lam, "level": level, "blocks": blocks}
-        if cfg.fmt == "json":
-            path = out / f"gram_level{level}.json"
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n")
-        else:
-            path = out / f"gram_level{level}.csv"
-            lines = ["# qfock-gram-dump-1", "block,i,j,value"]
-            for b, blk in enumerate(blocks):
-                M = blk["matrix"]
-                for i, rowv in enumerate(M):
-                    for j, val in enumerate(rowv):
-                        lines.append(f"{b},{i},{j},{_fmt_float(val)}")
-            path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
-        return 0
-
-    if ns.object == "operator":
-        maker = _DUMP_OPERATORS.get(ns.name)
-        if maker is None:
-            raise ConfigError(
-                f"unknown operator selector {ns.name!r}; "
-                f"choose from {sorted(_DUMP_OPERATORS)}")
-        A = maker(sp, ns.n)
-        src_max = max(0, sp.depth - max(A.peak, 0))
-        src_max = min(src_max, 4)
-        mats = A.materialize(src_max)
-        blocks = []
-        for (src, tgt), M in sorted(mats.items()):
-            blocks.append({
-                "source": list(src), "target": list(tgt),
-                "matrix": [[float(x) for x in row] for row in M],
-            })
-        payload = {"format": "qfock-operator-dump-1", "q": sp.q,
-                   "lambda": sp.lam, "name": ns.name, "n": ns.n,
-                   "reach": A.reach, "peak": A.peak,
-                   "source_level_max": src_max, "blocks": blocks}
-        if cfg.fmt == "json":
-            path = out / f"operator_{ns.name}{ns.n}.json"
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n")
-        else:
-            path = out / f"operator_{ns.name}{ns.n}.csv"
-            lines = ["# qfock-operator-dump-1",
-                     "source,target,i,j,value"]
-            for blk in blocks:
-                s = "+".join(map(str, blk["source"]))
-                t = "+".join(map(str, blk["target"]))
-                for i, rowv in enumerate(blk["matrix"]):
-                    for j, val in enumerate(rowv):
-                        lines.append(f"{s},{t},{i},{j},{_fmt_float(val)}")
-            path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
-        return 0
-
-    raise ConfigError(f"unknown dump object {ns.object!r}")
+    stem, payload, header, rows = dumper(cfg, _dump_space(cfg), ns)
+    path = out / f"{stem}.{cfg.fmt}"
+    if cfg.fmt == "json":
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        lines = [f"# {payload['format']}", header]
+        lines += [",".join(map(str, row)) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {path}")
+    return 0
 
 
 # -- argument parsing ---------------------------------------------------
@@ -632,10 +611,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         if ns.command == "dump":
             return cmd_dump(cfg, ns)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, BudgetExceededError, OSError) as exc:
+    except (ConfigError, ValueError, BudgetExceededError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command dispatch")

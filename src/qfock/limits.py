@@ -165,9 +165,7 @@ def t_n_operator(space: FockSpace, n: int, ladders=None) -> ops.FockOperator:
                    ops.power_ladder(ops.creation_letter(space, E), n))
     ae_pow, ce_pow = ladders
     scale = (1.0 - space.q) ** n * space.lam ** (n / 2.0)
-    out = ops.memoized(scale * (ae_pow[n] @ ce_pow[n]))
-    out.label = f"T[{n}]"
-    return out
+    return ops.memoized(scale * (ae_pow[n] @ ce_pow[n]))
 
 
 def t_limit_check(space: FockSpace, k_max: int | None = None,
@@ -260,9 +258,7 @@ def s_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
         raise ValueError(f"series step {n} exceeds depth {space.depth}")
     ae = ops.annihilation_letter(space, E)
     scale = (1.0 - space.q) ** n * space.lam ** (n / 2.0)
-    out = scale * (ae.power(n) @ ops.wen_operator(space, n))
-    out.label = f"S[{n}]"
-    return out
+    return scale * (ae.power(n) @ ops.wen_operator(space, n))
 
 
 def s_series_identity_gap(space: FockSpace, n: int) -> float:
@@ -371,13 +367,11 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
                 acc[tgt] = acc[tgt] + add if tgt in acc else add
         return acc
 
-    out = ops.FockOperator(space, act, reach=0, peak=0,
-                           label=f"Sinf[{K}]")
-
     root = math.sqrt(lam)
     tail = _series_tail_coef(bound_constants(q)) * root ** (K + 1) \
         / (1.0 - root)
-    return TruncatedSeries(op=out, n_terms=K, tail_bound=tail)
+    return TruncatedSeries(op=ops.FockOperator(space, act, reach=0),
+                           n_terms=K, tail_bound=tail)
 
 
 def _series_tail_coef(bc) -> float:
@@ -590,10 +584,8 @@ def z_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
         raise ValueError(
             f"balanced word of size {2 * n} exceeds depth {space.depth}")
     q = space.q
-    out = (1.0 - q) ** (2 * n) * (
+    return (1.0 - q) ** (2 * n) * (
         ops.wick_right_balanced(space, n) @ ops.wick_balanced(space, n))
-    out.label = f"z[{n}]"
-    return out
 
 
 def _stacked_images(window: ops.Window, A: ops.FockOperator) -> dict:

@@ -9,9 +9,13 @@ Truncation bookkeeping: each operator carries its net maximal level
 raise (``reach``) and the maximal intermediate raise of its evaluation
 chain (``peak``).  Applied to sources of level <= depth - peak, the
 truncated action coincides with the untruncated operator; identity
-checks quantify over exactly those levels.  Annihilation-first monomials
-have peak equal to max(reach, 0), while freely composed chains
-accumulate peak additively.
+checks quantify over exactly those levels.  An operator built from its
+blocks (a letter, a word map, a deformed adjoint) declares its reach,
+and its peak is max(reach, 0); every other operator takes both from
+composition alone, and no builder overwrites them.  Products add
+reaches and chain peaks, sums take the larger of each, and scalar
+multiples keep both.  Annihilation-first monomials thus have peak
+max(reach, 0), while freely composed chains accumulate peak additively.
 """
 
 from __future__ import annotations
@@ -106,22 +110,15 @@ class FockOperator:
     """
 
     def __init__(self, space: FockSpace, action_fn, reach: int, peak: int | None = None,
-                 label: str = "", antilinear: bool = False, cache: bool = True,
-                 index_fn=None):
+                 antilinear: bool = False, cache: bool = True, index_fn=None):
         self.space = space
         self._action_fn = action_fn
         self._index_fn = index_fn
         self.reach = reach
         self.peak = max(reach, 0) if peak is None else peak
-        self.label = label
         self.antilinear = antilinear
         self._cache: dict | None = {} if cache else None
         self._index_cache: dict | None = {} if cache else None
-
-    def __repr__(self):
-        tag = "antilinear " if self.antilinear else ""
-        return (f"<{tag}FockOperator {self.label or '?'} reach={self.reach} "
-                f"peak={self.peak}>")
 
     def action(self, sig) -> dict:
         sig = tuple(sig)
@@ -212,7 +209,6 @@ class FockOperator:
             self.space, act,
             reach=self.reach + other.reach,
             peak=max(other.peak, other.reach + self.peak),
-            label=f"({self.label}@{other.label})",
             antilinear=self.antilinear != other.antilinear,
             cache=False, index_fn=index_fn,
         )
@@ -234,7 +230,6 @@ class FockOperator:
             self.space, act,
             reach=max(self.reach, other.reach),
             peak=max(self.peak, other.peak),
-            label=f"({self.label}+{other.label})",
             antilinear=self.antilinear,
             cache=False,
         )
@@ -260,8 +255,7 @@ class FockOperator:
 
         return FockOperator(
             self.space, act, reach=self.reach, peak=self.peak,
-            label=f"({scalar}*{self.label})", antilinear=self.antilinear,
-            cache=False, index_fn=index_fn,
+            antilinear=self.antilinear, cache=False, index_fn=index_fn,
         )
 
     __rmul__ = __mul__
@@ -316,7 +310,7 @@ def _gather_columns(Ma: np.ndarray, rows, s) -> np.ndarray:
     return P
 
 
-def _diagonal(space: FockSpace, label: str, factor=None) -> FockOperator:
+def _diagonal(space: FockSpace, factor=None) -> FockOperator:
     """Index operator keeping every block, times the block scalar
     factor(sig) (1.0 without a factor)."""
 
@@ -324,15 +318,15 @@ def _diagonal(space: FockSpace, label: str, factor=None) -> FockOperator:
         rows = np.arange(len(space.word_array(sig)))
         return sig, rows, 1.0 if factor is None else factor(sig)
 
-    return FockOperator(space, None, reach=0, label=label, index_fn=index)
+    return FockOperator(space, None, reach=0, index_fn=index)
 
 
 def identity(space: FockSpace) -> FockOperator:
-    return _diagonal(space, "id")
+    return _diagonal(space)
 
 
 def zero(space: FockSpace) -> FockOperator:
-    return FockOperator(space, lambda sig: {}, reach=0, label="0")
+    return FockOperator(space, lambda sig: {}, reach=0)
 
 
 def _chain(space: FockSpace, factors) -> FockOperator:
@@ -348,8 +342,7 @@ def memoized(A: FockOperator) -> FockOperator:
     """A with its block results cached; the cache lives as long as the
     returned operator."""
     return FockOperator(A.space, A._action_fn, reach=A.reach, peak=A.peak,
-                        label=A.label, antilinear=A.antilinear,
-                        index_fn=A._index_fn)
+                        antilinear=A.antilinear, index_fn=A._index_fn)
 
 
 def power_ladder(A: FockOperator, k_max: int) -> list:
@@ -366,7 +359,7 @@ def power_ladder(A: FockOperator, k_max: int) -> list:
 # -- word maps and letter operators -------------------------------------
 
 
-def _word_map(space: FockSpace, tgt_sig, word_fn, label: str, reach: int = 0,
+def _word_map(space: FockSpace, tgt_sig, word_fn, reach: int = 0,
               antilinear: bool = False) -> FockOperator:
     """Index operator sending each word w of a block sig to the one word
     word_fn(w) of block tgt_sig(sig), with scale 1.0; targets above the
@@ -384,8 +377,8 @@ def _word_map(space: FockSpace, tgt_sig, word_fn, label: str, reach: int = 0,
         rows = space.rows_of(tgt, word_fn(space.word_array(sig)))
         return tgt, rows, 1.0
 
-    return FockOperator(space, None, reach=reach, label=label,
-                        antilinear=antilinear, index_fn=index)
+    return FockOperator(space, None, reach=reach, antilinear=antilinear,
+                        index_fn=index)
 
 
 def creation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -393,16 +386,14 @@ def creation_letter(space: FockSpace, ell: int) -> FockOperator:
     return _word_map(
         space, lambda sig: _sig_add(sig, ell),
         lambda W: np.hstack((np.full((len(W), 1), ell, W.dtype), W)),
-        f"c({space.letter_name(ell)})", reach=1)
+        reach=1)
 
 
 def right_creation_letter(space: FockSpace, ell: int) -> FockOperator:
     """Right creation, F c F: appending a letter is prepending it to the
     reversed word."""
     F = flip_unitary(space)
-    out = memoized(F @ creation_letter(space, ell) @ F)
-    out.label = f"cr({space.letter_name(ell)})"
-    return out
+    return memoized(F @ creation_letter(space, ell) @ F)
 
 
 def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -412,8 +403,7 @@ def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
             return {}
         return {_sig_add(sig, ell, -1): space.annihilation_transfer(sig, ell)}
 
-    return FockOperator(space, act, reach=-1,
-                        label=f"c({space.letter_name(ell)})*")
+    return FockOperator(space, act, reach=-1)
 
 
 def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -421,20 +411,7 @@ def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
     and each product with it is a gather, so every block is the left
     block with its rows and columns permuted."""
     F = flip_unitary(space)
-    out = memoized(F @ annihilation_letter(space, ell) @ F)
-    out.label = f"cr({space.letter_name(ell)})*"
-    return out
-
-
-def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
-    if not parts:
-        return zero(space)
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    out.reach = reach
-    out.peak = peak
-    return out
+    return memoized(F @ annihilation_letter(space, ell) @ F)
 
 
 # -- simple unitaries and modular data ----------------------------------
@@ -442,7 +419,7 @@ def _op_sum(space: FockSpace, parts, reach: int, peak: int) -> FockOperator:
 
 def flip_unitary(space: FockSpace) -> FockOperator:
     """Word reversal; a self-inverse unitary of the deformed form."""
-    return _word_map(space, lambda sig: sig, lambda W: W[:, ::-1], "flip")
+    return _word_map(space, lambda sig: sig, lambda W: W[:, ::-1])
 
 
 def conjugate_letter(ell: int) -> int:
@@ -469,8 +446,7 @@ def modular_delta(space: FockSpace, power: float = 1.0) -> FockOperator:
     """Real power of the modular operator: each letter is scaled by its
     generator eigenvalue to the -power, so blocks scale by a constant."""
 
-    return _diagonal(space, f"Delta^{power}",
-                     lambda sig: _letter_power(space, sig, -power))
+    return _diagonal(space, lambda sig: _letter_power(space, sig, -power))
 
 
 @dataclass
@@ -489,18 +465,14 @@ def modular_ops(space: FockSpace) -> ModularOps:
     table = np.array([conjugate_letter(l) for l in range(space.n_letters)])
     S = _word_map(
         space, lambda sig: tuple(sig[conjugate_letter(l)] for l in range(len(sig))),
-        lambda W: table[W[:, ::-1]], "S", antilinear=True)
-    J = memoized(S @ modular_delta(space, -0.5))
-    J.label = "J"
-    return ModularOps(S=S, J=J)
+        lambda W: table[W[:, ::-1]], antilinear=True)
+    return ModularOps(S=S, J=memoized(S @ modular_delta(space, -0.5)))
 
 
 def field(space: FockSpace, ell: int) -> FockOperator:
     """Field operator of a letter, its creation plus its annihilation;
     deformed-self-adjoint."""
-    out = creation_letter(space, ell) + annihilation_letter(space, ell)
-    out.label = f"field({space.letter_name(ell)})"
-    return out
+    return creation_letter(space, ell) + annihilation_letter(space, ell)
 
 
 # -- Wick operators ------------------------------------------------------
@@ -530,9 +502,7 @@ def wick(space: FockSpace, word) -> FockOperator:
             annihilation_letter(space, conjugate_letter(word[p - 1]))
             for p in comp]
         terms.append(weight * _chain(space, created + annihilated))
-    out = _op_sum(space, terms, reach=n, peak=n)
-    out.label = f"W[{space.word_name(word)}]"
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def wick_right(space: FockSpace, word) -> FockOperator:
@@ -563,9 +533,7 @@ def wick_right(space: FockSpace, word) -> FockOperator:
                                                  conjugate_letter(word[p - 1]))
                        for p in reversed(compP)]
         terms.append((weight * scale) * _chain(space, created + annihilated))
-    out = _op_sum(space, terms, reach=n, peak=n)
-    out.label = f"Wr[{space.word_name(word)}]"
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def wen_operator(space: FockSpace, n: int) -> FockOperator:
@@ -577,9 +545,7 @@ def wen_operator(space: FockSpace, n: int) -> FockOperator:
     aeb = annihilation_letter(space, EBAR)
     terms = [q_binomial(n, k, q) * _chain(space, [ce] * (n - k) + [aeb] * k)
              for k in range(n + 1)]
-    out = _op_sum(space, terms, reach=n, peak=n)
-    out.label = f"W[e^{n}]"
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def wick_balanced(space: FockSpace, n: int) -> FockOperator:
@@ -594,9 +560,7 @@ def wick_balanced(space: FockSpace, n: int) -> FockOperator:
     terms = [coeff[k, l] * _chain(space, [ceb] * k + [ce] * l
                                   + [ae] * (n - k) + [aeb] * (n - l))
              for k in range(n + 1) for l in range(n + 1)]
-    out = _op_sum(space, terms, reach=2 * n, peak=2 * n)
-    out.label = f"W[Ebar^{n}e^{n}]"
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def wick_right_balanced(space: FockSpace, n: int) -> FockOperator:
@@ -604,11 +568,7 @@ def wick_right_balanced(space: FockSpace, n: int) -> FockOperator:
     the left one with the modular conjugation; the balanced word is fixed
     by it."""
     J = modular_ops(space).J
-    out = J @ wick_balanced(space, n) @ J
-    out.reach = 2 * n
-    out.peak = 2 * n
-    out.label = f"Wr[Ebar^{n}e^{n}]"
-    return out
+    return J @ wick_balanced(space, n) @ J
 
 
 # -- adjoints, norms, gaps -----------------------------------------------
@@ -646,10 +606,7 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
                                M.T @ G_tgt)
                 for src, M in row}
 
-    return FockOperator(
-        A.space, act, reach=reach, peak=max(reach, 0),
-        label=f"({A.label})*",
-    )
+    return FockOperator(A.space, act, reach=reach)
 
 
 def _orthonormal_block(space: FockSpace, M: np.ndarray, src_sig, tgt_sig):
@@ -869,6 +826,11 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     return float(smallest)
 
 
+def _max_abs(M: np.ndarray) -> float:
+    """Largest absolute entry of a block; 0.0 for an empty one."""
+    return np.abs(M).max() if M.size else 0.0
+
+
 def action_gap(A: FockOperator, B: FockOperator, src_level_max: int) -> float:
     """Largest relative word-coordinate discrepancy between two operators
     over all source blocks up to a level."""
@@ -878,19 +840,15 @@ def action_gap(A: FockOperator, B: FockOperator, src_level_max: int) -> float:
     for sig in Window(A.space, src_level_max).blocks:
         a = A.action(sig)
         b = B.action(sig)
-        scale = 1.0
-        for M in a.values():
-            scale = max(scale, np.abs(M).max() if M.size else 0.0)
-        for M in b.values():
-            scale = max(scale, np.abs(M).max() if M.size else 0.0)
+        scale = max([1.0] + [_max_abs(M) for M in (*a.values(), *b.values())])
         for tgt in set(a) | set(b):
             Ma = a.get(tgt)
             Mb = b.get(tgt)
             if Ma is None:
-                gap = np.abs(Mb).max() if Mb.size else 0.0
+                gap = _max_abs(Mb)
             elif Mb is None:
-                gap = np.abs(Ma).max() if Ma.size else 0.0
+                gap = _max_abs(Ma)
             else:
-                gap = np.abs(Ma - Mb).max() if Ma.size else 0.0
+                gap = _max_abs(Ma - Mb)
             worst = max(worst, gap / scale)
     return worst

@@ -3,8 +3,12 @@ determinism, report layout, dump formats."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,31 @@ def test_verify_report_layout(verify_out):
     # data files carry no wall-clock information
     assert "runtime" not in json.dumps(report)
     assert report["config"]["depth"] == 12
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_verify_matches_benchmark_reference(tmp_path):
+    """The benchmark's seed-0 verify run, at one BLAS thread, writes the
+    committed reference report apart from out_dir.  It runs in a child
+    process: numpy is loaded before this suite's conftest, so the thread
+    count can only be set for a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfock.cli", "verify",
+         "--q=-0.8,0.0,0.8", "--lambda=0.05,0.15,0.3,0.5,0.75",
+         "--depth", "12", "--jobs", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    report["config"].pop("out_dir")
+    ref = REPO / "perfbench" / "reference" / "verify_seed0.json"
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" \
+        == ref.read_text()
 
 
 # the entries whose gap or tolerance reads a value frozen in the
@@ -577,6 +606,33 @@ def test_dump_operator_with_reach(tmp_path):
     assert payload["blocks"]
     for blk in payload["blocks"]:
         assert sum(blk["target"]) - sum(blk["source"]) <= payload["reach"]
+
+
+# (reach, peak) of each dump selector at size n; the dumped window is
+# min(depth - peak, 4)
+SELECTOR_BOOKKEEPING = {
+    "wen": lambda n: (n, n),
+    "weew": lambda n: (2 * n, 2 * n),
+    "t": lambda n: (0, n),
+    "s": lambda n: (0, n),
+    "z": lambda n: (4 * n, 4 * n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTOR_BOOKKEEPING))
+def test_dump_operator_bookkeeping(tmp_path, name):
+    for depth in (8, 12):
+        for n in range(5):
+            assert cli.main(["dump", "operator", "--name", name, "--n",
+                             str(n), "--depth", str(depth), "--format",
+                             "json", "--out", str(tmp_path)]) == 0
+            payload = json.loads(
+                (tmp_path / f"operator_{name}{n}.json").read_text())
+            reach, peak = SELECTOR_BOOKKEEPING[name](n)
+            got = (payload["reach"], payload["peak"],
+                   payload["source_level_max"])
+            assert got == (reach, peak, min(max(depth - peak, 0), 4)), \
+                (depth, n)
 
 
 def test_dump_csv_variants(tmp_path):

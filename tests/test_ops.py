@@ -1,6 +1,7 @@
 """Operator layer: ladder operators, commutation relation, adjoints,
 modular data, Wick words and their closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,26 @@ def test_operator_algebra_reach_and_power(sp):
     assert _max_coeff(diff) < TOL
     assert (ce + (-1.0) * ce).apply(FockVector.word((E,))).terms in ({},
                                                                      {(E, E): 0.0})
+
+
+# (reach, peak) come from composition alone and do not depend on q
+@pytest.mark.parametrize("n", range(7))
+def test_wick_bookkeeping_computed(n):
+    sp = build_space(q=0.3, lam=0.4, depth=10)
+    for word in itertools.product((E, EBAR), repeat=n):
+        for make in (ops.wick, ops.wick_right):
+            A = make(sp, word)
+            assert (A.reach, A.peak) == (n, n), (make.__name__, word)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_closed_form_bookkeeping_computed(n):
+    sp = build_space(q=0.3, lam=0.4, depth=10)
+    A = ops.wen_operator(sp, n)
+    assert (A.reach, A.peak) == (n, n)
+    for make in (ops.wick_balanced, ops.wick_right_balanced):
+        A = make(sp, n)
+        assert (A.reach, A.peak) == (2 * n, 2 * n), make.__name__
 
 
 def test_modular_involutions(sp):

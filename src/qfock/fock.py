@@ -14,7 +14,12 @@ block's letter multiset, not on lambda or the depth: every live space at
 one (q, letter count) reads them from one cache, which is freed with the
 last such space.  They are built by a level recursion through
 annihilation transfer matrices, with a brute-force permutation sum kept
-as an independent test oracle for small levels.  A transfer has at most
+as an independent test oracle for small levels.  A unit block is exactly
+symmetric and its Cholesky factor triangular, so once a block is
+factored the cache keeps one array for both: the factor in the lower
+triangle, diagonal included, and the Gram block's strict upper triangle
+above it, with the Gram diagonal as a vector.  Readers that need the
+whole Gram block or a clean factor get a fresh copy.  A transfer has at most
 n nonzero entries in a column of n-letter words, and the cache keeps
 only those; every reader gets a fresh dense copy.  A block's words
 follow the same recursion: its word array stacks, for each letter in
@@ -191,8 +196,9 @@ def _cond_estimate(L: np.ndarray) -> float:
     lo = 0.0
     from scipy.linalg import solve_triangular
 
-    # L is a cached factor, checked finite once by _UnitGramCache.chol,
-    # and y is finite until an overflow, which the norm catches
+    # L is a fresh factor, checked finite by _UnitGramCache.chol before
+    # it is packed, and y is finite until an overflow, which the norm
+    # catches
     for _ in range(8):
         y = solve_triangular(L, y, lower=True, check_finite=False)
         y = solve_triangular(L.T, y, lower=False, check_finite=False)
@@ -204,6 +210,20 @@ def _cond_estimate(L: np.ndarray) -> float:
     return hi * lo  # sigma_max^2 * sigma_min^-2 of L = cond(L^T L)
 
 
+def _copy_upper(dst: np.ndarray, src: np.ndarray, tile: int = 256) -> None:
+    """Copy the strict upper triangle of the square array src into dst's,
+    one strip of tile rows at a time.  Values are copied, never added,
+    so a -0.0 keeps its sign.  _copy_upper(P.T, P) mirrors P's strict
+    upper triangle onto its strict lower one in place: it reads only
+    entries it does not write."""
+    m = len(src)
+    for i0 in range(0, m, tile):
+        i1 = min(i0 + tile, m)
+        dst[i0:i1, i1:] = src[i0:i1, i1:]
+        np.copyto(dst[i0:i1, i0:i1], src[i0:i1, i0:i1],
+                  where=~np.tri(i1 - i0, dtype=bool))
+
+
 class _UnitGramCache:
     """q-dependent, lambda-free part of the Gram data, shared by every
     space at one (q, letter count) whatever its lambda and depth.
@@ -212,13 +232,20 @@ class _UnitGramCache:
     small-integer array in lexicographic order with their sorted base-L
     codes (words are looked up by code only; the tuples that vectors
     and dumps need are read off the array when first asked for), the
-    unit Gram (all letter lengths set to 1), its lower Cholesky factor,
-    checked finite once so that solves against it skip the check, a
-    condition estimate, and per removed letter the unit annihilation
-    transfer as its nonzero entries (shape, flat indices, values),
-    which transfer_matrix scatters into a fresh array for the Gram
-    recursion and the annihilation letters.  No dense transfer is
-    stored.
+    unit Gram G (all letter lengths set to 1), and per removed letter
+    the unit annihilation transfer as its nonzero entries (shape, flat
+    indices, values), which transfer_matrix scatters into a fresh array
+    for the Gram recursion and the annihilation letters.  No dense
+    transfer is stored.
+
+    block[sig] is G until the block is factored.  chol then stores one
+    packed array A in its place: the lower Cholesky factor L of G in
+    A's lower triangle, diagonal included, checked finite once so that
+    solves against it skip the check, and G's strict upper triangle
+    above it; diag[sig] keeps G's diagonal and cond[sig] a condition
+    estimate.  A block is factored exactly when it is in cond.  gram
+    rebuilds G from A and diag as a fresh array, and gather reads
+    entries of G straight from them.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -227,8 +254,8 @@ class _UnitGramCache:
         self.arrays: dict = {}
         self.codes: dict = {}
         self.words: dict = {}
-        self.gram_unit: dict = {}
-        self.chol_unit: dict = {}
+        self.block: dict = {}
+        self.diag: dict = {}
         self.cond: dict = {}
         self.transfer: dict = {}
 
@@ -324,8 +351,16 @@ class _UnitGramCache:
         return out
 
     def gram(self, sig):
-        if sig in self.gram_unit:
-            return self.gram_unit[sig]
+        """The unit Gram block: the cached array itself (read only)
+        until the block is factored, then a fresh copy rebuilt from the
+        packed array and the diagonal."""
+        if sig in self.cond:
+            G = self.block[sig].copy()
+            _copy_upper(G.T, G)
+            np.fill_diagonal(G, self.diag[sig])
+            return G
+        if sig in self.block:
+            return self.block[sig]
         m = len(self.word_array(sig))
         if sum(sig) == 0:
             G = np.ones((1, 1))
@@ -341,12 +376,36 @@ class _UnitGramCache:
             # same increasing order, so the stacked rows align with it
             assert G.shape == (m, m)
             G = 0.5 * (G + G.T)
-        self.gram_unit[sig] = G
+        self.block[sig] = G
         return G
 
+    def gather(self, sig, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """gram(sig)[np.ix_(rows, cols)] as a fresh array, bit for bit.
+        A factored block is read from its packed array and diagonal,
+        never rebuilt: an entry above G's diagonal is A's, one below it
+        is A's transposed entry, one on it the diagonal's.  Equal,
+        increasing rows and cols (an index map's block against itself)
+        gather A's upper triangle into the result's and mirror it."""
+        if sig not in self.cond:
+            return self.gram(sig)[np.ix_(rows, cols)]
+        A, d = self.block[sig], self.diag[sig]
+        P = A[np.ix_(rows, cols)]
+        if np.array_equal(rows, cols) and (rows[1:] > rows[:-1]).all():
+            _copy_upper(P.T, P)
+            np.fill_diagonal(P, d[rows])
+            return P
+        below = rows[:, None] > cols
+        if below.any():
+            np.copyto(P, A[np.ix_(cols, rows)].T, where=below)
+        np.copyto(P, d[rows][:, None], where=rows[:, None] == cols)
+        return P
+
     def chol(self, sig):
-        if sig in self.chol_unit:
-            return self.chol_unit[sig]
+        """The block's packed array: the lower Cholesky factor of the
+        unit Gram in its lower triangle, G's strict upper triangle above
+        it.  Factors the block on first use."""
+        if sig in self.cond:
+            return self.block[sig]
         G = self.gram(sig)
         try:
             L = np.linalg.cholesky(G)
@@ -361,7 +420,6 @@ class _UnitGramCache:
                 f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
                 f"has a non-finite Cholesky factor")
         cond = _cond_estimate(L)
-        self.cond[sig] = cond
         if cond > COND_LIMIT:
             warnings.warn(
                 f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
@@ -369,7 +427,12 @@ class _UnitGramCache:
                 GramConditionWarning,
                 stacklevel=3,
             )
-        self.chol_unit[sig] = L
+        # pack into the fresh factor, never into G, which a caller may
+        # still hold
+        _copy_upper(L, G)
+        self.block[sig] = L
+        self.diag[sig] = G.diagonal().copy()
+        self.cond[sig] = cond
         return L
 
 
@@ -476,16 +539,29 @@ class FockSpace:
         return self.u_factor(sig) * self.unit_gram(sig)
 
     def gram_chol(self, sig) -> np.ndarray:
-        return math.sqrt(self.u_factor(sig)) * self.unit_chol(sig)
+        """The lower Cholesky factor of gram(sig), a fresh array."""
+        L = np.tril(self.unit_chol(sig))
+        L *= math.sqrt(self.u_factor(sig))
+        return L
 
     def unit_gram(self, sig) -> np.ndarray:
-        """gram(sig) / u_factor(sig): the cached unit Gram block itself,
-        shared by every space at this (q, letter count); read only."""
+        """gram(sig) / u_factor(sig), the unit Gram block shared by every
+        space at this (q, letter count): the cached array, read only,
+        until the block is factored, then a fresh copy."""
         return self._unit.gram(tuple(sig))
 
+    def unit_gram_gather(self, sig, rows: np.ndarray,
+                         cols: np.ndarray) -> np.ndarray:
+        """unit_gram(sig)[np.ix_(rows, cols)] as a fresh array, read
+        without rebuilding a factored block."""
+        return self._unit.gather(tuple(sig), rows, cols)
+
     def unit_chol(self, sig) -> np.ndarray:
-        """The lower Cholesky factor of unit_gram(sig), cached and read
-        only like it."""
+        """The block's cached packed array, read only: its lower
+        triangle, diagonal included, is the lower Cholesky factor of
+        unit_gram(sig), and its strict upper triangle is the Gram
+        block's.  Only solvers that read the lower triangle alone may
+        take it as the factor."""
         return self._unit.chol(tuple(sig))
 
     def gram_cond(self, sig) -> float:

@@ -712,15 +712,17 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     over targets t of M_t^T G_t M_t, on each component of the source
     blocks of {src: _images} that share a target.
 
-    With G = u G^ per block (u the block scalar, G^ the cached unit
-    Gram) and L^ the cached unit factor of G^, the reduced block of
-    sources (i, j) is C_ij = L^_i^{-1} K^_ij L^_j^{-T}, where K^_ij sums
-    u_t / sqrt(u_i u_j) M_ti^T G^_t M_tj: the scalars are applied to
-    these products, never to a copy of a Gram block or factor.  An index
-    block (rows, s) makes the product the gather s_i s_j G^_t[rows_i,
-    rows_j].  Only the lower blocks are formed, which is what eigvalsh
-    reads.  A source without targets adds nothing, and a zero K gives
-    0.0."""
+    With G = u G^ per block (u the block scalar, G^ the unit Gram) and
+    L^ the unit factor of G^, the reduced block of sources (i, j) is
+    C_ij = L^_i^{-1} K^_ij L^_j^{-T}, where K^_ij sums u_t / sqrt(u_i
+    u_j) M_ti^T G^_t M_tj: the scalars are applied to these products,
+    never to a copy of a Gram block or factor.  An index block (rows, s)
+    makes the product the gather s_i s_j G^_t[rows_i, rows_j], read from
+    the cache without rebuilding G^_t; only dense blocks take a copy of
+    G^_t.  The reductions read the lower triangle of each source's
+    packed unit array, which is L^.  Only the lower blocks are formed,
+    which is what eigvalsh reads.  A source without targets adds
+    nothing, and a zero K gives 0.0."""
     from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dsygst
 
@@ -737,15 +739,17 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
         K = np.zeros((width, width))
         filled = set()
         for tgt, row in by_tgt.items():
-            G = space.unit_gram(tgt)
+            # an operator's blocks are all index pairs or all arrays
+            dense = isinstance(row[0][1], np.ndarray)
+            G = space.unit_gram(tgt) if dense else None
             u = space.u_factor(tgt)
             for a, (sj, Mj) in enumerate(row):
-                GMj = G @ Mj if isinstance(Mj, np.ndarray) else None
+                GMj = G @ Mj if dense else None
                 for si, Mi in row[a:]:
                     scale = u / math.sqrt(space.u_factor(si)) \
                         / math.sqrt(space.u_factor(sj))
                     if GMj is None:
-                        P = G[np.ix_(Mi[0], Mj[0])]
+                        P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
                         P *= scale * Mi[1] * Mj[1]
                     else:
                         P = Mi.T @ GMj

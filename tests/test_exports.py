@@ -3,6 +3,8 @@ entry in a module's __all__ or in the package namespace."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,14 @@ def test_benchmark_session_calls_resolve():
     assert not missing
     assert {"gram_cond", "blocks_at_level", "block_words", "gram_chol",
             "build_space", "op_norm", "moment_check"} <= used
+
+
+def test_benchmark_self_test_passes():
+    """The benchmark's own self-test, in a child process from the root of
+    this tree: a tiny traced sweep and deep session through the library,
+    so a change that breaks what perfbench/child.py calls fails here.
+    It writes only under the tree's .perfbench-work/."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--self-test"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

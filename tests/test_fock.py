@@ -178,10 +178,99 @@ def test_non_finite_factor_refused(bad):
     # cholesky hands a NaN or inf Gram back as a factor without raising;
     # solves against cached factors rely on this one check
     unit = fock._UnitGramCache(0.3, 2)
-    unit.gram_unit[(1, 1)] = np.array([[bad, 0.0], [0.0, 1.0]])
+    G = unit.block[(1, 1)] = np.array([[bad, 0.0], [0.0, 1.0]])
     with pytest.raises(fock.GramFactorizationError, match="non-finite"):
         unit.chol((1, 1))
-    assert (1, 1) not in unit.chol_unit
+    # the refused block is not stored as factored: cond marks a factored
+    # block, and the cache still holds the Gram block itself
+    assert (1, 1) not in unit.cond
+    assert unit.block[(1, 1)] is G
+
+
+def _gather_indices(m: int, rng):
+    """Row and column index pairs for a block of m words: equal
+    increasing arrays (an index map against itself), arrays that hit
+    the diagonal and both triangles with repeated rows, and disjoint
+    ones."""
+    r = rng.integers(0, m, size=m + 3)
+    c = np.concatenate([r[::2], rng.integers(0, m, size=m // 2 + 1)])
+    up = np.sort(rng.choice(m, size=(m + 1) // 2, replace=False))
+    return [(up, up.copy()), (r, c), (c, r), (r, r), (up, up[::-1]),
+            (np.arange(m // 2), np.arange(m // 2, m))]
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.0, 0.3, 0.8])
+def test_packing_keeps_every_bit(q, cold_gram_caches):
+    # a cold cache that never factors a block is the oracle for the
+    # packed one: every read of G and of the factor is byte-equal to it
+    oracle = fock._UnitGramCache(q, 2)
+    space = build_space(q=q, lam=0.3, depth=10)
+    rng = np.random.default_rng(17)
+    for level in range(11):
+        for sig in space.blocks_at_level(level):
+            G = oracle.gram(sig)
+            u = space.u_factor(sig)
+            # blocks of lower levels are factored by now, so the
+            # recursion builds this one from rebuilt copies
+            before = space.unit_gram(sig)
+            assert before.tobytes() == G.tobytes()
+            assert space.gram_chol(sig).tobytes() \
+                == (math.sqrt(u) * np.linalg.cholesky(G)).tobytes()
+            assert sig in space._unit.cond
+            # the array read before the block was factored is untouched
+            assert before.tobytes() == G.tobytes()
+            assert space.unit_gram(sig).tobytes() == G.tobytes()
+            assert space.gram(sig).tobytes() == (u * G).tobytes()
+            for r, c in _gather_indices(len(G), rng):
+                assert space.unit_gram_gather(sig, r, c).tobytes() \
+                    == G[np.ix_(r, c)].tobytes()
+
+
+def test_packing_keeps_signed_zeros():
+    # values are copied, never added: -0.0 + 0.0 would read +0.0
+    unit = fock._UnitGramCache(0.3, 2)
+    G = np.array([[2.0, -0.0, 0.5], [-0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+    unit.block[(1, 2)] = G.copy()
+    assert np.signbit(unit.chol((1, 2))[0, 1])
+    assert unit.gram((1, 2)).tobytes() == G.tobytes()
+    r = np.array([0, 1, 1, 2, 0])
+    for rows, cols in ((r, r), (r, r[::-1]), (np.arange(3), np.arange(3))):
+        assert unit.gather((1, 2), rows, cols).tobytes() \
+            == G[np.ix_(rows, cols)].tobytes()
+
+
+def _cache_arrays(obj):
+    """Every array reachable through the dicts, tuples and lists of the
+    cache's attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _cache_arrays(v)
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from _cache_arrays(v)
+
+
+def test_one_array_per_block(cold_gram_caches):
+    space = build_space(q=0.3, lam=0.4, depth=10)
+    blocks = [sig for level in range(11)
+              for sig in space.blocks_at_level(level)]
+    for sig in blocks:
+        space.gram_chol(sig)
+    unit = space._unit
+    sizes = {sig: len(space.word_array(sig)) for sig in blocks}
+    arrays = list(_cache_arrays(list(vars(unit).values())))
+    square = [a for a in arrays if a.ndim == 2 and a.dtype == np.float64]
+    # no view into a larger buffer hides memory from nbytes
+    assert all(a.base is None for a in square)
+    assert len(square) == len(blocks)
+    assert sum(a.nbytes for a in square) \
+        == sum(m * m * 8 for m in sizes.values())
+    assert {id(a) for a in square} == {id(unit.block[sig]) for sig in blocks}
+    # besides those, one m-vector per factored block: G's diagonal
+    assert unit.cond.keys() == unit.diag.keys() == set(blocks)
+    assert all(unit.diag[sig].shape == (m,) for sig, m in sizes.items())
 
 
 def _inner_bruteforce(space, w, v):

@@ -369,5 +369,5 @@ def test_adjoint_solves_only_requested_blocks(cold_gram_caches):
     ce = ops.creation_letter(sp, E)
     ae = ops.annihilation_letter(sp, E)
     assert ops.action_gap(ops.q_adjoint(ce), ae, 4) < 1e-12
-    assert sp._unit.chol_unit
-    assert max(sum(sig) for sig in sp._unit.chol_unit) <= 4
+    assert sp._unit.cond
+    assert max(sum(sig) for sig in sp._unit.cond) <= 4

@@ -748,12 +748,12 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
                 for si, Mi in row[a:]:
                     scale = u / math.sqrt(space.u_factor(si)) \
                         / math.sqrt(space.u_factor(sj))
-                    if GMj is None:
-                        P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
-                        P *= scale * Mi[1] * Mj[1]
-                    else:
+                    if dense:
                         P = Mi.T @ GMj
                         P *= scale
+                    else:
+                        P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
+                        P *= scale * Mi[1] * Mj[1]
                     r0, c0 = offset[si], offset[sj]
                     K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
                     filled.add((si, sj))

@@ -19,9 +19,9 @@ symmetric and its Cholesky factor triangular, so once a block is
 factored the cache keeps one array for both: the factor in the lower
 triangle, diagonal included, and the Gram block's strict upper triangle
 above it, with the Gram diagonal as a vector.  Readers that need the
-whole Gram block or a clean factor get a fresh copy.  A transfer has at most
-n nonzero entries in a column of n-letter words, and the cache keeps
-only those; every reader gets a fresh dense copy.  A block's words
+whole Gram block or a clean factor get a fresh copy.  A transfer has at
+most n nonzero entries in a column of n-letter words, and the cache
+keeps only those; every reader gets a fresh dense copy.  A block's words
 follow the same recursion: its word array stacks, for each letter in
 increasing order, that letter in front of the reduced block's array,
 which is lexicographic order and the row order of the Gram blocks.

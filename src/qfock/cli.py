@@ -9,10 +9,10 @@ Three subcommands:
   dump     write a single object (Gram block, operator, distinguished
            vector) in a documented JSON or CSV layout
 
-All outputs are deterministic for a fixed configuration: no timestamps
-inside data files, fixed column order, floats at 17 significant digits
-in CSV.  The sweep's per-row runtime column is informational and is the
-one field allowed to vary between runs.
+All outputs are deterministic for a fixed configuration and BLAS thread
+count: no timestamps inside data files, fixed column order, floats at
+17 significant digits in CSV.  The sweep's per-row runtime column is
+informational and is the one field allowed to vary between runs.
 
 Exit codes: 0 success, 1 at least one check failed or raised, 2 bad
 configuration.
@@ -368,6 +368,12 @@ def _plot_script(cfg: RunConfig, data_name: str) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    # the order-k term acts on levels >= 2k, the window stops at depth - 2
+    top = (cfg.depth - 2) // 2
+    if cfg.terms > top:
+        raise ConfigError(
+            f"terms {cfg.terms} above the order limit (depth - 2) // 2 = "
+            f"{top}: higher orders do not reach the certificate window")
     tasks = [(q, tuple(cfg.lam_grid), cfg.depth, cfg.effective_terms(),
               cfg.max_total_words) for q in cfg.q_grid if cfg.lam_grid]
     rows = [row for q_rows in _map_q_rows(_sweep_q_row, tasks, cfg.jobs)
@@ -512,8 +518,8 @@ _FLAGS = {
     "terms": ("--terms", dict(
         type=int, metavar="K",
         help="series order (0 means depth // 2); at depth N only orders up "
-             "to (N - 2) // 2 reach the certificate window, higher ones give "
-             "the same rows")),
+             "to (N - 2) // 2 reach the certificate window, so sweep refuses "
+             "a higher K, and 0 gives the rows of (N - 2) // 2")),
     "jobs": ("--jobs", dict(type=int, metavar="J",
                             help="worker processes for grid points")),
     "fmt": ("--format", dict(choices=("csv", "json"),

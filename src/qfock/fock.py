@@ -18,14 +18,15 @@ as an independent test oracle for small levels.  A unit block is exactly
 symmetric and its Cholesky factor triangular, so once a block is
 factored the cache keeps one array for both: the factor in the lower
 triangle, diagonal included, and the Gram block's strict upper triangle
-above it, with the Gram diagonal as a vector.  Readers that need the
-whole Gram block or a clean factor get a fresh copy.  A transfer has at
-most n nonzero entries in a column of n-letter words, and the cache
-keeps only those; every reader gets a fresh dense copy.  A block's words
+above it, with the Gram diagonal as a vector.  Its Gram entries, the
+whole block included, are read by one gather from that array into a
+fresh one; a clean factor is a fresh copy.  A transfer has at most n
+nonzero entries in a column of n-letter words, and the cache keeps
+only those; every reader gets a fresh dense copy.  A block's words
 follow the same recursion: its word array stacks, for each letter in
 increasing order, that letter in front of the reduced block's array,
 which is lexicographic order and the row order of the Gram blocks.
-Words are looked up by their base-L codes.
+Words are kept only as these arrays, looked up by their base-L codes.
 """
 
 from __future__ import annotations
@@ -210,13 +211,14 @@ def _cond_estimate(L: np.ndarray) -> float:
     return hi * lo  # sigma_max^2 * sigma_min^-2 of L = cond(L^T L)
 
 
-def _copy_upper(dst: np.ndarray, src: np.ndarray, tile: int = 256) -> None:
+def _copy_upper(dst: np.ndarray, src: np.ndarray) -> None:
     """Copy the strict upper triangle of the square array src into dst's,
-    one strip of tile rows at a time.  Values are copied, never added,
+    one strip of 256 rows at a time.  Values are copied, never added,
     so a -0.0 keeps its sign.  _copy_upper(P.T, P) mirrors P's strict
     upper triangle onto its strict lower one in place: it reads only
     entries it does not write."""
     m = len(src)
+    tile = 256
     for i0 in range(0, m, tile):
         i1 = min(i0 + tile, m)
         dst[i0:i1, i1:] = src[i0:i1, i1:]
@@ -230,9 +232,8 @@ class _UnitGramCache:
 
     Per block (level, signature): one word table, the words as a
     small-integer array in lexicographic order with their sorted base-L
-    codes (words are looked up by code only; the tuples that vectors
-    and dumps need are read off the array when first asked for), the
-    unit Gram G (all letter lengths set to 1), and per removed letter
+    codes (words are looked up by code only, and no tuples are kept),
+    the unit Gram G (all letter lengths set to 1), and per removed letter
     the unit annihilation transfer as its nonzero entries (shape, flat
     indices, values), which transfer_matrix scatters into a fresh array
     for the Gram recursion and the annihilation letters.  No dense
@@ -243,9 +244,9 @@ class _UnitGramCache:
     A's lower triangle, diagonal included, checked finite once so that
     solves against it skip the check, and G's strict upper triangle
     above it; diag[sig] keeps G's diagonal and cond[sig] a condition
-    estimate.  A block is factored exactly when it is in cond.  gram
-    rebuilds G from A and diag as a fresh array, and gather reads
-    entries of G straight from them.
+    estimate.  A block is factored exactly when it is in cond.  gather
+    then reads G's entries from A and diag into a fresh array, and gram
+    is its gather over the whole block.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -253,7 +254,6 @@ class _UnitGramCache:
         self.n_letters = n_letters
         self.arrays: dict = {}
         self.codes: dict = {}
-        self.words: dict = {}
         self.block: dict = {}
         self.diag: dict = {}
         self.cond: dict = {}
@@ -280,12 +280,6 @@ class _UnitGramCache:
                 W = np.vstack(parts)
             self.arrays[sig] = W
         return self.arrays[sig]
-
-    def block_words(self, sig):
-        """The rows of word_array(sig) as tuples, built on first use."""
-        if sig not in self.words:
-            self.words[sig] = [tuple(w) for w in self.word_array(sig).tolist()]
-        return self.words[sig]
 
     def _word_codes(self, W: np.ndarray) -> np.ndarray:
         """Base-L code of each row of W, first letter most significant;
@@ -352,13 +346,10 @@ class _UnitGramCache:
 
     def gram(self, sig):
         """The unit Gram block: the cached array itself (read only)
-        until the block is factored, then a fresh copy rebuilt from the
-        packed array and the diagonal."""
+        until the block is factored, then its gather over the whole
+        block, a fresh copy."""
         if sig in self.cond:
-            G = self.block[sig].copy()
-            _copy_upper(G.T, G)
-            np.fill_diagonal(G, self.diag[sig])
-            return G
+            return self.gather(sig, slice(None), slice(None))
         if sig in self.block:
             return self.block[sig]
         m = len(self.word_array(sig))
@@ -379,26 +370,22 @@ class _UnitGramCache:
         self.block[sig] = G
         return G
 
-    def gather(self, sig, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """gram(sig)[np.ix_(rows, cols)] as a fresh array, bit for bit.
-        A factored block is read from its packed array and diagonal,
-        never rebuilt: an entry above G's diagonal is A's, one below it
-        is A's transposed entry, one on it the diagonal's.  Equal,
-        increasing rows and cols (an index map's block against itself)
-        gather A's upper triangle into the result's and mirror it."""
-        if sig not in self.cond:
-            return self.gram(sig)[np.ix_(rows, cols)]
-        A, d = self.block[sig], self.diag[sig]
-        P = A[np.ix_(rows, cols)]
-        if np.array_equal(rows, cols) and (rows[1:] > rows[:-1]).all():
+    def gather(self, sig, rows, cols) -> np.ndarray:
+        """gram(sig)[np.ix_(rows, cols)] as a fresh array, bit for bit,
+        or the whole block for rows = cols = slice(None).  For a factored
+        block, the whole block or equal, increasing rows and cols (an
+        index map's block against itself) gather A's upper triangle,
+        mirror it and set the diagonal; other pairs read gram(sig)."""
+        whole = isinstance(rows, slice)
+        if sig in self.cond and (whole or (
+                np.array_equal(rows, cols) and (rows[1:] > rows[:-1]).all())):
+            A = self.block[sig]
+            P = A.copy() if whole else A[np.ix_(rows, cols)]
             _copy_upper(P.T, P)
-            np.fill_diagonal(P, d[rows])
+            np.fill_diagonal(P, self.diag[sig][rows])
             return P
-        below = rows[:, None] > cols
-        if below.any():
-            np.copyto(P, A[np.ix_(cols, rows)].T, where=below)
-        np.copyto(P, d[rows][:, None], where=rows[:, None] == cols)
-        return P
+        G = self.gram(sig)
+        return G.copy() if whole else G[np.ix_(rows, cols)]
 
     def chol(self, sig):
         """The block's packed array: the lower Cholesky factor of the
@@ -485,7 +472,8 @@ class FockSpace:
         return list(_compositions(level, self.n_letters))
 
     def block_words(self, sig):
-        return self._unit.block_words(tuple(sig))
+        """The rows of word_array(sig) as tuples, a fresh list."""
+        return [tuple(w) for w in self.word_array(sig).tolist()]
 
     def word_index(self, word) -> int:
         W = np.array(word, dtype=np.int64).reshape(1, len(word))
@@ -535,8 +523,12 @@ class FockSpace:
 
     def gram(self, sig) -> np.ndarray:
         """Deformed Gram matrix of one multiset block, word order as in
-        block_words."""
-        return self.u_factor(sig) * self.unit_gram(sig)
+        block_words, a fresh array."""
+        sig = tuple(sig)
+        G = self._unit.gram(sig)
+        # a factored block's unit Gram is a fresh copy: scale it in place
+        return np.multiply(G, self.u_factor(sig),
+                           out=G if sig in self._unit.cond else None)
 
     def gram_chol(self, sig) -> np.ndarray:
         """The lower Cholesky factor of gram(sig), a fresh array."""
@@ -550,10 +542,10 @@ class FockSpace:
         until the block is factored, then a fresh copy."""
         return self._unit.gram(tuple(sig))
 
-    def unit_gram_gather(self, sig, rows: np.ndarray,
-                         cols: np.ndarray) -> np.ndarray:
-        """unit_gram(sig)[np.ix_(rows, cols)] as a fresh array, read
-        without rebuilding a factored block."""
+    def unit_gram_gather(self, sig, rows, cols) -> np.ndarray:
+        """unit_gram(sig)[np.ix_(rows, cols)] as a fresh array (rows =
+        cols = slice(None): the whole block); equal, increasing rows and
+        cols read a factored block without rebuilding it."""
         return self._unit.gather(tuple(sig), rows, cols)
 
     def unit_chol(self, sig) -> np.ndarray:
@@ -605,8 +597,8 @@ class FockSpace:
             if sig not in gb:
                 continue
             gi, gc = gb[sig]
-            G = self.gram(sig)
-            total += np.conj(fc) @ G[np.ix_(fi, gi)] @ gc
+            G = self.u_factor(sig) * self.unit_gram_gather(sig, fi, gi)
+            total += np.conj(fc) @ G @ gc
         return complex(total)
 
     def norm_sq(self, f: "FockVector") -> float:

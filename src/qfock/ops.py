@@ -16,6 +16,10 @@ composition alone, and no builder overwrites them.  Products add
 reaches and chain peaks, sums take the larger of each, and scalar
 multiples keep both.  Annihilation-first monomials thus have peak
 max(reach, 0), while freely composed chains accumulate peak additively.
+
+A word map carries its index map (a target row and a scale per source
+column): the Gram pencil gathers Gram entries by it, and an index block
+written out from it takes the one frame solve that dense blocks take.
 """
 
 from __future__ import annotations
@@ -147,16 +151,9 @@ class FockOperator:
         return out
 
     def _index_block(self, sig) -> dict:
-        """The dense block of an index operator.  "+ 0.0" turns a scale
-        of -0.0 (a product such as -1.0 * 0.0) into the +0.0 that the
-        GEMM of the factors gives."""
+        """The dense block of an index operator."""
         ix = self.index(sig)
-        if ix is None:
-            return {}
-        tgt, rows, scale = ix
-        M = np.zeros((len(self.space.word_array(tgt)), len(rows)))
-        M[rows, np.arange(len(rows))] = scale + 0.0
-        return {tgt: M}
+        return {} if ix is None else {ix[0]: _index_matrix(self.space, ix)}
 
     # -- algebra --------------------------------------------------------
 
@@ -276,10 +273,10 @@ class FockOperator:
             x[idx] = coef
             for tgt, M in self.action(sig).items():
                 y = M @ x
-                words_tgt = self.space.block_words(tgt)
-                for i in np.nonzero(y)[0]:
-                    w = words_tgt[i]
-                    out[w] = out.get(w, 0.0) + y[i]
+                nz = np.nonzero(y)[0]
+                words = self.space.word_array(tgt)[nz].tolist()
+                for w, c in zip(map(tuple, words), y[nz]):
+                    out[w] = out.get(w, 0.0) + c
         return FockVector(out)
 
     def materialize(self, src_level_max: int) -> dict:
@@ -288,6 +285,17 @@ class FockOperator:
         narrow-alphabet models only."""
         return {(src, tgt): M for src, tgt, M
                 in Window(self.space, src_level_max).images(self)}
+
+
+def _index_matrix(space: FockSpace, index) -> np.ndarray:
+    """The dense block of index = (tgt, rows, scale): column j holds
+    scale in row rows[j] of block tgt.  "+ 0.0" turns a scale of -0.0
+    (a product such as -1.0 * 0.0) into the +0.0 that the GEMM of the
+    factors gives."""
+    tgt, rows, scale = index
+    M = np.zeros((len(space.word_array(tgt)), len(rows)))
+    M[rows, np.arange(len(rows))] = scale + 0.0
+    return M
 
 
 def _gather_rows(space: FockSpace, index, Mb: np.ndarray) -> np.ndarray:
@@ -633,31 +641,15 @@ def _images(A: FockOperator, src) -> list:
 
 def _orthonormal_images(A: FockOperator, src, images=None) -> list:
     """[(tgt, Mo)]: the blocks of A out of block src (its _images, if
-    given) in the orthonormal frames, targets in action order.
-
-    An index block (rows, s) is never built: its transposed block,
-    column rows[j] equal to s e_j, is written straight into the
-    Fortran-ordered array that _orthonormal_block's solve copies M.T
-    into, and solved in place; the solve and the GEMM are the same
-    calls, bit for bit.  (Solving s I alone is not: OpenBLAS handles the
-    last columns of a right-hand side, width mod its unroll, in another
-    kernel, so a column's bits depend on where it sits.)  The solve
-    skips the finiteness check: the cached factor was checked when it
-    was built, and the right-hand side holds only zeros and s."""
-    from scipy.linalg import solve_triangular
-
+    given) in the orthonormal frames, targets in action order.  An index
+    image (rows, s) is written out by _index_matrix, not read through
+    action(), so nothing lands in A's cache."""
     space = A.space
     out = []
     for tgt, M in _images(A, src) if images is None else images:
-        if isinstance(M, np.ndarray):
-            out.append((tgt, _orthonormal_block(space, M, src, tgt)))
-            continue
-        rows, s = M
-        B = np.zeros((len(rows), len(space.word_array(tgt))), order="F")
-        B[np.arange(len(rows)), rows] = s + 0.0
-        X = solve_triangular(space.gram_chol(src), B, lower=True,
-                             overwrite_b=True, check_finite=False).T
-        out.append((tgt, space.gram_chol(tgt).T @ X))
+        if not isinstance(M, np.ndarray):
+            M = _index_matrix(space, (tgt, *M))
+        out.append((tgt, _orthonormal_block(space, M, src, tgt)))
     return out
 
 
@@ -718,8 +710,9 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     u_j) M_ti^T G^_t M_tj: the scalars are applied to these products,
     never to a copy of a Gram block or factor.  An index block (rows, s)
     makes the product the gather s_i s_j G^_t[rows_i, rows_j], read from
-    the cache without rebuilding G^_t; only dense blocks take a copy of
-    G^_t.  The reductions read the lower triangle of each source's
+    the packed array without rebuilding G^_t where a target has one
+    source (rows_i = rows_j, increasing), as for creation powers; dense
+    blocks take a copy of G^_t.  The reductions read the lower triangle of each source's
     packed unit array, which is L^.  Only the lower blocks are formed,
     which is what eigvalsh reads.  A source without targets adds
     nothing, and a zero K gives 0.0."""

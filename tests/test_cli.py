@@ -116,6 +116,24 @@ def test_verify_accepts_terms_it_does_not_read(tmp_path, monkeypatch,
         assert "terms 9 outside" in capsys.readouterr().err
 
 
+def test_sweep_refuses_terms_beyond_the_window(tmp_path, capsys):
+    # at depth 8 the certificate window reads orders up to 3; the
+    # default, depth // 2 = 4, runs and gives the rows of order 3
+    base = ["sweep", "--depth", "8", "--q", "0.3", "--lambda", "0.3"]
+    assert cli.main(base + ["--terms", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "terms 4 above the order limit (depth - 2) // 2 = 3" in err
+    assert not tmp_path.joinpath("sweep.csv").exists()
+    rows = {}
+    for terms in ("3", "0"):
+        out = tmp_path / terms
+        assert cli.main(base + ["--terms", terms, "--out", str(out)]) == 0
+        rows[terms] = [line.split(",")[:9] for line
+                       in (out / "sweep.csv").read_text().splitlines()]
+    assert rows["3"] == rows["0"]
+    assert rows["0"][2][-1] == "ok"
+
+
 def _flag_help(command, dest):
     parser = cli.build_parser()
     subs = next(a for a in parser._actions
@@ -127,8 +145,8 @@ def _flag_help(command, dest):
 def test_terms_help_per_subcommand():
     assert _flag_help("sweep", "terms") == (
         "series order (0 means depth // 2); at depth N only orders up to "
-        "(N - 2) // 2 reach the certificate window, higher ones give the "
-        "same rows")
+        "(N - 2) // 2 reach the certificate window, so sweep refuses a "
+        "higher K, and 0 gives the rows of (N - 2) // 2")
     assert _flag_help("dump", "terms") == (
         "xi: series order K (0 means depth // 2); the vector holds the "
         "levels 0, 2, ..., 2K")
@@ -287,26 +305,49 @@ def test_verify_report_layout(verify_out):
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_verify_matches_benchmark_reference(tmp_path):
-    """The benchmark's seed-0 verify run, at one BLAS thread, writes the
-    committed reference report apart from out_dir.  It runs in a child
-    process: numpy is loaded before this suite's conftest, so the thread
-    count can only be set for a fresh interpreter."""
+def _cli_at_one_blas_thread(args):
+    """Runs `python -m qfock.cli ARGS` in a child process at one BLAS
+    thread and asserts it exits 0: numpy is loaded before this suite's
+    conftest, so the thread count can only be set for a fresh
+    interpreter."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(REPO / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "qfock.cli", "verify",
-         "--q=-0.8,0.0,0.8", "--lambda=0.05,0.15,0.3,0.5,0.75",
-         "--depth", "12", "--jobs", "1", "--out", str(tmp_path)],
+        [sys.executable, "-m", "qfock.cli", *args],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_verify_matches_benchmark_reference(tmp_path):
+    """The benchmark's seed-0 verify run, at one BLAS thread, writes the
+    committed reference report apart from out_dir."""
+    _cli_at_one_blas_thread(
+        ["verify", "--q=-0.8,0.0,0.8", "--lambda=0.05,0.15,0.3,0.5,0.75",
+         "--depth", "12", "--jobs", "1", "--out", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
     report["config"].pop("out_dir")
     ref = REPO / "perfbench" / "reference" / "verify_seed0.json"
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" \
         == ref.read_text()
+
+
+def test_sweep_matches_benchmark_reference(tmp_path):
+    """The benchmark's seed-0 sweep at q = -0.8 and 0.8, at one BLAS
+    thread, writes the committed reference rows: every column before
+    runtime_ms, byte for byte."""
+    _cli_at_one_blas_thread(
+        ["sweep", "--q=-0.8,0.8", "--lambda=0.05,0.15,0.3,0.5,0.75",
+         "--depth", "12", "--jobs", "1", "--out", str(tmp_path)])
+    got = [line.split(",")[:9]
+           for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+    ref = REPO / "perfbench" / "reference" / "sweep_seed0.csv"
+    want = [line.split(",")[:9] for line in ref.read_text().splitlines()]
+    # the format line and the header, then the rows at q = -0.8 and 0.8
+    want = want[:2] + [row for row in want[2:] if abs(float(row[0])) == 0.8]
+    assert len(want) == 12
+    assert got == want
 
 
 # the entries whose gap or tolerance reads a value frozen in the

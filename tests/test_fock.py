@@ -200,12 +200,18 @@ def _gather_indices(m: int, rng):
 
 
 @pytest.mark.parametrize("q", [-0.5, 0.0, 0.3, 0.8])
-def test_packing_keeps_every_bit(q, cold_gram_caches):
+def test_packing_keeps_every_bit(q, cold_gram_caches, monkeypatch):
     # a cold cache that never factors a block is the oracle for the
     # packed one: every read of G and of the factor is byte-equal to it
     oracle = fock._UnitGramCache(q, 2)
     space = build_space(q=q, lam=0.3, depth=10)
     rng = np.random.default_rng(17)
+    # gram calls made by a gather of a factored block: none on the
+    # packed read, one on the fallback to an entry gather from gram
+    rebuilds = []
+    rebuild = space._unit.gram
+    monkeypatch.setattr(space._unit, "gram",
+                        lambda sig: rebuilds.append(sig) or rebuild(sig))
     for level in range(11):
         for sig in space.blocks_at_level(level):
             G = oracle.gram(sig)
@@ -221,9 +227,41 @@ def test_packing_keeps_every_bit(q, cold_gram_caches):
             assert before.tobytes() == G.tobytes()
             assert space.unit_gram(sig).tobytes() == G.tobytes()
             assert space.gram(sig).tobytes() == (u * G).tobytes()
+            whole = space.unit_gram_gather(sig, slice(None), slice(None))
+            assert whole.tobytes() == G.tobytes()
+            paths = set()
             for r, c in _gather_indices(len(G), rng):
+                rebuilds.clear()
                 assert space.unit_gram_gather(sig, r, c).tobytes() \
                     == G[np.ix_(r, c)].tobytes()
+                paths.add(len(rebuilds))
+            assert paths == {0, 1}, sig
+
+
+def test_factored_block_is_sampled_never_rebuilt(cold_gram_caches,
+                                                  monkeypatch):
+    # a norm reads a factored block's entries from its packed array:
+    # with the block's rebuild made to raise, the norm keeps its value
+    space = build_space(q=0.3, lam=0.4, depth=8)
+    sig = (3, 3)
+    rng = np.random.default_rng(5)
+    v = FockVector({w: complex(*rng.standard_normal(2))
+                    for w in space.block_words(sig)[::3]})
+    before = space.norm_sq(v)
+    space.gram_chol(sig)
+    assert space.norm_sq(v) == before
+    unit = space._unit
+    rebuild = unit.gram
+
+    def gram(s):
+        if s == sig:
+            raise AssertionError(f"block {sig} rebuilt")
+        return rebuild(s)
+
+    monkeypatch.setattr(unit, "gram", gram)
+    with pytest.raises(AssertionError, match="rebuilt"):
+        space.unit_gram(sig)
+    assert space.norm_sq(v) == before
 
 
 def test_packing_keeps_signed_zeros():

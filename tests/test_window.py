@@ -319,10 +319,12 @@ def test_index_assembly_matches_dense_oracle(sp, shared_space, make):
 
 
 def test_index_blocks_keep_their_solve_columns(shared_space):
-    # the flip's level-11 blocks at depth 12 (up to 462 words): a solve
-    # of s I on the source columns alone moved bits of block (5, 6) on
-    # OpenBLAS, whose last columns, width mod its unroll, run in another
-    # kernel; each column must sit where _orthonormal_block puts it
+    # the flip's level-11 blocks at depth 12 (up to 462 words): an index
+    # image is written out from its map, never read through action(),
+    # and solved as the block that action() gives, byte for byte.  (A
+    # solve of s I on the source columns alone moved bits of block
+    # (5, 6): OpenBLAS runs the last columns of a right-hand side, width
+    # mod its unroll, in another kernel.)
     space = shared_space(-0.5, 0.4, 12)
     for A in (ops.flip_unitary(space), ops.modular_ops(space).J):
         for sig in space.blocks_at_level(11):

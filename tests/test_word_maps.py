@@ -238,7 +238,7 @@ def test_unit_transfers_kept_as_entries_and_returned_fresh(sp):
             assert ann.tobytes() == (sp.u[ell] * want).tobytes()
     assert unit.transfer
     for (sig, ell), stored in unit.transfer.items():
-        bound = sum(sig) * len(unit.block_words(sig))
+        bound = sum(sig) * len(unit.word_array(sig))
         arrays = [part for part in stored if isinstance(part, np.ndarray)]
         assert arrays and all(a.ndim == 1 and a.size <= bound
                               for a in arrays), (sig, ell)

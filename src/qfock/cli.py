@@ -183,7 +183,8 @@ def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
         if not (0 < tol < 1):
             raise ConfigError("tolerances must lie in (0, 1)")
     for q in cfg.q_grid:
-        if abs(q) > Q_ENVELOPE:
+        # written so that a NaN, which fails every comparison, is refused
+        if not abs(q) <= Q_ENVELOPE:
             raise ConfigError(
                 f"q = {q} outside the supported envelope |q| <= {Q_ENVELOPE}")
     for lam in cfg.lam_grid:

@@ -13,20 +13,22 @@ The q-dependent "unit" Gram blocks therefore depend only on q and the
 block's letter multiset, not on lambda or the depth: every live space at
 one (q, letter count) reads them from one cache, which is freed with the
 last such space.  They are built by a level recursion through
-annihilation transfer matrices, with a brute-force permutation sum kept
-as an independent test oracle for small levels.  A unit block is exactly
-symmetric and its Cholesky factor triangular, so once a block is
-factored the cache keeps one array for both: the factor in the lower
-triangle, diagonal included, and the Gram block's strict upper triangle
-above it, with the Gram diagonal as a vector.  Its Gram entries, the
-whole block included, are read by one gather from that array into a
-fresh one; a clean factor is a fresh copy.  A transfer has at most n
-nonzero entries in a column of n-letter words, and the cache keeps
-only those; every reader gets a fresh dense copy.  A block's words
-follow the same recursion: its word array stacks, for each letter in
-increasing order, that letter in front of the reduced block's array,
-which is lexicographic order and the row order of the Gram blocks.
-Words are kept only as these arrays, looked up by their base-L codes.
+annihilation transfer matrices, each block in one array: every letter's
+strip is written into its rows and the array is symmetrized in place.  A
+brute-force permutation sum is kept as an independent test oracle for
+small levels.  A unit block is exactly symmetric and its Cholesky factor
+triangular, so once a block is factored the cache keeps one array for
+both: the factor in the lower triangle, diagonal included, and the Gram
+block's strict upper triangle above it, with the Gram diagonal as a
+vector.  Its Gram entries, the whole block included, are read by one
+gather from that array into a fresh one; a clean factor is a fresh copy.
+A transfer has at most n nonzero entries in a column of n-letter words;
+the cache builds and keeps only those, and every reader gets a fresh
+dense copy.  A block's words follow the same recursion: its word array
+stacks, for each letter in increasing order, that letter in front of the
+reduced block's array, which is lexicographic order and the row order of
+the Gram blocks.  Words are kept only as these arrays, looked up by
+their base-L codes.
 """
 
 from __future__ import annotations
@@ -211,19 +213,38 @@ def _cond_estimate(L: np.ndarray) -> float:
     return hi * lo  # sigma_max^2 * sigma_min^-2 of L = cond(L^T L)
 
 
+# rows per strip, and the side of a tile, of the in-place passes below
+_TILE = 256
+
+
 def _copy_upper(dst: np.ndarray, src: np.ndarray) -> None:
     """Copy the strict upper triangle of the square array src into dst's,
-    one strip of 256 rows at a time.  Values are copied, never added,
+    one strip of _TILE rows at a time.  Values are copied, never added,
     so a -0.0 keeps its sign.  _copy_upper(P.T, P) mirrors P's strict
     upper triangle onto its strict lower one in place: it reads only
     entries it does not write."""
     m = len(src)
-    tile = 256
-    for i0 in range(0, m, tile):
-        i1 = min(i0 + tile, m)
+    for i0 in range(0, m, _TILE):
+        i1 = min(i0 + _TILE, m)
         dst[i0:i1, i1:] = src[i0:i1, i1:]
         np.copyto(dst[i0:i1, i0:i1], src[i0:i1, i0:i1],
                   where=~np.tri(i1 - i0, dtype=bool))
+
+
+def _symmetrize(G: np.ndarray) -> None:
+    """G = 0.5 * (G + G.T) in place, bit for bit, one pair of tiles at a
+    time: tile (i, j) takes S = 0.5 * (G_ij + G_ji.T) and tile (j, i)
+    takes S.T, so entries (a, b) and (b, a) both get 0.5 * (g_ab + g_ba),
+    one value since IEEE addition commutes."""
+    m = len(G)
+    for i0 in range(0, m, _TILE):
+        i1 = min(i0 + _TILE, m)
+        for j0 in range(i0, m, _TILE):
+            j1 = min(j0 + _TILE, m)
+            S = G[i0:i1, j0:j1] + G[j0:j1, i0:i1].T
+            S *= 0.5
+            G[i0:i1, j0:j1] = S
+            G[j0:j1, i0:i1] = S.T
 
 
 class _UnitGramCache:
@@ -233,11 +254,12 @@ class _UnitGramCache:
     Per block (level, signature): one word table, the words as a
     small-integer array in lexicographic order with their sorted base-L
     codes (words are looked up by code only, and no tuples are kept),
-    the unit Gram G (all letter lengths set to 1), and per removed letter
-    the unit annihilation transfer as its nonzero entries (shape, flat
-    indices, values), which transfer_matrix scatters into a fresh array
-    for the Gram recursion and the annihilation letters.  No dense
-    transfer is stored.
+    the unit Gram G (all letter lengths set to 1), built in one array,
+    and per removed letter the unit annihilation transfer as its nonzero
+    entries (shape, flat indices, values), built from the entries alone,
+    which transfer_matrix scatters into a fresh array for the Gram
+    recursion and the annihilation letters.  No dense transfer is
+    stored, and none is built to find the entries.
 
     block[sig] is G until the block is factored.  chol then stores one
     packed array A in its place: the lower Cholesky factor L of G in
@@ -316,13 +338,16 @@ class _UnitGramCache:
         positions i (0-based) holding ell whose removal yields the row
         word.
 
-        Built one position at a time over the block's word array, so
-        every entry receives its terms in increasing i, as a loop over
-        each word's positions adds them; q^i is the running product
-        1.0 * q * ... * q.  The cache keeps only the nonzero entries
-        (at most n per column of n-letter words) and each call scatters
-        scale times them into zeros, which is scale * T bit for bit for
-        a positive scale: every zero stays +0.0.
+        Built from the entries alone, one position at a time over the
+        block's word array: each position i gives the flat indices of
+        its terms, and every entry, starting from 0.0, adds its terms
+        in increasing i, as a loop over each word's positions adds
+        them; q^i is the running product 1.0 * q * ... * q.  Entries
+        that sum to exactly zero (q = 0 makes them) are dropped.  The
+        cache keeps only the nonzero entries (at most n per column of
+        n-letter words), in increasing flat index, and each call
+        scatters scale times them into zeros, which is scale * T bit
+        for bit for a positive scale: every zero stays +0.0.
         """
         key = (sig, ell)
         if key not in self.transfer:
@@ -330,15 +355,24 @@ class _UnitGramCache:
                 raise KeyError(f"block {sig} holds no letter {ell}")
             src = self.word_array(sig)
             red_sig = _sig_add(sig, ell, -1)
-            T = np.zeros((len(self.word_array(red_sig)), len(src)))
-            qp = 1.0
+            m = len(src)
+            flat = []
             for i in range(sum(sig)):
                 cols = np.flatnonzero(src[:, i] == ell)
                 rows = self.rows_of(red_sig, np.delete(src[cols], i, axis=1))
-                T[rows, cols] += qp
+                flat.append(rows * m + cols)
+            nz, entry = np.unique(np.concatenate(flat), return_inverse=True)
+            vals = np.zeros(len(nz))
+            qp = 1.0
+            start = 0
+            for f in flat:
+                # one position's columns are distinct, so are its entries
+                vals[entry[start:start + len(f)]] += qp
+                start += len(f)
                 qp *= self.q
-            nz = np.flatnonzero(T)
-            self.transfer[key] = (T.shape, nz, T.flat[nz])
+            kept = vals != 0.0
+            self.transfer[key] = ((len(self.word_array(red_sig)), m),
+                                  nz[kept], vals[kept])
         shape, nz, vals = self.transfer[key]
         out = np.zeros(shape)
         out.flat[nz] = scale * vals
@@ -347,7 +381,14 @@ class _UnitGramCache:
     def gram(self, sig):
         """The unit Gram block: the cached array itself (read only)
         until the block is factored, then its gather over the whole
-        block, a fresh copy."""
+        block, a fresh copy.
+
+        Built in one m x m array: letter ell's strip, the reduced
+        block's gram times transfer_matrix(sig, ell), is written by
+        np.matmul into the rows of the words ell opens, and _symmetrize
+        then gives the array the bits of 0.5 * (G + G.T) in place.
+        Besides the array, the build holds one reduced block and one
+        transfer at a time."""
         if sig in self.cond:
             return self.gather(sig, slice(None), slice(None))
         if sig in self.block:
@@ -356,17 +397,20 @@ class _UnitGramCache:
         if sum(sig) == 0:
             G = np.ones((1, 1))
         else:
-            rows = []
+            # word_array stacks its rows over the first letter in the
+            # same increasing order, so the strips fill G's rows in turn
+            G = np.empty((m, m))
+            r0 = 0
             for ell in range(self.n_letters):
                 if sig[ell] == 0:
                     continue
-                G_red = self.gram(_sig_add(sig, ell, -1))
-                rows.append(G_red @ self.transfer_matrix(sig, ell))
-            G = np.vstack(rows)
-            # word_array stacks its rows over the first letter in the
-            # same increasing order, so the stacked rows align with it
-            assert G.shape == (m, m)
-            G = 0.5 * (G + G.T)
+                red = _sig_add(sig, ell, -1)
+                r1 = r0 + len(self.word_array(red))
+                np.matmul(self.gram(red), self.transfer_matrix(sig, ell),
+                          out=G[r0:r1])
+                r0 = r1
+            assert r0 == m
+            _symmetrize(G)
         self.block[sig] = G
         return G
 

@@ -43,6 +43,7 @@ def test_config_rejects_unknown_key_and_bad_lines():
 @pytest.mark.parametrize("bad", [
     dict(q_grid=(0.99,)),
     dict(q_grid=(-0.95,)),
+    dict(q_grid=(float("nan"),)),
     dict(lam_grid=(1.5,)),
     dict(lam_grid=(0.0,)),
     dict(lam_grid=(0.95,), depth=14),
@@ -171,6 +172,17 @@ def test_word_budget_refused_before_any_row(tmp_path, capsys):
         assert cli.main([command, "--config", str(cfg),
                          "--out", str(out)]) == 2
         assert "budget 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_q_refused_before_any_output(tmp_path, capsys):
+    # NaN fails every comparison, so it must fail the envelope test too
+    out = tmp_path / "out"
+    for command in (["verify"], ["sweep"], ["dump", "xi"]):
+        assert cli.main(command + ["--q", "nan", "--lambda", "0.3",
+                                   "--depth", "6", "--out", str(out)]) == 2
+        assert "q = nan outside the supported envelope" \
+            in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -309,6 +310,106 @@ def test_one_array_per_block(cold_gram_caches):
     # besides those, one m-vector per factored block: G's diagonal
     assert unit.cond.keys() == unit.diag.keys() == set(blocks)
     assert all(unit.diag[sig].shape == (m,) for sig, m in sizes.items())
+
+
+class _StackedGramCache(fock._UnitGramCache):
+    """The unit Gram cache with the plain stacked build: each block
+    stacks its letters' strips G_red @ T_ell with np.vstack and
+    symmetrizes as 0.5 * (G + G.T), and each transfer is summed into a
+    dense scratch array whose nonzero entries np.flatnonzero then
+    finds.  The oracle for the one-array build's bits."""
+
+    def transfer_matrix(self, sig, ell, scale=1.0):
+        key = (sig, ell)
+        if key not in self.transfer:
+            src = self.word_array(sig)
+            red_sig = fock._sig_add(sig, ell, -1)
+            T = np.zeros((len(self.word_array(red_sig)), len(src)))
+            qp = 1.0
+            for i in range(sum(sig)):
+                cols = np.flatnonzero(src[:, i] == ell)
+                rows = self.rows_of(red_sig, np.delete(src[cols], i, axis=1))
+                T[rows, cols] += qp
+                qp *= self.q
+            nz = np.flatnonzero(T)
+            self.transfer[key] = (T.shape, nz, T.flat[nz])
+        shape, nz, vals = self.transfer[key]
+        out = np.zeros(shape)
+        out.flat[nz] = scale * vals
+        return out
+
+    def gram(self, sig):
+        if sig in self.cond:
+            return self.gather(sig, slice(None), slice(None))
+        if sig not in self.block:
+            if sum(sig) == 0:
+                G = np.ones((1, 1))
+            else:
+                G = np.vstack([
+                    self.gram(fock._sig_add(sig, ell, -1))
+                    @ self.transfer_matrix(sig, ell)
+                    for ell in range(self.n_letters) if sig[ell]])
+                G = 0.5 * (G + G.T)
+            self.block[sig] = G
+        return self.block[sig]
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q, n_letters, depth, factor_as_built", [
+    (-0.5, 2, 12, True), (0.0, 2, 12, True), (0.3, 2, 12, True),
+    (0.8, 2, 12, True), (0.3, 3, 8, False)])
+def test_build_matches_stacked_oracle(q, n_letters, depth, factor_as_built):
+    # factored level by level, a block is built from gathered copies of
+    # its reduced blocks; built first, from the cached arrays themselves
+    unit = fock._UnitGramCache(q, n_letters)
+    oracle = _StackedGramCache(q, n_letters)
+    sigs = [sig for n in range(depth + 1)
+            for sig in fock._compositions(n, n_letters)]
+    for cache in (unit, oracle):
+        for sig in sigs:
+            cache.gram(sig)
+            if factor_as_built:
+                cache.chol(sig)
+    for sig in sigs:
+        if not factor_as_built:
+            assert _same_bytes(unit.gram(sig), oracle.gram(sig))
+            unit.chol(sig)
+            oracle.chol(sig)
+        assert _same_bytes(unit.block[sig], oracle.block[sig])
+        assert _same_bytes(unit.diag[sig], oracle.diag[sig])
+        assert unit.cond[sig] == oracle.cond[sig]
+    assert unit.transfer.keys() == oracle.transfer.keys()
+    for key, (shape, nz, vals) in unit.transfer.items():
+        o_shape, o_nz, o_vals = oracle.transfer[key]
+        assert tuple(shape) == tuple(o_shape)
+        assert _same_bytes(nz, o_nz) and _same_bytes(vals, o_vals)
+    if q == 0.0:
+        # only position 0 weighs 1.0, so a transfer keeps one entry per
+        # word that ell opens; the terms of later positions sum to 0.0
+        for (sig, ell), (_, nz, vals) in unit.transfer.items():
+            assert len(nz) == len(unit.word_array(fock._sig_add(sig, ell, -1)))
+            assert (vals == 1.0).all()
+
+
+def test_block_build_holds_at_most_twice_its_bytes():
+    # the strips are written into the block and symmetrized in place:
+    # besides the block, one gathered reduced block and one transfer
+    unit = fock._UnitGramCache(0.3, 2)
+    for n in range(12):
+        for sig in fock._compositions(n, 2):
+            unit.chol(sig)
+    tracemalloc.start()
+    try:
+        G = unit.gram((6, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (924, 924)
+    assert peak <= 2 * G.nbytes
 
 
 def _inner_bruteforce(space, w, v):

@@ -30,15 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import checks, limits, ops
-from .fock import (
-    MAX_DEPTH,
-    Q_ENVELOPE,
-    BudgetExceededError,
-    ModelParams,
-    build_space,
-    gram_block_to_json,
-    vector_to_json,
-)
+from .fock import MAX_DEPTH, BudgetExceededError, ModelParams, build_space
 
 __all__ = [
     "RunConfig",
@@ -59,16 +51,9 @@ SWEEP_COLUMNS = ("q", "lambda", "depth", "threshold", "analytic_verdict",
                  "min_singular", "sigma_ratio", "cosine", "status",
                  "runtime_ms")
 
-# envelope guards; |q| <= Q_ENVELOPE and depth <= MAX_DEPTH come from
-# the model
+# the command line's own guards; the model's envelope is ModelParams'
 DEPTH_MIN = 4
 TAIL_BUDGET_MAX = 8.0
-# the block scalars lambda^(+-n/2), n <= depth, must lie within
-# 2^(+-SCALE_EXPONENT_MAX): the normal float range, 2^(+-1022), less 64
-# bits for the unit Gram entries they multiply (at most [n]_q! <=
-# (1 - |q|)^-n < 2^47 in the envelope) and for sums over a block's
-# words (at most 3432 < 2^12)
-SCALE_EXPONENT_MAX = 1022 - 64
 
 
 class ConfigError(Exception):
@@ -153,12 +138,20 @@ def _show(value) -> str:
     return str(value)
 
 
+def _axis(grid: tuple) -> tuple:
+    """A grid axis, or (0.3,) for an empty one: the value dump builds
+    its space at, and the one validate_config checks in its place."""
+    return grid or (0.3,)
+
+
 def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
     """Reject parameter points the truncated model cannot support.
 
-    A lambda whose block scalars lambda^(+-depth/2) leave the float
-    range, less the margin of SCALE_EXPONENT_MAX, is refused: the Gram
-    blocks and the operator products would overflow.
+    Every grid point, an empty axis read as _axis reads it, must pass
+    ModelParams, the one home of the model's envelope (|q|, lambda, the
+    block scalars, depth <= MAX_DEPTH and the word budget); its error is
+    raised again as a ConfigError with the same message.  The rules
+    below are the command line's own.
 
     The series-tail guard bounds lam^{(K+1)/2} / (1 - sqrt(lam)); past
     TAIL_BUDGET_MAX the truncated series says nothing about its limit,
@@ -166,7 +159,7 @@ def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
     A subcommand that does not read ``terms`` (verify) has the guard at
     the default order depth // 2 and no range check on ``terms``.
     """
-    if not (DEPTH_MIN <= cfg.depth <= MAX_DEPTH):
+    if cfg.depth < DEPTH_MIN:
         raise ConfigError(
             f"depth {cfg.depth} outside [{DEPTH_MIN}, {MAX_DEPTH}]")
     K = cfg.effective_terms() if reads_terms else cfg.depth // 2
@@ -182,34 +175,20 @@ def validate_config(cfg: RunConfig, reads_terms: bool = True) -> None:
     for tol in (cfg.tol_identity, cfg.tol_eigen, cfg.tol_moment):
         if not (0 < tol < 1):
             raise ConfigError("tolerances must lie in (0, 1)")
-    for q in cfg.q_grid:
-        # written so that a NaN, which fails every comparison, is refused
-        if not abs(q) <= Q_ENVELOPE:
-            raise ConfigError(
-                f"q = {q} outside the supported envelope |q| <= {Q_ENVELOPE}")
+    for q in _axis(cfg.q_grid):
+        for lam in _axis(cfg.lam_grid):
+            try:
+                ModelParams(q, lam, cfg.depth,
+                            max_total_words=cfg.max_total_words)
+            except (ValueError, BudgetExceededError) as exc:
+                raise ConfigError(str(exc)) from None
     for lam in cfg.lam_grid:
-        if not (0.0 < lam < 1.0):
-            raise ConfigError(f"lambda = {lam} outside (0, 1)")
-        exponent = cfg.depth / 2.0 * -math.log2(lam)
-        if exponent > SCALE_EXPONENT_MAX:
-            raise ConfigError(
-                f"lambda = {lam} at depth {cfg.depth}: the block scalars "
-                f"lambda^(+-depth/2) reach 2^(+-{exponent:.0f}), beyond the "
-                f"2^(+-{SCALE_EXPONENT_MAX}) that floats hold with room for "
-                f"the Gram entries")
         tail_budget = lam ** ((K + 1) / 2.0) / (1.0 - math.sqrt(lam))
         if tail_budget > TAIL_BUDGET_MAX:
             raise ConfigError(
                 f"lambda = {lam} at depth {cfg.depth}: series tail budget "
                 f"{tail_budget:.3g} exceeds {TAIL_BUDGET_MAX}; the "
                 f"truncation cannot certify anything at this point")
-    # the word count depends only on the depth, so the budget is caught
-    # here instead of mid-run
-    try:
-        ModelParams(q=0.0, lam=0.5, depth=cfg.depth,
-                    max_total_words=cfg.max_total_words).check_word_budget()
-    except BudgetExceededError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def load_calibration() -> dict:
@@ -400,10 +379,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _dump_space(cfg: RunConfig):
-    q = cfg.q_grid[0] if cfg.q_grid else 0.3
-    lam = cfg.lam_grid[0] if cfg.lam_grid else 0.3
-    return build_space(q=q, lam=lam, depth=cfg.depth,
-                       max_total_words=cfg.max_total_words)
+    return build_space(q=_axis(cfg.q_grid)[0], lam=_axis(cfg.lam_grid)[0],
+                       depth=cfg.depth, max_total_words=cfg.max_total_words)
 
 _DUMP_OPERATORS = {
     "wen": lambda sp, n: ops.wen_operator(sp, n),
@@ -417,7 +394,16 @@ _DUMP_OPERATORS = {
 def _dump_xi(cfg: RunConfig, sp, ns):
     K = cfg.effective_terms()
     xi = limits.xi_vector(sp, n_terms=K)
-    vec_payload = json.loads(vector_to_json(sp, xi.vector))
+    levels = {}
+    for w, c in xi.vector.terms.items():
+        levels.setdefault(len(w), []).append((sp.word_name(w), c))
+    vec_payload = {
+        "format": "qfock-vector-1",
+        "levels": [{"level": lv,
+                    "terms": [{"word": name, "coeff": [c.real, c.imag]}
+                              for name, c in sorted(items)]}
+                   for lv, items in sorted(levels.items())],
+    }
     payload = {
         "format": "qfock-xi-dump-1",
         "q": sp.q, "lambda": sp.lam, "depth": sp.depth, "terms": K,
@@ -433,9 +419,11 @@ def _dump_xi(cfg: RunConfig, sp, ns):
 
 def _dump_gram(cfg: RunConfig, sp, ns):
     level = ns.level
-    if not (0 <= level <= sp.depth):
-        raise ConfigError(f"gram level {level} outside [0, {sp.depth}]")
-    blocks = [json.loads(gram_block_to_json(sp, sig))
+    blocks = [{"format": "qfock-gram-1", "level": level,
+               "signature": {sp.letter_name(ell): count
+                             for ell, count in enumerate(sig)},
+               "words": [sp.word_name(w) for w in sp.block_words(sig)],
+               "matrix": sp.gram(sig).tolist()}
               for sig in sp.blocks_at_level(level)]
     payload = {"format": "qfock-gram-dump-1", "q": sp.q,
                "lambda": sp.lam, "level": level, "blocks": blocks}
@@ -475,9 +463,7 @@ def cmd_dump(cfg: RunConfig, ns) -> int:
     """Write one object: its dumper gives the file stem, the JSON payload
     and the CSV header and rows; the CSV opens with the payload's format
     tag."""
-    dumper = _DUMPERS.get(ns.object)
-    if dumper is None:
-        raise ConfigError(f"unknown dump object {ns.object!r}")
+    dumper = _DUMPERS[ns.object]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem, payload, header, rows = dumper(cfg, _dump_space(cfg), ns)

@@ -29,12 +29,15 @@ stacks, for each letter in increasing order, that letter in front of the
 reduced block's array, which is lexicographic order and the row order of
 the Gram blocks.  Words are kept only as these arrays, looked up by
 their base-L codes.
+
+``ModelParams`` is the one home of the model's envelope: every space,
+whether the library or the command line asks for it, is built from
+parameters that passed its checks.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 import weakref
@@ -51,9 +54,6 @@ __all__ = [
     "BudgetExceededError",
     "GramFactorizationError",
     "GramConditionWarning",
-    "vector_to_json",
-    "vector_from_json",
-    "gram_block_to_json",
 ]
 
 BRUTE_FORCE_MAX_LEVEL = 7
@@ -62,6 +62,12 @@ BRUTE_FORCE_MAX_LEVEL = 7
 Q_ENVELOPE = 0.9
 MAX_DEPTH = 14
 COND_LIMIT = 1e12
+# the block scalars lambda^(+-n/2), n <= depth, must lie within
+# 2^(+-SCALE_EXPONENT_MAX): the normal float range, 2^(+-1022), less 64
+# bits for the unit Gram entries they multiply (at most [n]_q! <=
+# (1 - |q|)^-n < 2^47 in the envelope) and for sums over a block's
+# words (at most 3432 < 2^12)
+SCALE_EXPONENT_MAX = 1022 - 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -89,12 +95,20 @@ class Letter:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters of a truncated model.
+    """Parameters of a truncated model, checked against the envelope
+    the truncation supports; the command line refuses exactly the
+    points refused here.
 
     q         deformation parameter, |q| <= Q_ENVELOPE < 1
-    lam       asymmetry parameter of the two-dimensional part, 0 < lam < 1
-    depth     truncation level N; words longer than N are dropped
+    lam       asymmetry parameter of the two-dimensional part, 0 < lam < 1,
+              with the block scalars lam^(+-depth/2) inside
+              2^(+-SCALE_EXPONENT_MAX), so Gram blocks and operator
+              products do not overflow
+    depth     truncation level N, 0 <= N <= MAX_DEPTH; words longer than
+              N are dropped
     aux_letters  number of extra unit letters fixed by the modular flow
+    max_total_words  the most words, over every level, the model may
+              enumerate (BudgetExceededError beyond it)
     """
 
     q: float
@@ -104,41 +118,35 @@ class ModelParams:
     max_total_words: int = 2_000_000
 
     def __post_init__(self):
+        # written so that a NaN, which fails every comparison, is refused
         if not abs(self.q) <= Q_ENVELOPE:
             raise ValueError(
-                f"|q| = {abs(self.q)} outside the supported envelope "
-                f"{Q_ENVELOPE}; factorizations degrade beyond it"
-            )
+                f"q = {self.q} outside the supported envelope "
+                f"|q| <= {Q_ENVELOPE}")
         if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.depth > MAX_DEPTH:
-            raise ValueError(
-                f"depth {self.depth} exceeds the supported envelope "
-                f"{MAX_DEPTH}"
-            )
+            raise ValueError(f"lambda = {self.lam} outside (0, 1)")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth {self.depth} outside [0, {MAX_DEPTH}]")
         if self.aux_letters < 0:
             raise ValueError("aux_letters must be >= 0")
-
-    @property
-    def n_letters(self) -> int:
-        return 2 + self.aux_letters
-
-    def total_words(self) -> int:
-        L = self.n_letters
-        return sum(L**n for n in range(self.depth + 1))
-
-    def check_word_budget(self) -> None:
-        """Raise BudgetExceededError if the model enumerates more words
-        than max_total_words."""
-        total = self.total_words()
+        exponent = self.depth / 2.0 * -math.log2(self.lam)
+        if exponent > SCALE_EXPONENT_MAX:
+            raise ValueError(
+                f"lambda = {self.lam} at depth {self.depth}: the block "
+                f"scalars lambda^(+-depth/2) reach 2^(+-{exponent:.0f}), "
+                f"beyond the 2^(+-{SCALE_EXPONENT_MAX}) that floats hold "
+                f"with room for the Gram entries")
+        total = sum(self.n_letters ** n for n in range(self.depth + 1))
         if total > self.max_total_words:
             raise BudgetExceededError(
                 f"configuration enumerates {total} words "
                 f"(> budget {self.max_total_words}); lower depth or "
                 f"aux_letters, or raise max_total_words"
             )
+
+    @property
+    def n_letters(self) -> int:
+        return 2 + self.aux_letters
 
 
 def _make_letters(params: ModelParams) -> list[Letter]:
@@ -475,7 +483,6 @@ class FockSpace:
     """A truncated model: parameters, letters, and cached Gram data."""
 
     def __init__(self, params: ModelParams):
-        params.check_word_budget()
         self.params = params
         self.letters = _make_letters(params)
         self.u = np.array([l.u_norm_sq for l in self.letters])
@@ -540,21 +547,6 @@ class FockSpace:
 
     def word_name(self, word) -> str:
         return "".join(self.letters[ell].name for ell in word)
-
-    def parse_word(self, text: str):
-        names = {l.name: i for i, l in enumerate(self.letters)}
-        ordered = sorted(names, key=len, reverse=True)
-        out = []
-        pos = 0
-        while pos < len(text):
-            for name in ordered:
-                if text.startswith(name, pos):
-                    out.append(names[name])
-                    pos += len(name)
-                    break
-            else:
-                raise ValueError(f"cannot parse word {text!r} at offset {pos}")
-        return tuple(out)
 
     # -- Gram data ------------------------------------------------------
 
@@ -727,54 +719,3 @@ def build_space(params: ModelParams | None = None, **kwargs) -> FockSpace:
         raise TypeError("pass either a ModelParams or keyword fields, not both")
     return FockSpace(params)
 
-
-# -- serialization -------------------------------------------------------
-
-
-def vector_to_json(space: FockSpace, vec: FockVector) -> str:
-    levels = {}
-    for w, c in vec.terms.items():
-        levels.setdefault(len(w), []).append((space.word_name(w), c))
-    payload = {
-        "format": "qfock-vector-1",
-        "levels": [
-            {
-                "level": lv,
-                "terms": [
-                    {"word": name, "coeff": [c.real, c.imag]}
-                    for name, c in sorted(items)
-                ],
-            }
-            for lv, items in sorted(levels.items())
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def vector_from_json(space: FockSpace, text: str) -> FockVector:
-    payload = json.loads(text)
-    if payload.get("format") != "qfock-vector-1":
-        raise ValueError("not a serialized vector")
-    terms = {}
-    for level in payload["levels"]:
-        for item in level["terms"]:
-            word = space.parse_word(item["word"])
-            re, im = item["coeff"]
-            terms[word] = complex(re, im)
-    return FockVector(terms)
-
-
-def gram_block_to_json(space: FockSpace, sig) -> str:
-    sig = tuple(sig)
-    words = space.block_words(sig)
-    G = space.gram(sig)
-    payload = {
-        "format": "qfock-gram-1",
-        "level": sum(sig),
-        "signature": {
-            space.letter_name(ell): int(count) for ell, count in enumerate(sig)
-        },
-        "words": [space.word_name(w) for w in words],
-        "matrix": [[float(x) for x in row] for row in G],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

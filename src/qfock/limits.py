@@ -431,8 +431,6 @@ def invertibility_threshold(q: float) -> float:
     """The closed-form deformation bound below which the series is
     provably invertible; both signed branches, with the q = 0 limit of
     the formulas in between."""
-    if not -1.0 < q < 1.0:
-        raise ValueError("q must lie in (-1, 1)")
     bc = bound_constants(q)
     d_inf = d_family(q, j_max=0).d_inf
     if q >= 0:

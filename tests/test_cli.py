@@ -3,6 +3,7 @@ determinism, report layout, dump formats."""
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qfock import checks, cli, limits, ops
+from qfock import checks, cli, fock, limits, ops
 from qfock.cli import ConfigError, RunConfig
+from qfock.fock import ModelParams, build_space
 
 
 # -- configuration ------------------------------------------------------
@@ -80,7 +83,7 @@ def test_block_scalar_range_guard_boundary(tmp_path, capsys):
     # at depth 6 the edge is lambda = 2^(-958/3), about 7.4e-97; beyond
     # it the sweep's products overflowed (lambda = 1e-200 gave an error
     # row after RuntimeWarnings), inside it a sweep runs cleanly
-    edge = 2.0 ** (-cli.SCALE_EXPONENT_MAX / 3.0)
+    edge = 2.0 ** (-fock.SCALE_EXPONENT_MAX / 3.0)
     argv = ["sweep", "--q", "0.3", "--depth", "6", "--out", str(tmp_path)]
     for lam in (1e-200, edge * 0.99):
         assert cli.main(argv + ["--lambda", repr(lam)]) == 2
@@ -94,6 +97,44 @@ def test_block_scalar_range_guard_boundary(tmp_path, capsys):
     cli.validate_config(replace(RunConfig(), lam_grid=(1e-30,), depth=14))
     with pytest.raises(ConfigError, match="block scalars"):
         cli.validate_config(replace(RunConfig(), lam_grid=(1e-60,), depth=14))
+
+
+# the edges of the block-scalar guard at depths 6 and 14
+_EDGE6 = 2.0 ** (-fock.SCALE_EXPONENT_MAX / 3.0)
+_EDGE14 = 2.0 ** (-fock.SCALE_EXPONENT_MAX / 7.0)
+
+
+@pytest.mark.parametrize("depth", [3, 6, 14])
+def test_validate_config_refuses_what_the_model_refuses(depth):
+    """validate_config refuses a point exactly when ModelParams does, with
+    its message, or when a rule of the command line's own fires: depth
+    below DEPTH_MIN or the series-tail budget."""
+    K = depth // 2
+    for q in (math.nan, 0.9, -0.9, 0.9000001):
+        for lam in (0.0, 1.0, 0.99, _EDGE6 * 0.99, _EDGE6 * 1.01,
+                    _EDGE14 * 0.99, _EDGE14 * 1.01):
+            try:
+                ModelParams(q, lam, depth)
+                model_error = None
+            except ValueError as exc:
+                model_error = str(exc)
+            cfg = RunConfig(q_grid=(q,), lam_grid=(lam,), depth=depth)
+            if depth < cli.DEPTH_MIN:
+                want = f"depth {depth} outside"
+            elif model_error is not None:
+                want = model_error
+            elif (lam ** ((K + 1) / 2) / (1 - math.sqrt(lam))
+                  > cli.TAIL_BUDGET_MAX):
+                want = "series tail budget"
+            else:
+                cli.validate_config(cfg)
+                continue
+            with pytest.raises(ConfigError) as exc:
+                cli.validate_config(cfg)
+            if want == model_error:
+                assert str(exc.value) == want, (q, lam)
+            else:
+                assert want in str(exc.value), (q, lam)
 
 
 def test_terms_validated_only_where_read():
@@ -184,6 +225,19 @@ def test_nan_q_refused_before_any_output(tmp_path, capsys):
         assert "q = nan outside the supported envelope" \
             in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_axis_and_gram_level_refused(tmp_path, capsys):
+    # an empty grid axis stands for 0.3, so the other axis is still
+    # checked against the model
+    out = tmp_path / "out"
+    for argv, reason in (
+            (["sweep", "--q", "", "--lambda", "1e-200"], "block scalars"),
+            (["sweep", "--q", "0.95", "--lambda", ""],
+             "q = 0.95 outside the supported envelope"),
+            (["dump", "gram", "--level", "9"], "level 9 outside 0..8")):
+        assert cli.main(argv + ["--depth", "8", "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
 
 
 def test_negative_leading_grid_values_parse(tmp_path):
@@ -626,6 +680,14 @@ def test_dump_xi_levels(tmp_path):
     levels = [lv["level"] for lv in payload["vector"]["levels"]]
     assert levels == [0, 2, 4, 6, 8, 10, 12]
     assert payload["norm_sq_closed_form"] > 0.0
+    # the vector's own layout: each word by name with its coefficient
+    assert payload["vector"]["format"] == "qfock-vector-1"
+    sp = build_space(q=0.3, lam=0.3, depth=12)
+    xi = limits.xi_vector(sp, n_terms=6)
+    assert {term["word"]: term["coeff"]
+            for lv in payload["vector"]["levels"] for term in lv["terms"]} \
+        == {sp.word_name(w): [c.real, c.imag]
+            for w, c in xi.vector.terms.items()}
 
 
 def test_dump_xi_terms_zero_means_half_depth(tmp_path):
@@ -647,6 +709,12 @@ def test_dump_gram_level_two(tmp_path):
     assert len(payload["blocks"]) == 3
     sigs = [b["signature"] for b in payload["blocks"]]
     assert {"e": 1, "Ebar": 1} in sigs
+    block = payload["blocks"][sigs.index({"e": 1, "Ebar": 1})]
+    assert block["format"] == "qfock-gram-1"
+    assert block["level"] == 2
+    assert block["words"] == ["eEbar", "Ebare"]
+    sp = build_space(q=0.3, lam=0.3, depth=12)
+    assert np.array_equal(block["matrix"], sp.gram((1, 1)))
 
 
 def test_dump_operator_with_reach(tmp_path):

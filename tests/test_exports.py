@@ -91,6 +91,39 @@ def test_benchmark_session_calls_resolve():
             "build_space", "op_norm", "moment_check"} <= used
 
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_calibration_tool_calls_resolve():
+    """Every qfock name tools/calibrate.py imports, and every attribute it
+    reads off the limits module, exists, and so does the certificate's
+    to_json_dict it writes with; the tool is run by hand, so a rename
+    would otherwise break it unseen."""
+    limits = importlib.import_module("qfock.limits")
+    tree = ast.parse((TOOLS / "calibrate.py").read_text())
+    used = set()
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("qfock"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                used.add(alias.name)
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "limits":
+            used.add(node.attr)
+            if not hasattr(limits, node.attr):
+                missing.append(f"limits.{node.attr}")
+    assert not missing
+    assert {"build_space", "limits", "rank_one_diagnostics",
+            "invertibility_certificate"} <= used
+    assert callable(getattr(limits.InvertibilityCertificate,
+                            "to_json_dict", None))
+
+
 def test_benchmark_self_test_passes():
     """The benchmark's own self-test, in a child process from the root of
     this tree: a tiny traced sweep and deep session through the library,

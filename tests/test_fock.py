@@ -1,9 +1,8 @@
 """Truncated deformed Fock spaces: enumeration, Gram data, the two
-inner-product paths, budget guards, serialization."""
+inner-product paths, the model's envelope and budget guards."""
 
 import gc
 import itertools
-import json
 import math
 import tracemalloc
 import weakref
@@ -20,9 +19,6 @@ from qfock.fock import (
     FockVector,
     ModelParams,
     build_space,
-    gram_block_to_json,
-    vector_from_json,
-    vector_to_json,
 )
 from qfock.qcomb import inversions, q_factorial
 
@@ -48,6 +44,20 @@ def test_params_validation():
         ModelParams(q=0.3, lam=1.0, depth=6)
     with pytest.raises(ValueError):
         ModelParams(q=0.3, lam=0.3, depth=15)
+    with pytest.raises(ValueError, match="q = nan outside"):
+        ModelParams(q=math.nan, lam=0.3, depth=6)
+
+
+def test_block_scalars_refused_by_the_library():
+    # lambda^(-3) = 1e600 overflows: norm_sq, op_norm and the rank-one
+    # diagnostics of such a space gave RuntimeWarnings, so the library
+    # refuses the point as the command line does
+    with pytest.raises(ValueError, match="block scalars"):
+        build_space(q=0.3, lam=1e-200, depth=6)
+    edge = 2.0 ** (-fock.SCALE_EXPONENT_MAX / 3.0)
+    with pytest.raises(ValueError, match="block scalars"):
+        ModelParams(q=0.3, lam=edge * 0.99, depth=6)
+    ModelParams(q=0.3, lam=edge * 1.01, depth=6)
 
 
 def test_word_budget_guard():
@@ -115,11 +125,7 @@ def test_by_blocks_sorts_rows_and_keeps_coefficients(sp):
 def test_letter_names_and_word_parsing(sp):
     assert sp.letter_name(E) == "e"
     assert sp.letter_name(EBAR) == "Ebar"
-    w = (E, EBAR, E)
-    assert sp.parse_word(sp.word_name(w)) == w
-    assert sp.parse_word("Ebare") == (EBAR, E)
-    with pytest.raises(ValueError):
-        sp.parse_word("exe")
+    assert sp.word_name((E, EBAR, E)) == "eEbare"
 
 
 def test_one_particle_scales(sp):
@@ -172,6 +178,28 @@ def test_cholesky_factors(sp, sp_neg):
                 assert np.allclose(L @ L.T, G, rtol=1e-12, atol=1e-12)
                 assert np.diag(L).min() > 0.0
         assert space.gram_cond((2, 2)) >= 1.0
+
+
+def test_indefinite_block_refused():
+    unit = fock._UnitGramCache(0.3, 2)
+    G = unit.block[(1, 1)] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(fock.GramFactorizationError,
+                       match="not numerically positive definite"):
+        unit.chol((1, 1))
+    assert (1, 1) not in unit.cond
+    assert unit.block[(1, 1)] is G
+    assert G.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+
+
+def test_ill_conditioned_block_warns_and_is_factored():
+    unit = fock._UnitGramCache(0.3, 2)
+    unit.block[(1, 1)] = np.diag([1.0, 1e-14])
+    with pytest.warns(fock.GramConditionWarning,
+                      match=r"condition estimate 1\.000e\+14"):
+        L = unit.chol((1, 1))
+    assert unit.cond[(1, 1)] > fock.COND_LIMIT
+    assert unit.block[(1, 1)] is L
+    assert np.array_equal(unit.gram((1, 1)), np.diag([1.0, 1e-14]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -541,26 +569,3 @@ def test_vector_algebra():
     assert c.coefficient((E,)) == pytest.approx(1.0)
     assert c.coefficient((EBAR,)) == pytest.approx(0.0)
     assert c.coefficient((E, E)) == 0.0
-
-
-def test_vector_json_round_trip(sp):
-    v = FockVector({(E,): 0.5, (E, EBAR): 1.25, (): -2.0})
-    text = vector_to_json(sp, v)
-    payload = json.loads(text)
-    assert payload["format"] == "qfock-vector-1"
-    levels = [entry["level"] for entry in payload["levels"]]
-    assert levels == sorted(levels)
-    back = vector_from_json(sp, text)
-    assert set(back.terms) == set(v.terms)
-    for w, c in v.terms.items():
-        assert back.terms[w] == pytest.approx(c)
-
-
-def test_gram_block_json_layout(sp):
-    payload = json.loads(gram_block_to_json(sp, (1, 1)))
-    assert payload["format"] == "qfock-gram-1"
-    assert payload["level"] == 2
-    assert payload["signature"] == {"e": 1, "Ebar": 1}
-    M = np.asarray(payload["matrix"])
-    assert M.shape == (2, 2)
-    assert np.allclose(M, sp.gram((1, 1)))

@@ -36,6 +36,15 @@ def test_creation_annihilation_adjoint(sp):
                                   annihilate(sp, ell), 8) < TOL
 
 
+def test_action_gap_when_one_side_has_no_target():
+    # zero(sp) has no target block, so each gap is the other side's
+    # largest entry over the scale, here 1 for the single creation letter
+    sp = build_space(q=0.3, lam=0.4, depth=6)
+    create = ops.creation_letter(sp, E)
+    assert ops.action_gap(ops.zero(sp), create, 3) == 1.0
+    assert ops.action_gap(create, ops.zero(sp), 3) == 1.0
+
+
 def test_commutation_relation(sp):
     q = sp.q
     ce = ops.creation_letter(sp, E)

@@ -1,8 +1,10 @@
 """Truncated deformed Fock spaces: enumeration, Gram data, the two
-inner-product paths, the model's envelope and budget guards."""
+inner-product paths, the model's envelope and budget guards, and the
+vector and Gram-block layouts that the dump command writes."""
 
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 import weakref
@@ -10,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qfock import fock, limits
+from qfock import cli, fock, limits
 from qfock.fock import (
     BRUTE_FORCE_MAX_LEVEL,
     E,
@@ -569,3 +571,43 @@ def test_vector_algebra():
     assert c.coefficient((E,)) == pytest.approx(1.0)
     assert c.coefficient((EBAR,)) == pytest.approx(0.0)
     assert c.coefficient((E, E)) == 0.0
+
+
+# -- the vector and Gram-block layouts the dump command writes ----------
+
+
+def test_vector_json_round_trip(sp, tmp_path):
+    assert cli.main(["dump", "xi", "--terms", "4", "--q", "0.3",
+                     "--lambda", "0.4", "--depth", "8", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "xi.json").read_text())["vector"]
+    assert payload["format"] == "qfock-vector-1"
+    levels = [entry["level"] for entry in payload["levels"]]
+    assert levels == sorted(levels)
+    # each word is written by name; reading the names back through the
+    # space's own words gives the written vector bit for bit
+    by_name = {sp.word_name(w): w
+               for level in range(sp.depth + 1)
+               for sig in sp.blocks_at_level(level)
+               for w in sp.block_words(sig)}
+    back = {by_name[term["word"]]: complex(*term["coeff"])
+            for entry in payload["levels"] for term in entry["terms"]}
+    for entry in payload["levels"]:
+        assert all(len(by_name[t["word"]]) == entry["level"]
+                   for t in entry["terms"])
+    assert back == dict(limits.xi_vector(sp, n_terms=4).vector.terms)
+
+
+def test_gram_block_json_layout(sp, tmp_path):
+    assert cli.main(["dump", "gram", "--level", "2", "--q", "0.3",
+                     "--lambda", "0.4", "--depth", "8", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    blocks = json.loads((tmp_path / "gram_level2.json").read_text())["blocks"]
+    sigs = [b["signature"] for b in blocks]
+    payload = blocks[sigs.index({"e": 1, "Ebar": 1})]
+    assert payload["format"] == "qfock-gram-1"
+    assert payload["level"] == 2
+    assert payload["words"] == ["eEbar", "Ebare"]
+    M = np.asarray(payload["matrix"])
+    assert M.shape == (2, 2)
+    assert np.array_equal(M, sp.gram((1, 1)))

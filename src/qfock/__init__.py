@@ -6,7 +6,24 @@ alphabet, realizes creation/annihilation, Wick, and modular operators as
 block maps between letter-multiset sectors, and verifies the computable
 identities, norm bounds, convergence sequences, and invertibility
 thresholds of the underlying operator-algebraic model at desk scale.
+
+Importing qfock before numpy sets ``OPENBLAS_NUM_THREADS=1`` in the
+process environment, unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+or ``MKL_NUM_THREADS`` is already set: on this package's small blocks
+more BLAS threads cost time, and the last bits of a few reported gaps
+depend on the thread count.  A variable the user set wins, and so does a
+numpy that was loaded first.
 """
+
+import os
+import sys
+
+# before the first numpy import below, which starts the BLAS threads
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+if "numpy" not in sys.modules \
+        and not any(v in os.environ for v in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .qcomb import (
     q_int,

@@ -9,10 +9,12 @@ Three subcommands:
   dump     write a single object (Gram block, operator, distinguished
            vector) in a documented JSON or CSV layout
 
-All outputs are deterministic for a fixed configuration and BLAS thread
-count: no timestamps inside data files, fixed column order, floats at
-17 significant digits in CSV.  The sweep's per-row runtime column is
-informational and is the one field allowed to vary between runs.
+All outputs are deterministic for a fixed configuration: no timestamps
+inside data files, fixed column order, floats at 17 significant digits
+in CSV.  A few last bits depend on the BLAS thread count, which the
+package pins to one unless the user sets it.  The sweep's per-row
+runtime column is informational and is the one field allowed to vary
+between runs.
 
 Exit codes: 0 success, 1 at least one check failed or raised, 2 bad
 configuration.

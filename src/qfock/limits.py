@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import ops
 from .fock import (
@@ -608,6 +607,8 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
     distinguished vector, the second-to-first singular ratio, and the
     absolute cosine to the distinguished vector (phase-free match).
     """
+    from scipy.linalg import solve_triangular
+
     N = space.depth
     q, lam = space.q, space.lam
     if n_list is None:
@@ -637,8 +638,8 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         for sig, offset in window.offset.items():
             Lc = space.gram_chol(sig)
             sl = slice(offset, offset + len(Lc))
-            M[sl, :] = scipy.linalg.solve_triangular(Lc, M[sl, :], lower=True)
-            M[:, sl] = scipy.linalg.solve_triangular(
+            M[sl, :] = solve_triangular(Lc, M[sl, :], lower=True)
+            M[:, sl] = solve_triangular(
                 Lc, M[:, sl].conj().T, lower=True).conj().T
         asym = float(np.linalg.norm(M - M.conj().T) /
                      max(np.linalg.norm(M), 1e-300))

@@ -368,27 +368,36 @@ def test_verify_report_layout(verify_out):
 
 
 REPO = Path(__file__).resolve().parents[1]
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 
 
-def _cli_at_one_blas_thread(args):
-    """Runs `python -m qfock.cli ARGS` in a child process at one BLAS
-    thread and asserts it exits 0: numpy is loaded before this suite's
-    conftest, so the thread count can only be set for a fresh
-    interpreter."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def _child_env(**variables):
+    """This environment with none of BLAS_THREAD_VARIABLES, as a fresh
+    shell has none, then `variables`, and this tree's src/ on the path."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables)
     src = str(REPO / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return env
+
+
+def _cli_in_default_environment(args):
+    """Runs `python -m qfock.cli ARGS` in a child process that sets no
+    BLAS thread variable and asserts it exits 0: the package then pins
+    one BLAS thread itself, the count the references were made at."""
     proc = subprocess.run(
         [sys.executable, "-m", "qfock.cli", *args],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_verify_matches_benchmark_reference(tmp_path):
-    """The benchmark's seed-0 verify run, at one BLAS thread, writes the
+    """The benchmark's seed-0 verify run, out of the box, writes the
     committed reference report apart from out_dir."""
-    _cli_at_one_blas_thread(
+    _cli_in_default_environment(
         ["verify", "--q=-0.8,0.0,0.8", "--lambda=0.05,0.15,0.3,0.5,0.75",
          "--depth", "12", "--jobs", "1", "--out", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
@@ -399,10 +408,10 @@ def test_verify_matches_benchmark_reference(tmp_path):
 
 
 def test_sweep_matches_benchmark_reference(tmp_path):
-    """The benchmark's seed-0 sweep at q = -0.8 and 0.8, at one BLAS
-    thread, writes the committed reference rows: every column before
-    runtime_ms, byte for byte."""
-    _cli_at_one_blas_thread(
+    """The benchmark's seed-0 sweep at q = -0.8 and 0.8, out of the box,
+    writes the committed reference rows: every column before runtime_ms,
+    byte for byte."""
+    _cli_in_default_environment(
         ["sweep", "--q=-0.8,0.8", "--lambda=0.05,0.15,0.3,0.5,0.75",
          "--depth", "12", "--jobs", "1", "--out", str(tmp_path)])
     got = [line.split(",")[:9]
@@ -413,6 +422,64 @@ def test_sweep_matches_benchmark_reference(tmp_path):
     want = want[:2] + [row for row in want[2:] if abs(float(row[0])) == 0.8]
     assert len(want) == 12
     assert got == want
+
+
+def _python(code, **variables):
+    """The JSON that CODE prints last, run in a fresh interpreter in
+    _child_env(**variables): this one has loaded numpy long ago."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=_child_env(**variables),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _thread_variables_after(imports, **variables):
+    """BLAS_THREAD_VARIABLES as a child in _child_env(**variables) sees
+    them after running IMPORTS."""
+    return _python(f"import json, os; {imports}; print(json.dumps("
+                   f"{{v: os.environ.get(v) "
+                   f"for v in {BLAS_THREAD_VARIABLES!r}}}))", **variables)
+
+
+def test_import_pins_one_blas_thread():
+    assert _thread_variables_after("import qfock") == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+def test_user_thread_variable_wins(name):
+    want = dict.fromkeys(BLAS_THREAD_VARIABLES)
+    want[name] = "2"
+    assert _thread_variables_after("import qfock", **{name: "2"}) == want
+
+
+def test_numpy_loaded_first_keeps_environment():
+    assert _thread_variables_after("import numpy; import qfock") \
+        == dict.fromkeys(BLAS_THREAD_VARIABLES)
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the command line loads every layer the benchmark traces
+    but leaves scipy to the first solve that needs it."""
+    loaded = _python("import json, sys, qfock.cli; "
+                     "print(json.dumps(sorted(sys.modules)))")
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert {f"qfock.{layer}" for layer in
+            ("qcomb", "fock", "ops", "limits", "cli")} <= set(loaded)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["dump", "gram", "--depth", "6"], 0),
+    (["verify", "--q", "2"], 2),
+])
+def test_dump_and_refusal_load_no_scipy(tmp_path, args, code):
+    argv = [*args, "--out", str(tmp_path)]
+    got = _python("import json, sys; from qfock import cli; "
+                  f"rc = cli.main({argv!r}); "
+                  "print(json.dumps([rc, 'scipy' in sys.modules]))")
+    assert got == [code, False]
 
 
 # the entries whose gap or tolerance reads a value frozen in the

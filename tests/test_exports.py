@@ -31,6 +31,30 @@ def test_package_imports_resolve():
     assert not missing
 
 
+def _import_time_modules(node):
+    """The absolute imports under `node` that run when its module is
+    imported: everything but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+        yield from _import_time_modules(child)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """scipy loads in the functions that solve, so `import qfock.cli`,
+    the benchmark's setup_s, and the runs that solve nothing do not pay
+    for it."""
+    found = {path.name: {m.split(".")[0] for m in
+                         _import_time_modules(ast.parse(path.read_text()))}
+             for path in Path(qfock.__file__).parent.glob("*.py")}
+    assert "numpy" in found["fock.py"]
+    assert [name for name, tops in found.items() if "scipy" in tops] == []
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

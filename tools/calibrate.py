@@ -8,6 +8,11 @@ suite compares fresh runs against these values with a small drift
 tolerance, so any behavioural regression in the operator stack shows
 up even when the analytic bounds still hold.
 
+The tool imports qfock before numpy, so it runs at the one BLAS thread
+the package pins unless a thread variable is set: the count `qfock
+verify` and the tests run at, so the calibration drift they check
+stays at its one-thread values.
+
 Run from the repository root:
 
     python3 tools/calibrate.py

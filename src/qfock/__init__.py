@@ -13,8 +13,18 @@ or ``MKL_NUM_THREADS`` is already set: on this package's small blocks
 more BLAS threads cost time, and the last bits of a few reported gaps
 depend on the thread count.  A variable the user set wins, and so does a
 numpy that was loaded first.
+
+Importing qfock also fixes glibc's mmap threshold at 4 MiB
+(mallopt(3), ``M_MMAP_THRESHOLD``), so every array of 4 MiB or more goes
+back to the system when it is freed.  By default the threshold rises
+with each large array freed, up to 32 MiB, and the Gram build's
+transients then come from the heap and stay resident after they are
+freed.  A user's ``MALLOC_MMAP_THRESHOLD_``, or a
+``glibc.malloc.mmap_threshold`` in ``GLIBC_TUNABLES``, wins; where libc
+has no ``mallopt`` nothing changes.
 """
 
+import ctypes
 import os
 import sys
 
@@ -24,6 +34,27 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 if "numpy" not in sys.modules \
         and not any(v in os.environ for v in _THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+_M_MMAP_THRESHOLD = -3          # mallopt's parameter number in glibc
+_MMAP_THRESHOLD = 1 << 22
+
+
+def _return_large_frees() -> bool:
+    """Fix the mmap threshold at _MMAP_THRESHOLD unless the user set
+    one; True when mallopt took it."""
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ \
+            or "glibc.malloc.mmap_threshold" in os.environ.get(
+                "GLIBC_TUNABLES", ""):
+        return False
+    # Windows refuses CDLL(None); macOS's libc has no mallopt
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+
+
+_return_large_frees()
 
 from .qcomb import (
     q_int,

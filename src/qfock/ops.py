@@ -337,10 +337,11 @@ def zero(space: FockSpace) -> FockOperator:
     return FockOperator(space, lambda sig: {}, reach=0)
 
 
-def _chain(space: FockSpace, factors) -> FockOperator:
-    """factors[0] @ (factors[1] @ (... @ identity)): the last factor acts
-    first, and each product is grouped onto the chain built so far."""
-    out = identity(space)
+def _chain(space: FockSpace, factors, base=None) -> FockOperator:
+    """factors[0] @ (factors[1] @ (... @ base)), base the identity by
+    default: base acts first, then the last factor, and each product is
+    grouped onto the chain built so far."""
+    out = identity(space) if base is None else base
     for A in reversed(factors):
         out = A @ out
     return out
@@ -550,8 +551,8 @@ def wen_operator(space: FockSpace, n: int) -> FockOperator:
     (left creations)^(n-k) (conjugate annihilations)^k."""
     q = space.q
     ce = creation_letter(space, E)
-    aeb = annihilation_letter(space, EBAR)
-    terms = [q_binomial(n, k, q) * _chain(space, [ce] * (n - k) + [aeb] * k)
+    aeb = power_ladder(annihilation_letter(space, EBAR), n)
+    terms = [q_binomial(n, k, q) * _chain(space, [ce] * (n - k), base=aeb[k])
              for k in range(n + 1)]
     return sum(terms[1:], terms[0])
 
@@ -559,14 +560,18 @@ def wen_operator(space: FockSpace, n: int) -> FockOperator:
 def wick_balanced(space: FockSpace, n: int) -> FockOperator:
     """Wick operator of (conjugate letter)^n (letter)^n via the factored
     normal-ordered coefficient matrix; (n+1)^2 monomials instead of a
-    4^n splitting enumeration."""
+    4^n splitting enumeration.  The annihilation tails come from one
+    memoized table, table[i][j] = ae^i aeb^j, grouped as the chain of
+    each monomial groups them."""
     coeff = wick_coefficients(n, space.q)
     ce = creation_letter(space, E)
     ceb = creation_letter(space, EBAR)
     ae = annihilation_letter(space, E)
-    aeb = annihilation_letter(space, EBAR)
-    terms = [coeff[k, l] * _chain(space, [ceb] * k + [ce] * l
-                                  + [ae] * (n - k) + [aeb] * (n - l))
+    table = [power_ladder(annihilation_letter(space, EBAR), n)]
+    for _ in range(n):
+        table.append([memoized(ae @ below) for below in table[-1]])
+    terms = [coeff[k, l] * _chain(space, [ceb] * k + [ce] * l,
+                                  base=table[n - k][n - l])
              for k in range(n + 1) for l in range(n + 1)]
     return sum(terms[1:], terms[0])
 
@@ -617,13 +622,12 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     return FockOperator(A.space, act, reach=reach)
 
 
-def _orthonormal_block(space: FockSpace, M: np.ndarray, src_sig, tgt_sig):
-    """Rewrite a word-coordinate block in the orthonormal frames:
-    L_tgt^T M L_src^{-T}."""
+def _orthonormal_block(M: np.ndarray, L_src: np.ndarray,
+                       L_tgt: np.ndarray) -> np.ndarray:
+    """Rewrite a word-coordinate block in the orthonormal frames of the
+    source and target Cholesky factors: L_tgt^T M L_src^{-T}."""
     from scipy.linalg import solve_triangular
 
-    L_src = space.gram_chol(src_sig)
-    L_tgt = space.gram_chol(tgt_sig)
     X = solve_triangular(L_src, M.T, lower=True).T
     return L_tgt.T @ X
 
@@ -643,13 +647,19 @@ def _orthonormal_images(A: FockOperator, src, images=None) -> list:
     """[(tgt, Mo)]: the blocks of A out of block src (its _images, if
     given) in the orthonormal frames, targets in action order.  An index
     image (rows, s) is written out by _index_matrix, not read through
-    action(), so nothing lands in A's cache."""
+    action(), so nothing lands in A's cache.  The source's factor is
+    taken once, and only when there is an image."""
     space = A.space
+    if images is None:
+        images = _images(A, src)
+    if not images:
+        return []
+    L_src = space.gram_chol(src)
     out = []
-    for tgt, M in _images(A, src) if images is None else images:
+    for tgt, M in images:
         if not isinstance(M, np.ndarray):
             M = _index_matrix(space, (tgt, *M))
-        out.append((tgt, _orthonormal_block(space, M, src, tgt)))
+        out.append((tgt, _orthonormal_block(M, L_src, space.gram_chol(tgt))))
     return out
 
 

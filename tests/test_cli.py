@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import qfock
 from qfock import checks, cli, fock, limits, ops
 from qfock.cli import ConfigError, RunConfig
 from qfock.fock import ModelParams
@@ -373,10 +375,12 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def _child_env(**variables):
-    """This environment with none of BLAS_THREAD_VARIABLES, as a fresh
-    shell has none, then `variables`, and this tree's src/ on the path."""
+    """This environment with none of BLAS_THREAD_VARIABLES and no glibc
+    allocator setting, as a fresh shell has none, then `variables`, and
+    this tree's src/ on the path."""
     env = {k: v for k, v in os.environ.items()
-           if k not in BLAS_THREAD_VARIABLES}
+           if k not in BLAS_THREAD_VARIABLES and k != "GLIBC_TUNABLES"
+           and not k.startswith("MALLOC_")}
     env.update(variables)
     src = str(REPO / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -458,6 +462,86 @@ def test_user_thread_variable_wins(name):
 def test_numpy_loaded_first_keeps_environment():
     assert _thread_variables_after("import numpy; import qfock") \
         == dict.fromkeys(BLAS_THREAD_VARIABLES)
+
+
+def _rss_kept_after_large_frees(**variables):
+    """MiB of resident memory that a child in _child_env(**variables)
+    keeps after importing qfock and allocating and freeing a 6 MiB array
+    twice.  Under glibc's default the first free raises the mmap
+    threshold above 6 MiB, so the second array comes from the heap and
+    its pages stay."""
+    return _python(
+        "import json, qfock, numpy as np\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        line = next(ln for ln in f if ln.startswith('VmRSS:'))\n"
+        "    return int(line.split()[1]) / 1024\n"
+        "before = rss()\n"
+        "for _ in range(2):\n"
+        "    a = np.ones(6 << 17)\n"
+        "    del a\n"
+        "print(json.dumps(rss() - before))", **variables)
+
+
+on_glibc = pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="glibc's allocator and /proc/self/status")
+
+
+@on_glibc
+def test_import_returns_large_arrays():
+    assert _rss_kept_after_large_frees() < 1.0
+
+
+@on_glibc
+@pytest.mark.parametrize("variables", [
+    {"MALLOC_MMAP_THRESHOLD_": "33554432",
+     "MALLOC_TRIM_THRESHOLD_": "1073741824"},
+    {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=33554432:"
+                       "glibc.malloc.trim_threshold=1073741824"},
+], ids=["MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"])
+def test_user_mmap_threshold_wins(variables):
+    # a user's 32 MiB threshold, with a trim threshold that keeps the
+    # heap's free top, leaves the freed array resident; qfock's 4 MiB
+    # threshold would return it
+    assert _rss_kept_after_large_frees(**variables) > 5.0
+
+
+class _Libc:
+    """A libc whose mallopt records its calls and succeeds."""
+    calls: list = []
+
+    def __init__(self, name):
+        assert name is None
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("variables, lookup, want", [
+    ({}, _Libc, [(-3, 4 << 20)]),
+    ({"MALLOC_MMAP_THRESHOLD_": "33554432"}, _Libc, []),
+    ({"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=33554432"}, _Libc, []),
+    ({}, _no_libc, []),
+    ({}, lambda name: object(), []),
+], ids=["default", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES", "no-libc",
+        "no-mallopt"])
+def test_mmap_threshold_policy(monkeypatch, variables, lookup, want):
+    # mallopt(M_MMAP_THRESHOLD = -3, 4 MiB) unless the user set a
+    # threshold; quietly nothing where libc or its mallopt is missing
+    for name in ("MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in variables.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(qfock.ctypes, "CDLL", lookup)
+    monkeypatch.setattr(_Libc, "calls", [])
+    assert qfock._return_large_frees() is bool(want)
+    assert _Libc.calls == want
 
 
 def test_cli_import_loads_no_scipy():

@@ -112,7 +112,8 @@ def _op_norm_oracle(A, src_level_max=None):
             pairs.append((sig, tgt, M))
     rows, cols, vals = [], [], []
     for sig, tgt, M in pairs:
-        Mo = ops._orthonormal_block(space, M, sig, tgt)
+        Mo = ops._orthonormal_block(M, space.gram_chol(sig),
+                                    space.gram_chol(tgt))
         rr, cc = np.nonzero(np.ones_like(Mo, dtype=bool))
         rows.append(rr + tgt_offset[tgt])
         cols.append(cc + src_offset[sig])
@@ -148,7 +149,8 @@ def _assemble_oracle(A, src_level_max):
         if tgt not in tgt_offset:
             tgt_offset[tgt] = tgt_dim
             tgt_dim += M.shape[0]
-        Mo = ops._orthonormal_block(space, M, src, tgt)
+        Mo = ops._orthonormal_block(M, space.gram_chol(src),
+                                    space.gram_chol(tgt))
         rr, cc = np.nonzero(Mo)
         rows.append(rr + tgt_offset[tgt])
         cols.append(cc + window.offset[src])
@@ -200,7 +202,8 @@ def _min_singular_oracle(A, src_level_max):
         dense = np.zeros((nrow, ncol))
         for sig in sigs:
             for tgt, M in actions[sig].items():
-                Mo = ops._orthonormal_block(space, M, sig, tgt)
+                Mo = ops._orthonormal_block(M, space.gram_chol(sig),
+                                            space.gram_chol(tgt))
                 r0, c0 = row_off[tgt], col_off[sig]
                 dense[r0:r0 + Mo.shape[0], c0:c0 + Mo.shape[1]] += Mo
         s = np.linalg.svd(dense, compute_uv=False)
@@ -330,12 +333,29 @@ def test_index_blocks_keep_their_solve_columns(shared_space):
         for sig in space.blocks_at_level(11):
             got = ops._orthonormal_images(A, sig)
             assert not A._cache
-            want = [(tgt, ops._orthonormal_block(space, M, sig, tgt))
+            want = [(tgt, ops._orthonormal_block(M, space.gram_chol(sig),
+                                                 space.gram_chol(tgt)))
                     for tgt, M in A.action(sig).items()]
             assert [t for t, _ in got] == [t for t, _ in want]
             assert all(g.tobytes() == w.tobytes()
                        for (_, g), (_, w) in zip(got, want)), sig
             A._cache.clear()
+
+
+def test_min_singular_factors_each_source_once(shared_space, monkeypatch):
+    # one gram_chol call per source block with an image and one per
+    # image: 28 sources, each with its creation image and the 21 that
+    # hold an e with their annihilation image (98 calls at one source
+    # factor per image)
+    space = shared_space(0.3, 0.4, 8)
+    A = ops.field(space, E)
+    images = [ops._images(A, sig) for sig in ops.Window(space, 6).blocks]
+    calls = []
+    factor = space.gram_chol
+    monkeypatch.setattr(space, "gram_chol",
+                        lambda sig: calls.append(sig) or factor(sig))
+    ops.min_singular(A, 6)
+    assert len(calls) == sum(1 + len(row) for row in images if row) == 77
 
 
 def test_norms_of_index_operators_build_no_blocks(shared_space):

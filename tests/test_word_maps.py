@@ -399,6 +399,47 @@ def test_chains_bit_identical(sp, name):
     _assert_blocks_equal(build(sp), oracle(sp), sp)
 
 
+def _wen_by_chains(space, n):
+    """wen_operator as one chain of letters per monomial, the library's
+    construction before its annihilations came from a power ladder."""
+    ce = ops.creation_letter(space, E)
+    aeb = ops.annihilation_letter(space, EBAR)
+    terms = [q_binomial(n, k, space.q)
+             * ops._chain(space, [ce] * (n - k) + [aeb] * k)
+             for k in range(n + 1)]
+    return sum(terms[1:], terms[0])
+
+
+def _wick_balanced_by_chains(space, n):
+    """wick_balanced as one chain of letters per monomial, the library's
+    construction before its annihilation tails came from one table."""
+    coeff = wick_coefficients(n, space.q)
+    ce = ops.creation_letter(space, E)
+    ceb = ops.creation_letter(space, EBAR)
+    ae = ops.annihilation_letter(space, E)
+    aeb = ops.annihilation_letter(space, EBAR)
+    terms = [coeff[k, l] * ops._chain(space, [ceb] * k + [ce] * l
+                                      + [ae] * (n - k) + [aeb] * (n - l))
+             for k in range(n + 1) for l in range(n + 1)]
+    return sum(terms[1:], terms[0])
+
+
+LADDER_DEPTH = 10
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_ladder_builders_match_chain_sums(shared_space, q):
+    # every block of the depth-10 space, for every n the depth allows
+    space = shared_space(q, 0.4, LADDER_DEPTH)
+    for n in range(1, LADDER_DEPTH // 2 + 1):
+        for build, by_chains in ((ops.wen_operator, _wen_by_chains),
+                                 (ops.wick_balanced,
+                                  _wick_balanced_by_chains)):
+            got, want = build(space, n), by_chains(space, n)
+            assert (got.reach, got.peak) == (want.reach, want.peak)
+            _assert_blocks_equal(got, want.action, space, LADDER_DEPTH)
+
+
 def test_rows_of_finds_words_and_refuses_others(sp):
     sig = (2, 1, 1)
     W = sp.word_array(sig)

@@ -17,11 +17,12 @@ annihilation transfer matrices, each block in one array: every letter's
 strip is written into its rows and the array is symmetrized in place.  A
 brute-force permutation sum is kept as an independent test oracle for
 small levels.  A unit block is exactly symmetric and its Cholesky factor
-triangular, so once a block is factored the cache keeps one array for
-both: the factor in the lower triangle, diagonal included, and the Gram
-block's strict upper triangle above it, with the Gram diagonal as a
-vector.  Its Gram entries, the whole block included, are read by one
-gather from that array into a fresh one; a clean factor is a fresh copy.
+triangular, so the cache keeps one array for both: the block is factored
+in the array that held it, which then holds the factor in the lower
+triangle, diagonal included, and the Gram block's strict upper triangle
+above it, with the Gram diagonal as a vector.  Its Gram entries, the
+whole block included, are read by one gather from that array into a
+fresh one; a clean factor is a fresh copy.
 A transfer has at most n nonzero entries in a column of n-letter words;
 the cache builds and keeps only those, and every reader gets a fresh
 dense copy.  A block's words follow the same recursion: its word array
@@ -37,6 +38,8 @@ parameters that passed its checks.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 import warnings
@@ -207,9 +210,8 @@ def _cond_estimate(L: np.ndarray) -> float:
     lo = 0.0
     from scipy.linalg import solve_triangular
 
-    # L is a fresh factor, checked finite by _UnitGramCache.chol before
-    # it is packed, and y is finite until an overflow, which the norm
-    # catches
+    # L is a factor checked finite by _factor_in_place, and y is finite
+    # until an overflow, which the norm catches
     for _ in range(8):
         y = solve_triangular(L, y, lower=True, check_finite=False)
         y = solve_triangular(L.T, y, lower=False, check_finite=False)
@@ -255,6 +257,89 @@ def _symmetrize(G: np.ndarray) -> None:
             G[j0:j1, i0:i1] = S.T
 
 
+def _transpose(A: np.ndarray) -> None:
+    """A = A.T in place for a square A, one pair of tiles at a time.
+    Values are copied, so every bit, a -0.0 included, moves unchanged."""
+    m = len(A)
+    for i0 in range(0, m, _TILE):
+        i1 = min(i0 + _TILE, m)
+        A[i0:i1, i0:i1] = A[i0:i1, i0:i1].T.copy()
+        for j0 in range(i1, m, _TILE):
+            j1 = min(j0 + _TILE, m)
+            S = A[i0:i1, j0:j1].copy()
+            A[i0:i1, j0:j1] = A[j0:j1, i0:i1].T
+            A[j0:j1, i0:i1] = S.T
+
+
+@functools.cache
+def _lapack_dpotrf():
+    """dpotrf of the LAPACK that numpy.linalg links, which
+    np.linalg.cholesky calls, as a ctypes function with 64-bit integer
+    arguments; None where that library exports no ILP64 dpotrf (MKL or
+    LP64 builds of numpy).  Looked up on the first call."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_dpotrf_64_", "dpotrf_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            int64_p = ctypes.POINTER(ctypes.c_int64)
+            # uplo, n, a, lda, info, and the Fortran length of uplo
+            fn.argtypes = [ctypes.c_char_p, int64_p, ctypes.c_void_p,
+                           int64_p, int64_p, ctypes.c_size_t]
+            fn.restype = None
+            return fn
+    return None
+
+
+def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
+    """Overwrite the bit-symmetric, C-ordered G with its packed array:
+    the lower Cholesky factor L of G in the lower triangle, diagonal
+    included, G's strict upper triangle above it; the bits of L are
+    np.linalg.cholesky's.  Returns None, or why G has no finite factor,
+    with every bit of G as it was (diag is G's diagonal).
+
+    np.linalg.cholesky runs dpotrf('L') on a Fortran copy of G.  Read in
+    Fortran order, G's own array is G again, so the same call on it
+    writes L^T into the C upper triangle and leaves G's strict lower
+    triangle alone; a tiled transpose then gives the packed layout.
+    Where numpy's LAPACK exports no such dpotrf, np.linalg.cholesky
+    itself runs and L's lower triangle is copied into G."""
+    potrf = _lapack_dpotrf()
+    if potrf is None:
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return "is not numerically positive definite"
+        if not np.isfinite(L).all():
+            return "has a non-finite Cholesky factor"
+        _copy_upper(G.T, L.T)
+        np.fill_diagonal(G, L.diagonal())
+        return None
+    m = len(G)
+    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
+    potrf(b"L", ctypes.byref(n), G.ctypes.data, ctypes.byref(n),
+          ctypes.byref(info), 1)
+    if info.value == 0:
+        # the array is finite exactly when L is: G is symmetric, so a
+        # non-finite entry of its strict lower triangle reaches L too
+        if all(np.isfinite(G[i0:i0 + _TILE]).all()
+               for i0 in range(0, m, _TILE)):
+            _transpose(G)
+            return None
+        why = "has a non-finite Cholesky factor"
+    else:
+        why = "is not numerically positive definite"
+    # dpotrf wrote only the C upper triangle: mirror G's strict lower
+    # triangle back onto it and put the diagonal back
+    _copy_upper(G, G.T)
+    np.fill_diagonal(G, diag)
+    return why
+
+
 class _UnitGramCache:
     """q-dependent, lambda-free part of the Gram data, shared by every
     space at one (q, letter count) whatever its lambda and depth.
@@ -269,14 +354,16 @@ class _UnitGramCache:
     recursion and the annihilation letters.  No dense transfer is
     stored, and none is built to find the entries.
 
-    block[sig] is G until the block is factored.  chol then stores one
-    packed array A in its place: the lower Cholesky factor L of G in
-    A's lower triangle, diagonal included, checked finite once so that
-    solves against it skip the check, and G's strict upper triangle
-    above it; diag[sig] keeps G's diagonal and cond[sig] a condition
-    estimate.  A block is factored exactly when it is in cond.  gather
-    then reads G's entries from A and diag into a fresh array, and gram
-    is its gather over the whole block.
+    block[sig] is G until the block is factored.  chol then overwrites
+    that array with the packed array A: the lower Cholesky factor L of
+    G in A's lower triangle, diagonal included, checked finite once so
+    that solves against it skip the check, and G's strict upper
+    triangle above it; diag[sig] keeps G's diagonal and cond[sig] a
+    condition estimate.  A block is factored exactly when it is in
+    cond.  gather then reads G's entries from A and diag into a fresh
+    array, and gram is its gather over the whole block.  So gram's
+    array of an unfactored block is valid only until the block is
+    factored: the recursion and every caller use it before any chol.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -388,8 +475,8 @@ class _UnitGramCache:
 
     def gram(self, sig):
         """The unit Gram block: the cached array itself (read only)
-        until the block is factored, then its gather over the whole
-        block, a fresh copy.
+        until the block is factored, which overwrites that array, then
+        its gather over the whole block, a fresh copy.
 
         Built in one m x m array: letter ell's strip, the reduced
         block's gram times transfer_matrix(sig, ell), is written by
@@ -442,23 +529,22 @@ class _UnitGramCache:
     def chol(self, sig):
         """The block's packed array: the lower Cholesky factor of the
         unit Gram in its lower triangle, G's strict upper triangle above
-        it.  Factors the block on first use."""
+        it.  Factors the block on first use, in the cached array that
+        gram returned, so that array becomes the packed one; a refused
+        block keeps G, every bit of it."""
         if sig in self.cond:
             return self.block[sig]
         G = self.gram(sig)
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            raise GramFactorizationError(
-                f"Gram block level={sum(sig)} signature={sig} is not "
-                f"numerically positive definite at q={self.q}: {exc}"
-            ) from None
-        # checked once here, so solves against the factor skip the check
-        if not np.isfinite(L).all():
+        diag = G.diagonal().copy()
+        why = _factor_in_place(G, diag)
+        if why is not None:
             raise GramFactorizationError(
                 f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
-                f"has a non-finite Cholesky factor")
-        cond = _cond_estimate(L)
+                f"{why}")
+        # the factor is checked finite, so solves against it skip the check
+        cond = _cond_estimate(np.tril(G))
+        self.diag[sig] = diag
+        self.cond[sig] = cond
         if cond > COND_LIMIT:
             warnings.warn(
                 f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
@@ -466,13 +552,7 @@ class _UnitGramCache:
                 GramConditionWarning,
                 stacklevel=3,
             )
-        # pack into the fresh factor, never into G, which a caller may
-        # still hold
-        _copy_upper(L, G)
-        self.block[sig] = L
-        self.diag[sig] = G.diagonal().copy()
-        self.cond[sig] = cond
-        return L
+        return G
 
 
 # (q, n_letters) -> the unit Gram cache of the live spaces there
@@ -575,7 +655,10 @@ class FockSpace:
     def unit_gram(self, sig) -> np.ndarray:
         """gram(sig) / u_factor(sig), the unit Gram block shared by every
         space at this (q, letter count): the cached array, read only,
-        until the block is factored, then a fresh copy."""
+        until the block is factored, then a fresh copy.  Factoring
+        (unit_chol, gram_chol, gram_cond) overwrites that cached array
+        with the packed one, so use it before any factor call, as
+        ops._pencil_norm does."""
         return self._unit.gram(tuple(sig))
 
     def unit_gram_gather(self, sig, rows, cols) -> np.ndarray:

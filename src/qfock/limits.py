@@ -265,12 +265,12 @@ def s_series_identity_gap(space: FockSpace, n: int) -> float:
     annihilation-sandwich expansion on source levels <= depth - n; zero
     up to roundoff at every n."""
     q, lam = space.q, space.lam
-    ae = ops.annihilation_letter(space, E)
-    aeb = ops.annihilation_letter(space, EBAR)
+    ae_pow = ops.power_ladder(ops.annihilation_letter(space, E), n)
+    aeb_pow = ops.power_ladder(ops.annihilation_letter(space, EBAR), n)
     total = None
     for k in range(n + 1):
         coef = q_binomial(n, k, q) * (1.0 - q) ** k * lam ** (k / 2.0)
-        term = coef * (ae.power(k) @ t_n_operator(space, n - k) @ aeb.power(k))
+        term = coef * (ae_pow[k] @ t_n_operator(space, n - k) @ aeb_pow[k])
         total = term if total is None else total + term
     return ops.action_gap(s_n_operator(space, n), total, space.depth - n)
 

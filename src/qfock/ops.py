@@ -725,7 +725,12 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     blocks take a copy of G^_t.  The reductions read the lower triangle of each source's
     packed unit array, which is L^.  Only the lower blocks are formed,
     which is what eigvalsh reads.  A source without targets adds
-    nothing, and a zero K gives 0.0."""
+    nothing, and a zero K gives 0.0.
+
+    K is Fortran-ordered and each product is freed once added, so a
+    one-source component is reduced by dsygst in K itself, with no copy.
+    Every dense G^_t is used before the reductions factor any block:
+    factoring overwrites an unfactored block's cached array."""
     from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dsygst
 
@@ -739,7 +744,7 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
         for src in srcs:
             for tgt, M in images[src]:
                 by_tgt.setdefault(tgt, []).append((src, M))
-        K = np.zeros((width, width))
+        K = np.zeros((width, width), order="F")
         filled = set()
         for tgt, row in by_tgt.items():
             # an operator's blocks are all index pairs or all arrays
@@ -759,14 +764,17 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
                         P *= scale * Mi[1] * Mj[1]
                     r0, c0 = offset[si], offset[sj]
                     K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
+                    del P
                     filled.add((si, sj))
+            del G
         for si, sj in filled:
             rs, cs = (slice(offset[s], offset[s] + len(space.word_array(s)))
                       for s in (si, sj))
             if si == sj:
                 # LAPACK's reduction of a symmetric block: half the flops
                 # of the two solves; it writes the lower triangle
-                K[rs, rs] = dsygst(K[rs, rs], space.unit_chol(si), lower=1)[0]
+                K[rs, rs] = dsygst(K[rs, rs], space.unit_chol(si), lower=1,
+                                   overwrite_a=1)[0]
                 continue
             X = solve_triangular(space.unit_chol(si), K[rs, cs], lower=True,
                                  check_finite=False)

@@ -254,8 +254,8 @@ def test_packing_keeps_every_bit(q, cold_gram_caches, monkeypatch):
             assert space.gram_chol(sig).tobytes() \
                 == (math.sqrt(u) * np.linalg.cholesky(G)).tobytes()
             assert sig in space._unit.cond
-            # the array read before the block was factored is untouched
-            assert before.tobytes() == G.tobytes()
+            # the block is factored in the array read before
+            assert before is space.unit_chol(sig)
             assert space.unit_gram(sig).tobytes() == G.tobytes()
             assert space.gram(sig).tobytes() == (u * G).tobytes()
             whole = space.unit_gram_gather(sig, slice(None), slice(None))
@@ -440,6 +440,86 @@ def test_block_build_holds_at_most_twice_its_bytes():
         tracemalloc.stop()
     assert G.shape == (924, 924)
     assert peak <= 2 * G.nbytes
+
+
+def _all_sigs(n_letters, level_max):
+    return [sig for n in range(level_max + 1)
+            for sig in fock._compositions(n, n_letters)]
+
+
+@pytest.mark.parametrize("q, n_letters, level_max", [
+    (-0.5, 2, 10), (0.3, 2, 10), (0.8, 2, 10), (0.3, 3, 7)])
+def test_in_place_factor_matches_cholesky_path(q, n_letters, level_max,
+                                               monkeypatch):
+    # with numpy's dpotrf looked up, blocks are factored in their own
+    # arrays; without it, np.linalg.cholesky runs and is copied in: the
+    # oracle, byte for byte
+    if fock._lapack_dpotrf() is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dpotrf")
+    sigs = _all_sigs(n_letters, level_max)
+    in_place = fock._UnitGramCache(q, n_letters)
+    for sig in sigs:
+        in_place.chol(sig)
+    monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+    oracle = fock._UnitGramCache(q, n_letters)
+    for sig in sigs:
+        oracle.chol(sig)
+        assert _same_bytes(in_place.block[sig], oracle.block[sig]), sig
+        assert _same_bytes(in_place.diag[sig], oracle.diag[sig]), sig
+        assert in_place.cond[sig] == oracle.cond[sig], sig
+
+
+@pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "cholesky"])
+def test_factor_overwrites_the_cached_array(lapack, monkeypatch):
+    # unit_gram of an unfactored block is the cached array, which the
+    # factor overwrites: a caller uses it before any factor call
+    if not lapack:
+        monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+    unit = fock._UnitGramCache(0.3, 2)
+    for sig in _all_sigs(2, 8):
+        assert unit.gram(sig) is unit.chol(sig)
+
+
+@pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "cholesky"])
+@pytest.mark.parametrize("bad, why", [
+    (-1.0, "not numerically positive definite"), (np.nan, "non-finite")],
+    ids=["negative", "nan"])
+def test_refused_factor_restores_every_byte(bad, why, lapack, monkeypatch):
+    # block (6, 5) spans two tiles of the in-place passes; a bad
+    # diagonal entry at row 400 stops dpotrf there (negative) or runs it
+    # to the end (NaN, which OpenBLAS does not test), and either way the
+    # refused block is G again, every byte of it
+    if not lapack:
+        monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+    unit = fock._UnitGramCache(0.3, 2)
+    sig = (6, 5)
+    G = unit.gram(sig)
+    assert len(G) == 462 > fock._TILE
+    G[400, 400] = bad
+    want = G.copy()
+    with pytest.raises(fock.GramFactorizationError, match=why):
+        unit.chol(sig)
+    assert sig not in unit.cond
+    assert unit.block[sig] is G
+    assert G.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_distinct_letter_block_has_zagier_determinant(q):
+    # the block of n distinct letters is the q-deformed Gram matrix of
+    # the symmetric group, det = prod_k (1 - q^(k^2+k))^((n-k) n!/(k^2+k))
+    # (Zagier 1992), read off the factor's diagonal
+    eps = np.finfo(float).eps
+    for n in range(3, 7):
+        space = build_space(q=q, lam=0.5, depth=n, aux_letters=n - 2)
+        sig = (1,) * n
+        L = space.unit_chol(sig)
+        m = len(L)
+        assert m == math.factorial(n)
+        got = 2.0 * np.log(L.diagonal()).sum()
+        want = sum((n - k) * math.factorial(n) / (k * k + k)
+                   * math.log1p(-q ** (k * k + k)) for k in range(1, n))
+        assert abs(got - want) <= m * space.gram_cond(sig) * eps, (n, got)
 
 
 def _inner_bruteforce(space, w, v):

@@ -9,7 +9,7 @@ import pytest
 
 from qfock import limits, ops
 from qfock.fock import E, EBAR, FockVector, build_space
-from qfock.qcomb import PAIRING_CAP, d_family, pair_partition_moment
+from qfock.qcomb import PAIRING_CAP, d_family, pair_partition_moment, q_binomial
 
 TOL = 1e-10
 
@@ -99,6 +99,32 @@ def test_s_vacuum_family(sp_can, sp_neg):
 def test_s_series_identity(sp_can, sp_neg):
     for sp in (sp_can, sp_neg):
         assert limits.s_series_identity_gap(sp, 3) < TOL
+
+
+def _identity_gap_per_term(space, n):
+    """The step-n identity gap with each letter power recomposed per
+    term by FockOperator.power: the oracle for the ladder-built gap."""
+    q, lam = space.q, space.lam
+    ae = ops.annihilation_letter(space, E)
+    aeb = ops.annihilation_letter(space, EBAR)
+    total = None
+    for k in range(n + 1):
+        coef = q_binomial(n, k, q) * (1.0 - q) ** k * lam ** (k / 2.0)
+        term = coef * (ae.power(k) @ limits.t_n_operator(space, n - k)
+                       @ aeb.power(k))
+        total = term if total is None else total + term
+    return ops.action_gap(limits.s_n_operator(space, n), total,
+                          space.depth - n)
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_s_series_identity_gap_matches_per_term_powers(q):
+    # the ladders group every power as FockOperator.power does, so the
+    # gap keeps its bits
+    space = build_space(q=q, lam=0.3, depth=8)
+    for n in range(1, 5):
+        got = limits.s_series_identity_gap(space, n)
+        assert got.hex() == _identity_gap_per_term(space, n).hex(), n
 
 
 def test_s_adjoint_vacuum_closed_form(sp_can, sp_neg):

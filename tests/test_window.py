@@ -7,6 +7,8 @@ blocks that op_norm's assembly of an index operator no longer builds.
 op_norm's former route, a seeded ARPACK solve on the sparse
 orthonormal-frame matrix, is the oracle of its Gram-pencil path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -376,6 +378,29 @@ def test_large_path_repeats_its_value(shared_space):
     A = ops.creation_letter(shared_space(-0.5, 0.4, 12), E)
     assert ops.Window(A.space, 11).width > ops.NORM_DENSE_LIMIT
     assert len({ops.op_norm(A) for _ in range(4)}) == 1
+
+
+@pytest.mark.parametrize("q, want", [(-0.5, "0x1.41e7284162a54p+0"),
+                                     (0.3, "0x1.80bf5da407391p+0")])
+def test_pencil_reduces_in_place(shared_space, q, want):
+    # each source of the depth-12 letter is its own component, the
+    # largest of 462 words: K is reduced by dsygst in its own Fortran
+    # array and each product is freed once added.  The pencil then
+    # holds at most 3 K-sized arrays (4.08 when K was C-ordered, 2.42
+    # now); the values are the ones measured before the change
+    space = shared_space(q, 0.4, 12)
+    for level in range(13):
+        for sig in space.blocks_at_level(level):
+            space.unit_chol(sig)
+    A = ops.creation_letter(space, E)
+    tracemalloc.start()
+    try:
+        got = ops.op_norm(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == want
+    assert peak <= 3 * 462 * 462 * 8
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

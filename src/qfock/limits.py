@@ -331,7 +331,9 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
     depth allows, optionally capped by t_cap; the reported tail bound
     covers only the dropped series terms.  Every power of a letter and
     every compression step is built once and caches its block results
-    for as long as the series operator lives.
+    for as long as the series operator lives; the series operator itself
+    caches none, since its readers (min_singular, adjoint_vacuum) take
+    each block once.
     """
     N = space.depth
     q, lam = space.q, space.lam
@@ -369,7 +371,8 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
     root = math.sqrt(lam)
     tail = _series_tail_coef(bound_constants(q)) * root ** (K + 1) \
         / (1.0 - root)
-    return TruncatedSeries(op=ops.FockOperator(space, act, reach=0),
+    return TruncatedSeries(op=ops.FockOperator(space, act, reach=0,
+                                               cache=False),
                            n_terms=K, tail_bound=tail)
 
 
@@ -585,15 +588,14 @@ def z_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
         ops.wick_right_balanced(space, n) @ ops.wick_balanced(space, n))
 
 
-def _stacked_images(window: ops.Window, A: ops.FockOperator) -> dict:
-    """Word-basis images of every window block under A, stacked per
-    target block: {target_sig: matrix of shape (dim_target, width)}."""
-    out: dict = {}
-    for sig, tgt, M in window.images(A):
-        if tgt not in out:
-            out[tgt] = np.zeros((M.shape[0], window.width), dtype=complex)
+def _stacked_target(window: ops.Window, row) -> np.ndarray:
+    """One target's word-basis images [(src, M)] stacked into a complex
+    matrix of shape (dim_target, width): zeros plus each block at its
+    source's offset."""
+    out = np.zeros((row[0][1].shape[0], window.width), dtype=complex)
+    for sig, M in row:
         offset = window.offset[sig]
-        out[tgt][:, offset:offset + M.shape[1]] += M
+        out[:, offset:offset + M.shape[1]] += M
     return out
 
 
@@ -606,6 +608,10 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
     singular value against the squared norm of the window-restricted
     distinguished vector, the second-to-first singular ratio, and the
     absolute cosine to the distinguished vector (phase-free match).
+
+    The window's images are grouped by target, and each target's stacked
+    pair U_t, V_t is built only while its term U_t^H G_t V_t of the
+    window matrix is added, so no whole-window stack is held.
     """
     from scipy.linalg import solve_triangular
 
@@ -627,12 +633,14 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         Wb = ops.wick_balanced(space, n)
         Wrb = ops.wick_right_balanced(space, n)
         window = ops.Window(space, L)
-        U = _stacked_images(window, Wrb)
-        V = _stacked_images(window, Wb)
+        U = window.by_target(Wrb)
+        V = window.by_target(Wb)
         M = np.zeros((window.width, window.width), dtype=complex)
-        for tgt, Vt in V.items():
+        for tgt, row in V.items():
             if tgt in U:
-                M += U[tgt].conj().T @ (space.gram(tgt) @ Vt)
+                M += _stacked_target(window, U[tgt]).conj().T \
+                    @ (space.gram(tgt) @ _stacked_target(window, row))
+        del U, V
         M *= scale
         # into the orthonormal frame of the window
         for sig, offset in window.offset.items():

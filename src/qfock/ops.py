@@ -86,11 +86,20 @@ class Window:
                        for sig in space.blocks_at_level(level)]
         self.offset, self.width = _offsets(space, self.blocks)
 
-    def images(self, A: "FockOperator") -> list:
-        """[(src, tgt, M)] for every block of A's action on the window,
-        sources in window order."""
-        return [(src, tgt, M) for src in self.blocks
-                for tgt, M in A.action(src).items()]
+    def images(self, A: "FockOperator"):
+        """The blocks (src, tgt, M) of A's action on the window, sources
+        in window order, yielded one source at a time: a caller holds
+        only the blocks it keeps."""
+        return ((src, tgt, M) for src in self.blocks
+                for tgt, M in A.action(src).items())
+
+    def by_target(self, A: "FockOperator") -> dict:
+        """{tgt: [(src, M)]}: the images grouped by target, targets in
+        the order first seen, sources in window order."""
+        out: dict = {}
+        for src, tgt, M in self.images(A):
+            out.setdefault(tgt, []).append((src, M))
+        return out
 
 
 class FockOperator:
@@ -603,9 +612,7 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
-    by_tgt: dict = {}
-    for src, tgt, M in Window(space, src_level_max).images(A):
-        by_tgt.setdefault(tgt, []).append((src, M))
+    by_tgt = Window(space, src_level_max).by_target(A)
     reach = max((sum(src) - sum(tgt) for tgt, row in by_tgt.items()
                  for src, _ in row), default=0)
 
@@ -643,23 +650,33 @@ def _images(A: FockOperator, src) -> list:
     return [] if ix is None else [(ix[0], ix[1:])]
 
 
-def _orthonormal_images(A: FockOperator, src, images=None) -> list:
+def _orthonormal_images(A: FockOperator, src, images=None,
+                        factors=None) -> list:
     """[(tgt, Mo)]: the blocks of A out of block src (its _images, if
     given) in the orthonormal frames, targets in action order.  An index
     image (rows, s) is written out by _index_matrix, not read through
-    action(), so nothing lands in A's cache.  The source's factor is
-    taken once, and only when there is an image."""
+    action(), so nothing lands in A's cache.  Factors are taken only
+    where there is an image, once per block of the memo {sig:
+    gram_chol(sig)} that a caller over many sources passes in."""
     space = A.space
     if images is None:
         images = _images(A, src)
     if not images:
         return []
-    L_src = space.gram_chol(src)
+    if factors is None:
+        factors = {}
+
+    def chol(sig):
+        if sig not in factors:
+            factors[sig] = space.gram_chol(sig)
+        return factors[sig]
+
+    L_src = chol(src)
     out = []
     for tgt, M in images:
         if not isinstance(M, np.ndarray):
             M = _index_matrix(space, (tgt, *M))
-        out.append((tgt, _orthonormal_block(M, L_src, space.gram_chol(tgt))))
+        out.append((tgt, _orthonormal_block(M, L_src, chol(tgt))))
     return out
 
 
@@ -700,9 +717,10 @@ def _assemble(A: FockOperator, window: Window, images: dict) -> np.ndarray:
     Adding 0.0 turns a -0.0 entry into the +0.0 of an unwritten one."""
     tgt_offset, height = _target_offsets(A.space, images)
     dense = np.zeros((height, window.width))
+    factors: dict = {}
     for src, row in images.items():
         c0 = window.offset[src]
-        for tgt, Mo in _orthonormal_images(A, src, row):
+        for tgt, Mo in _orthonormal_images(A, src, row, factors):
             r0 = tgt_offset[tgt]
             dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] = Mo
     dense += 0.0
@@ -814,8 +832,10 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
-    images = {sig: _orthonormal_images(A, sig)
+    factors: dict = {}
+    images = {sig: _orthonormal_images(A, sig, factors=factors)
               for sig in Window(space, src_level_max).blocks}
+    del factors
     # blocks connected by nonzero action entries
     groups = _components(images, [(sig, tgt) for sig, blocks in images.items()
                                   for tgt, _ in blocks])

@@ -143,7 +143,7 @@ def _assemble_oracle(A, src_level_max):
     stacked, target rows in the order the targets are first seen."""
     space = A.space
     window = ops.Window(space, src_level_max)
-    images = window.images(A)
+    images = list(window.images(A))
     tgt_offset = {}
     tgt_dim = 0
     rows, cols, vals = [], [], []
@@ -223,12 +223,51 @@ def test_window_offsets_match_oracle(sp, level_max):
 
 
 def test_stacked_images_match_oracle(sp):
+    # the rank-one compression stacks one target at a time, from the
+    # window's images grouped by target
     A = ops.wick_balanced(sp, 1)
     window = ops.Window(sp, 4)
-    got = limits._stacked_images(window, A)
+    got = {tgt: limits._stacked_target(window, row)
+           for tgt, row in window.by_target(A).items()}
     want = _stacked_images(sp, A, *_window_blocks(sp, 4))
     assert list(got) == list(want)
-    assert all(np.array_equal(got[t], want[t]) for t in want)
+    for t in want:
+        assert (got[t].dtype, got[t].shape) == (want[t].dtype, want[t].shape)
+        assert got[t].tobytes() == want[t].tobytes()
+
+
+def test_window_streams_its_images(sp):
+    # images are yielded one source at a time, and the series operator,
+    # whose readers take each block once, caches none of its blocks
+    A = ops.creation_letter(sp, E)
+    window = ops.Window(sp, 3)
+    images = window.images(A)
+    assert iter(images) is images
+    assert [(src, tgt) for src, tgt, _ in images] \
+        == [(src, tgt) for src in window.blocks for tgt in A.action(src)]
+    assert limits.s_infinity(sp).op._cache is None
+
+
+def test_rank_one_holds_no_whole_window_stack(cold_gram_caches):
+    # the images of both Wick operators stacked over the whole window
+    # take 31.9 MiB here; holding them whole peaked at 45.0 MiB, and
+    # stacking one target at a time at 14.3 MiB
+    space = build_space(q=0.3, lam=0.3, depth=10)
+    for level in range(space.depth + 1):
+        for sig in space.blocks_at_level(level):
+            space.unit_chol(sig)
+    tracemalloc.start()
+    try:
+        limits.rank_one_diagnostics(space, n_list=[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks, width = _window_blocks(space, min(space.depth - 2,
+                                              limits.WINDOW_CAP))
+    stacks = sum(M.nbytes for A in (ops.wick_right_balanced(space, 1),
+                                    ops.wick_balanced(space, 1))
+                 for M in _stacked_images(space, A, blocks, width).values())
+    assert peak < stacks
 
 
 @pytest.mark.parametrize("make", [
@@ -345,19 +384,22 @@ def test_index_blocks_keep_their_solve_columns(shared_space):
 
 
 def test_min_singular_factors_each_source_once(shared_space, monkeypatch):
-    # one gram_chol call per source block with an image and one per
-    # image: 28 sources, each with its creation image and the 21 that
-    # hold an e with their annihilation image (98 calls at one source
-    # factor per image)
+    # one gram_chol call per distinct block that is a source with an
+    # image or a target: the 28 sources of levels <= 6 and the 7 level-7
+    # targets of their creation images (77 calls at one call per source
+    # and per image, 98 at one source factor per image)
     space = shared_space(0.3, 0.4, 8)
     A = ops.field(space, E)
-    images = [ops._images(A, sig) for sig in ops.Window(space, 6).blocks]
+    images = {sig: ops._images(A, sig) for sig in ops.Window(space, 6).blocks}
+    blocks = {sig for sig, row in images.items() if row} \
+        | {tgt for row in images.values() for tgt, _ in row}
     calls = []
     factor = space.gram_chol
     monkeypatch.setattr(space, "gram_chol",
                         lambda sig: calls.append(sig) or factor(sig))
     ops.min_singular(A, 6)
-    assert len(calls) == sum(1 + len(row) for row in images if row) == 77
+    assert sorted(calls) == sorted(blocks)
+    assert len(calls) == 35
 
 
 def test_norms_of_index_operators_build_no_blocks(shared_space):

@@ -576,14 +576,14 @@ _LIST_FLAGS = ("--q", "--lambda")
 
 
 def _normalize_argv(argv):
-    """Fold grid values that open with a negative number into --flag=
-    form; bare argparse would read them as option names."""
+    """Fold grid values that open with a negative number (-0.5, -.5)
+    into --flag= form; bare argparse would read them as option names."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if tok in _LIST_FLAGS and i + 1 < len(argv) \
-                and re.fullmatch(r"-\d[\d.,eE+\- ]*", argv[i + 1]):
+                and re.fullmatch(r"-\.?\d[\d.,eE+\- ]*", argv[i + 1]):
             out.append(tok + "=" + argv[i + 1])
             i += 2
             continue

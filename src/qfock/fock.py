@@ -20,9 +20,10 @@ small levels.  A unit block is exactly symmetric and its Cholesky factor
 triangular, so the cache keeps one array for both: the block is factored
 in the array that held it, which then holds the factor in the lower
 triangle, diagonal included, and the Gram block's strict upper triangle
-above it, with the Gram diagonal as a vector.  Its Gram entries, the
-whole block included, are read by one gather from that array into a
-fresh one; a clean factor is a fresh copy.
+above it, with the Gram diagonal as a vector.  A space hands out Gram
+entries only as fresh arrays, each one gather from that array, factored
+or not; a clean factor is a fresh copy, and the packed array is the one
+cached array a caller can see.
 A transfer has at most n nonzero entries in a column of n-letter words;
 the cache builds and keeps only those, and every reader gets a fresh
 dense copy.  A block's words follow the same recursion: its word array
@@ -361,9 +362,10 @@ class _UnitGramCache:
     triangle above it; diag[sig] keeps G's diagonal and cond[sig] a
     condition estimate.  A block is factored exactly when it is in
     cond.  gather then reads G's entries from A and diag into a fresh
-    array, and gram is its gather over the whole block.  So gram's
-    array of an unfactored block is valid only until the block is
-    factored: the recursion and every caller use it before any chol.
+    array, and gram is its gather over the whole block.  gram of an
+    unfactored block is the cached array itself, which chol overwrites,
+    so only the recursion and chol read it: a space reads every block by
+    gather.
     """
 
     def __init__(self, q: float, n_letters: int):
@@ -639,12 +641,10 @@ class FockSpace:
 
     def gram(self, sig) -> np.ndarray:
         """Deformed Gram matrix of one multiset block, word order as in
-        block_words, a fresh array."""
-        sig = tuple(sig)
-        G = self._unit.gram(sig)
-        # a factored block's unit Gram is a fresh copy: scale it in place
-        return np.multiply(G, self.u_factor(sig),
-                           out=G if sig in self._unit.cond else None)
+        block_words, a fresh array: unit_gram scaled in place."""
+        G = self.unit_gram(sig)
+        G *= self.u_factor(sig)
+        return G
 
     def gram_chol(self, sig) -> np.ndarray:
         """The lower Cholesky factor of gram(sig), a fresh array."""
@@ -654,17 +654,15 @@ class FockSpace:
 
     def unit_gram(self, sig) -> np.ndarray:
         """gram(sig) / u_factor(sig), the unit Gram block shared by every
-        space at this (q, letter count): the cached array, read only,
-        until the block is factored, then a fresh copy.  Factoring
-        (unit_chol, gram_chol, gram_cond) overwrites that cached array
-        with the packed one, so use it before any factor call, as
-        ops._pencil_norm does."""
-        return self._unit.gram(tuple(sig))
+        space at this (q, letter count), as a fresh array whether or not
+        the block is factored: its gather over the whole block."""
+        return self.unit_gram_gather(sig, slice(None), slice(None))
 
     def unit_gram_gather(self, sig, rows, cols) -> np.ndarray:
         """unit_gram(sig)[np.ix_(rows, cols)] as a fresh array (rows =
-        cols = slice(None): the whole block); equal, increasing rows and
-        cols read a factored block without rebuilding it."""
+        cols = slice(None): the whole block); the whole block and equal,
+        increasing rows and cols read a factored block without
+        rebuilding it."""
         return self._unit.gather(tuple(sig), rows, cols)
 
     def unit_chol(self, sig) -> np.ndarray:

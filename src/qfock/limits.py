@@ -13,6 +13,7 @@ Gram data every live space with the same q and letter count shares,
 whatever its lambda or depth.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -611,7 +612,9 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
 
     The window's images are grouped by target, and each target's stacked
     pair U_t, V_t is built only while its term U_t^H G_t V_t of the
-    window matrix is added, so no whole-window stack is held.
+    window matrix is added, so no whole-window stack is held.  The frame
+    loop and the distinguished vector share one factor per window block
+    over the whole report.
     """
     from scipy.linalg import solve_triangular
 
@@ -621,6 +624,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         n_list = list(range(1, (N - 1) // 2 + 1))
     fam = d_family(q, j_max=N)
     norm_sq_full = xi_norm_sq_limit(q, lam)
+    chol = functools.cache(space.gram_chol)
 
     values = []
     gaps = []
@@ -644,7 +648,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         M *= scale
         # into the orthonormal frame of the window
         for sig, offset in window.offset.items():
-            Lc = space.gram_chol(sig)
+            Lc = chol(sig)
             sl = slice(offset, offset + len(Lc))
             M[sl, :] = solve_triangular(Lc, M[sl, :], lower=True)
             M[:, sl] = solve_triangular(
@@ -663,7 +667,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         for k in range(L // 2 + 1):
             word = (EBAR,) * k + (E,) * k
             sig = space.signature(word)
-            Lc = space.gram_chol(sig)
+            Lc = chol(sig)
             x = np.zeros(len(Lc), dtype=complex)
             x[space.word_index(word)] = _xi_coef(fam, lam, k)
             offset = window.offset[sig]

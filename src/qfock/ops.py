@@ -24,6 +24,7 @@ written out from it takes the one frame solve that dense blocks take.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -558,6 +559,8 @@ def wen_operator(space: FockSpace, n: int) -> FockOperator:
     """Wick operator of the n-fold repeated distinguished letter in
     normal-ordered closed form: sum over k of the Gaussian binomial times
     (left creations)^(n-k) (conjugate annihilations)^k."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     q = space.q
     ce = creation_letter(space, E)
     aeb = power_ladder(annihilation_letter(space, EBAR), n)
@@ -572,6 +575,8 @@ def wick_balanced(space: FockSpace, n: int) -> FockOperator:
     4^n splitting enumeration.  The annihilation tails come from one
     memoized table, table[i][j] = ae^i aeb^j, grouped as the chain of
     each monomial groups them."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     coeff = wick_coefficients(n, space.q)
     ce = creation_letter(space, E)
     ceb = creation_letter(space, EBAR)
@@ -603,7 +608,8 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     src_level_max (default: the full depth) by target block.  The
     adjoint's blocks out of a block conjugate each image into it by the
     two block Cholesky factors, solved when the block is first requested
-    and cached.  Narrow-alphabet models only.
+    and cached; a source's factor is taken once for as long as the
+    adjoint lives.  Narrow-alphabet models only.
     """
     if A.antilinear:
         raise ValueError("deformed adjoint implemented for linear operators")
@@ -615,6 +621,7 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     by_tgt = Window(space, src_level_max).by_target(A)
     reach = max((sum(src) - sum(tgt) for tgt, row in by_tgt.items()
                  for src, _ in row), default=0)
+    chol = functools.cache(space.gram_chol)
 
     def act(sig):
         row = by_tgt.get(tuple(sig), ())
@@ -622,8 +629,7 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
             return {}
         G_tgt = space.gram(sig)
         # adjoint block src <- sig: G_src^{-1} M^T G_sig
-        return {src: cho_solve((space.gram_chol(src), True),
-                               M.T @ G_tgt)
+        return {src: cho_solve((chol(src), True), M.T @ G_tgt)
                 for src, M in row}
 
     return FockOperator(A.space, act, reach=reach)
@@ -650,32 +656,20 @@ def _images(A: FockOperator, src) -> list:
     return [] if ix is None else [(ix[0], ix[1:])]
 
 
-def _orthonormal_images(A: FockOperator, src, images=None,
-                        factors=None) -> list:
-    """[(tgt, Mo)]: the blocks of A out of block src (its _images, if
-    given) in the orthonormal frames, targets in action order.  An index
+def _orthonormal_images(A: FockOperator, src, images: list, chol) -> list:
+    """[(tgt, Mo)]: the blocks images = _images(A, src) of A out of block
+    src in the orthonormal frames, targets in action order.  An index
     image (rows, s) is written out by _index_matrix, not read through
-    action(), so nothing lands in A's cache.  Factors are taken only
-    where there is an image, once per block of the memo {sig:
-    gram_chol(sig)} that a caller over many sources passes in."""
-    space = A.space
-    if images is None:
-        images = _images(A, src)
+    action(), so nothing lands in A's cache.  chol(sig) is the block's
+    factor, the caller's memo of gram_chol, asked only where there is an
+    image."""
     if not images:
         return []
-    if factors is None:
-        factors = {}
-
-    def chol(sig):
-        if sig not in factors:
-            factors[sig] = space.gram_chol(sig)
-        return factors[sig]
-
     L_src = chol(src)
     out = []
     for tgt, M in images:
         if not isinstance(M, np.ndarray):
-            M = _index_matrix(space, (tgt, *M))
+            M = _index_matrix(A.space, (tgt, *M))
         out.append((tgt, _orthonormal_block(M, L_src, chol(tgt))))
     return out
 
@@ -703,28 +697,32 @@ def _components(keys, edges) -> list:
     return list(groups.values())
 
 
-def _target_offsets(space: FockSpace, images: dict):
-    """Offsets of the targets of {src: _images} in the order they are
-    first seen, in one stacked index, and the total height."""
-    return _offsets(space, dict.fromkeys(
-        tgt for row in images.values() for tgt, _ in row))
+def _frame_matrix(A: FockOperator, images: dict, cols, rows,
+                  chol) -> np.ndarray:
+    """The blocks of A out of the source blocks cols, from their {src:
+    _images}, in the orthonormal frames (chol as in _orthonormal_images)
+    and in one dense matrix: block columns in the order of cols, block
+    rows in the order of the blocks in rows.  Each block is added into
+    zeros, which turns a -0.0 into the +0.0 of an unwritten entry, and
+    one source's blocks are held at a time."""
+    col_off, ncol = _offsets(A.space, cols)
+    row_off, nrow = _offsets(A.space, rows)
+    dense = np.zeros((nrow, ncol))
+    for src in cols:
+        for tgt, Mo in _orthonormal_images(A, src, images[src], chol):
+            r0, c0 = row_off[tgt], col_off[src]
+            dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
+    return dense
 
 
 def _assemble(A: FockOperator, window: Window, images: dict) -> np.ndarray:
-    """The orthonormal-frame blocks of A over the window, from its
-    {src: _images} in window order, in one dense matrix: columns in
-    window order, target rows in the order the targets are first seen.
-    Adding 0.0 turns a -0.0 entry into the +0.0 of an unwritten one."""
-    tgt_offset, height = _target_offsets(A.space, images)
-    dense = np.zeros((height, window.width))
-    factors: dict = {}
-    for src, row in images.items():
-        c0 = window.offset[src]
-        for tgt, Mo in _orthonormal_images(A, src, row, factors):
-            r0 = tgt_offset[tgt]
-            dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] = Mo
-    dense += 0.0
-    return dense
+    """The dense frame matrix of A over the window, from its {src:
+    _images} in window order: columns in window order, target rows in
+    the order the targets are first seen; each block's factor is taken
+    once."""
+    tgts = dict.fromkeys(tgt for row in images.values() for tgt, _ in row)
+    return _frame_matrix(A, images, window.blocks, tgts,
+                         functools.cache(A.space.gram_chol))
 
 
 def _pencil_norm(space: FockSpace, images: dict) -> float:
@@ -746,9 +744,7 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     nothing, and a zero K gives 0.0.
 
     K is Fortran-ordered and each product is freed once added, so a
-    one-source component is reduced by dsygst in K itself, with no copy.
-    Every dense G^_t is used before the reductions factor any block:
-    factoring overwrites an unfactored block's cached array."""
+    one-source component is reduced by dsygst in K itself, with no copy."""
     from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dsygst
 
@@ -807,7 +803,8 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     measured in the orthonormal frames of the deformed form.
 
     Up to NORM_DENSE_LIMIT rows and columns it is the dense 2-norm of
-    the blocks rewritten in those frames; above it, the square root of
+    the blocks rewritten in those frames (_assemble, which takes each
+    block's factor once); above it, the square root of
     the largest eigenvalue of the Gram pencil (_pencil_norm), solved per
     component by a dense symmetric eigensolver.  No iterative solver,
     so a value repeats bit for bit.  The truncated value never exceeds
@@ -818,8 +815,8 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
         src_level_max = max(space.depth - max(A.peak, 0), 0)
     window = Window(space, src_level_max)
     images = {src: _images(A, src) for src in window.blocks}
-    if max(_target_offsets(space, images)[1], window.width) \
-            <= NORM_DENSE_LIMIT:
+    tgts = {tgt for row in images.values() for tgt, _ in row}
+    if max(_offsets(space, tgts)[1], window.width) <= NORM_DENSE_LIMIT:
         return float(np.linalg.norm(_assemble(A, window, images), 2))
     return _pencil_norm(space, images)
 
@@ -828,34 +825,28 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     """Smallest singular value of A over source levels <= src_level_max.
 
     Decomposes the block graph into connected components and runs a
-    dense SVD per component; raises if a component is too large."""
+    dense SVD of each component's frame matrix; raises if a component
+    is too large.  Each block's factor is taken once per call."""
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
-    factors: dict = {}
-    images = {sig: _orthonormal_images(A, sig, factors=factors)
+    images = {sig: _images(A, sig)
               for sig in Window(space, src_level_max).blocks}
-    del factors
+    chol = functools.cache(space.gram_chol)
     # blocks connected by nonzero action entries
-    groups = _components(images, [(sig, tgt) for sig, blocks in images.items()
-                                  for tgt, _ in blocks])
+    groups = _components(images, [(sig, tgt) for sig, row in images.items()
+                                  for tgt, _ in row])
     smallest = np.inf
     for sigs in groups:
-        tgts = set()
-        for sig in sigs:
-            tgts.update(tgt for tgt, _ in images[sig])
-        col_off, ncol = _offsets(space, sigs)
-        row_off, nrow = _offsets(space, sorted(tgts | set(sigs)))
+        rows = sorted({tgt for sig in sigs for tgt, _ in images[sig]}
+                      | set(sigs))
+        nrow, ncol = _offsets(space, rows)[1], _offsets(space, sigs)[1]
         if max(nrow, ncol) > SINGULAR_DENSE_LIMIT:
             raise ValueError(
                 f"component around {sigs[0]} is {nrow}x{ncol}, too large "
                 f"for a dense smallest-singular-value computation"
             )
-        dense = np.zeros((nrow, ncol))
-        for sig in sigs:
-            for tgt, Mo in images[sig]:
-                r0, c0 = row_off[tgt], col_off[sig]
-                dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
+        dense = _frame_matrix(A, images, sigs, rows, chol)
         s = np.linalg.svd(dense, compute_uv=False)
         smallest = min(smallest, float(s.min()) if s.size else 0.0)
     return float(smallest)

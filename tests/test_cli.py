@@ -249,6 +249,36 @@ def test_negative_leading_grid_values_parse(tmp_path):
     assert [float(r.split(",")[0]) for r in rows] == [-0.3, 0.3]
 
 
+@pytest.mark.parametrize("command", [["verify"], ["sweep"], ["dump", "xi"]])
+def test_grid_opening_with_a_bare_point_parses(command):
+    assert _parse([*command, "--q", "-.5,0.5"]).q_grid == (-0.5, 0.5)
+    assert _parse([*command, "--lambda", "-.25,.5"]).lam_grid == (-0.25, 0.5)
+
+
+def test_dump_boundary_values_exit_cleanly(tmp_path, capsys):
+    # each dump at the edges of its size parameters writes (0) or is
+    # refused (2), never raises; a negative operator size is refused
+    depth = 4
+    cases = [["operator", "--name", name, "--n", str(n)]
+             for name in sorted(cli._DUMP_OPERATORS)
+             for n in range(-1, depth + 2)]
+    cases += [["gram", "--level", str(level)]
+              for level in (-1, 0, depth, depth + 1)]
+    cases += [["xi", "--terms", str(k)] for k in range(-1, depth // 2 + 2)]
+    assert len(cases) == 44
+    codes = {}
+    for args in cases:
+        argv = ["dump", *args, "--depth", str(depth), "--out", str(tmp_path)]
+        try:
+            codes[" ".join(args)] = cli.main(argv)
+        except Exception as exc:
+            codes[" ".join(args)] = repr(exc)
+    capsys.readouterr()
+    assert {k: v for k, v in codes.items() if v not in (0, 2)} == {}
+    assert all(codes[f"operator --name {name} --n -1"] == 2
+               for name in cli._DUMP_OPERATORS)
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--help"])

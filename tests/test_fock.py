@@ -254,8 +254,10 @@ def test_packing_keeps_every_bit(q, cold_gram_caches, monkeypatch):
             assert space.gram_chol(sig).tobytes() \
                 == (math.sqrt(u) * np.linalg.cholesky(G)).tobytes()
             assert sig in space._unit.cond
-            # the block is factored in the array read before
-            assert before is space.unit_chol(sig)
+            # the block is factored in its cached array, never in the
+            # fresh copy read before
+            assert space._unit.block[sig] is space.unit_chol(sig)
+            assert not np.shares_memory(before, space._unit.block[sig])
             assert space.unit_gram(sig).tobytes() == G.tobytes()
             assert space.gram(sig).tobytes() == (u * G).tobytes()
             whole = space.unit_gram_gather(sig, slice(None), slice(None))
@@ -271,14 +273,16 @@ def test_packing_keeps_every_bit(q, cold_gram_caches, monkeypatch):
 
 def test_factored_block_is_sampled_never_rebuilt(cold_gram_caches,
                                                   monkeypatch):
-    # a norm reads a factored block's entries from its packed array:
-    # with the block's rebuild made to raise, the norm keeps its value
+    # a norm and the whole-block reads take a factored block's entries
+    # from its packed array: with the block's rebuild made to raise,
+    # they keep their bits
     space = build_space(q=0.3, lam=0.4, depth=8)
     sig = (3, 3)
     rng = np.random.default_rng(5)
     v = FockVector({w: complex(*rng.standard_normal(2))
                     for w in space.block_words(sig)[::3]})
     before = space.norm_sq(v)
+    G, uG = space.unit_gram(sig), space.gram(sig)
     space.gram_chol(sig)
     assert space.norm_sq(v) == before
     unit = space._unit
@@ -291,8 +295,30 @@ def test_factored_block_is_sampled_never_rebuilt(cold_gram_caches,
 
     monkeypatch.setattr(unit, "gram", gram)
     with pytest.raises(AssertionError, match="rebuilt"):
-        space.unit_gram(sig)
+        unit.gram(sig)
     assert space.norm_sq(v) == before
+    assert space.unit_gram(sig).tobytes() == G.tobytes()
+    assert space.gram(sig).tobytes() == uG.tobytes()
+
+
+def test_gram_reads_never_share_the_cache(cold_gram_caches):
+    # every Gram array a space hands out is fresh, before and after the
+    # block is factored; only unit_chol gives the cached packed array
+    space = build_space(q=0.55, lam=0.4, depth=6)
+    blocks = [sig for level in range(7)
+              for sig in space.blocks_at_level(level)]
+    whole = slice(None)
+    for factored in (False, True):
+        for sig in blocks:
+            reads = [space.unit_gram(sig), space.gram(sig),
+                     space.unit_gram_gather(sig, whole, whole)]
+            assert (sig in space._unit.cond) is factored
+            if factored:
+                reads.append(space.gram_chol(sig))
+            cached = space._unit.block[sig]
+            assert not any(np.shares_memory(a, cached) for a in reads), sig
+        for sig in blocks:
+            space.unit_chol(sig)
 
 
 def test_packing_keeps_signed_zeros():
@@ -471,8 +497,8 @@ def test_in_place_factor_matches_cholesky_path(q, n_letters, level_max,
 
 @pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "cholesky"])
 def test_factor_overwrites_the_cached_array(lapack, monkeypatch):
-    # unit_gram of an unfactored block is the cached array, which the
-    # factor overwrites: a caller uses it before any factor call
+    # the cache's gram of an unfactored block is the cached array, which
+    # the factor overwrites in place; a space hands out only gathers
     if not lapack:
         monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
     unit = fock._UnitGramCache(0.3, 2)

@@ -372,7 +372,8 @@ def test_index_blocks_keep_their_solve_columns(shared_space):
     space = shared_space(-0.5, 0.4, 12)
     for A in (ops.flip_unitary(space), ops.modular_ops(space).J):
         for sig in space.blocks_at_level(11):
-            got = ops._orthonormal_images(A, sig)
+            got = ops._orthonormal_images(A, sig, ops._images(A, sig),
+                                          space.gram_chol)
             assert not A._cache
             want = [(tgt, ops._orthonormal_block(M, space.gram_chol(sig),
                                                  space.gram_chol(tgt)))
@@ -400,6 +401,40 @@ def test_min_singular_factors_each_source_once(shared_space, monkeypatch):
     ops.min_singular(A, 6)
     assert sorted(calls) == sorted(blocks)
     assert len(calls) == 35
+
+
+def _count_factors(space, monkeypatch) -> list:
+    """The blocks of the space's gram_chol calls from now on, in order."""
+    calls = []
+    factor = space.gram_chol
+    monkeypatch.setattr(space, "gram_chol",
+                        lambda sig: calls.append(sig) or factor(sig))
+    return calls
+
+
+def test_adjoint_factors_each_source_once(shared_space, monkeypatch):
+    # every target block asked: the 28 sources of levels <= 6 are each
+    # the source of two targets (49 calls at one factor per image)
+    space = shared_space(0.3, 0.4, 8)
+    A = ops.field(space, E)
+    images = {sig: ops._images(A, sig) for sig in ops.Window(space, 6).blocks}
+    sources = {sig for sig, row in images.items() if row}
+    calls = _count_factors(space, monkeypatch)
+    adj = ops.q_adjoint(A, 6)
+    for tgt in {tgt for row in images.values() for tgt, _ in row}:
+        adj.action(tgt)
+    assert sorted(calls) == sorted(sources)
+    assert len(calls) == 28
+
+
+def test_rank_one_factors_each_window_block_once(shared_space, monkeypatch):
+    # the frame loops of n = 1..4 and the distinguished vector's blocks
+    # share one factor per block of the largest window, levels <= 8
+    space = shared_space(0.3, 0.3, 10)
+    calls = _count_factors(space, monkeypatch)
+    limits.rank_one_diagnostics(space)
+    assert sorted(calls) == sorted(ops.Window(space, 8).blocks)
+    assert len(calls) == 45
 
 
 def test_norms_of_index_operators_build_no_blocks(shared_space):

@@ -18,12 +18,14 @@ strip is written into its rows and the array is symmetrized in place.  A
 brute-force permutation sum is kept as an independent test oracle for
 small levels.  A unit block is exactly symmetric and its Cholesky factor
 triangular, so the cache keeps one array for both: the block is factored
-in the array that held it, which then holds the factor in the lower
-triangle, diagonal included, and the Gram block's strict upper triangle
-above it, with the Gram diagonal as a vector.  A space hands out Gram
-entries only as fresh arrays, each one gather from that array, factored
-or not; a clean factor is a fresh copy, and the packed array is the one
-cached array a caller can see.
+in the array that held it, by LAPACK's dpotrf('L'), which leaves L^T in
+the upper triangle, diagonal included, and the Gram block's strict lower
+triangle below it; the Gram diagonal is kept as a vector.  Read in
+Fortran order (its transpose), the packed array has L in its lower
+triangle, which is how LAPACK takes it without a copy.  A space hands
+out Gram entries only as fresh arrays, each one gather from that array,
+factored or not; a clean factor is a fresh C-ordered copy, and the
+packed array is the one cached array a caller can see.
 A transfer has at most n nonzero entries in a column of n-letter words;
 the cache builds and keeps only those, and every reader gets a fresh
 dense copy.  A block's words follow the same recursion: its word array
@@ -224,22 +226,27 @@ def _cond_estimate(L: np.ndarray) -> float:
     return hi * lo  # sigma_max^2 * sigma_min^-2 of L = cond(L^T L)
 
 
-# rows per strip, and the side of a tile, of the in-place passes below
+# rows per strip, and the side of a tile, of the in-place passes below;
+# a k x k tile's triangles are the views _LOWER[:k, :k] (diagonal
+# included) and _STRICT_UPPER[:k, :k], built once
 _TILE = 256
+_LOWER = np.tri(_TILE, dtype=bool)
+_STRICT_UPPER = ~_LOWER
 
 
 def _copy_upper(dst: np.ndarray, src: np.ndarray) -> None:
     """Copy the strict upper triangle of the square array src into dst's,
     one strip of _TILE rows at a time.  Values are copied, never added,
-    so a -0.0 keeps its sign.  _copy_upper(P.T, P) mirrors P's strict
-    upper triangle onto its strict lower one in place: it reads only
+    so a -0.0 keeps its sign.  _copy_upper(P, P.T) mirrors P's strict
+    lower triangle onto its strict upper one in place: it reads only
     entries it does not write."""
     m = len(src)
     for i0 in range(0, m, _TILE):
         i1 = min(i0 + _TILE, m)
         dst[i0:i1, i1:] = src[i0:i1, i1:]
+        k = i1 - i0
         np.copyto(dst[i0:i1, i0:i1], src[i0:i1, i0:i1],
-                  where=~np.tri(i1 - i0, dtype=bool))
+                  where=_STRICT_UPPER[:k, :k])
 
 
 def _symmetrize(G: np.ndarray) -> None:
@@ -258,57 +265,72 @@ def _symmetrize(G: np.ndarray) -> None:
             G[j0:j1, i0:i1] = S.T
 
 
-def _transpose(A: np.ndarray) -> None:
-    """A = A.T in place for a square A, one pair of tiles at a time.
-    Values are copied, so every bit, a -0.0 included, moves unchanged."""
+def _lower_factor(A: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * L as a fresh C-ordered array with exact zeros above the
+    diagonal, L the factor that the packed array A holds transposed in
+    its upper triangle: the bits of np.tril(L) * scale for a positive
+    scale.  Each strip of _TILE rows of L is copied from a strip of A's
+    columns, its diagonal tile through the shared tile mask, so no
+    m x m mask is built; the scale is then applied in place."""
     m = len(A)
+    L = np.zeros((m, m))
     for i0 in range(0, m, _TILE):
         i1 = min(i0 + _TILE, m)
-        A[i0:i1, i0:i1] = A[i0:i1, i0:i1].T.copy()
-        for j0 in range(i1, m, _TILE):
-            j1 = min(j0 + _TILE, m)
-            S = A[i0:i1, j0:j1].copy()
-            A[i0:i1, j0:j1] = A[j0:j1, i0:i1].T
-            A[j0:j1, i0:i1] = S.T
+        L[i0:i1, :i0] = A[:i0, i0:i1].T
+        k = i1 - i0
+        np.copyto(L[i0:i1, i0:i1], A[i0:i1, i0:i1].T, where=_LOWER[:k, :k])
+    if scale != 1.0:
+        L *= scale
+    return L
+
+
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
 
 
 @functools.cache
-def _lapack_dpotrf():
-    """dpotrf of the LAPACK that numpy.linalg links, which
-    np.linalg.cholesky calls, as a ctypes function with 64-bit integer
-    arguments; None where that library exports no ILP64 dpotrf (MKL or
-    LP64 builds of numpy).  Looked up on the first call."""
+def _numpy_lapack(name: str, *argtypes):
+    """The LAPACK routine name (say "dpotrf") of the library that
+    numpy.linalg links, the one np.linalg calls, as a ctypes function
+    with 64-bit integer arguments of the given types; None where that
+    library exports no ILP64 routine of that name (MKL or LP64 builds of
+    numpy).  Looked up on the first call for each name."""
     from numpy.linalg import _umath_linalg
 
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for name in ("scipy_dpotrf_64_", "dpotrf_64_"):
-        fn = getattr(lib, name, None)
+    for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
+        fn = getattr(lib, symbol, None)
         if fn is not None:
-            int64_p = ctypes.POINTER(ctypes.c_int64)
-            # uplo, n, a, lda, info, and the Fortran length of uplo
-            fn.argtypes = [ctypes.c_char_p, int64_p, ctypes.c_void_p,
-                           int64_p, int64_p, ctypes.c_size_t]
+            fn.argtypes = argtypes
             fn.restype = None
             return fn
     return None
 
 
+def _lapack_dpotrf():
+    """numpy's dpotrf, which np.linalg.cholesky calls, or None: its
+    arguments are uplo, n, a, lda, info and the Fortran length of
+    uplo."""
+    return _numpy_lapack("dpotrf", ctypes.c_char_p, _INT64_P,
+                         ctypes.c_void_p, _INT64_P, _INT64_P,
+                         ctypes.c_size_t)
+
+
 def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
     """Overwrite the bit-symmetric, C-ordered G with its packed array:
-    the lower Cholesky factor L of G in the lower triangle, diagonal
-    included, G's strict upper triangle above it; the bits of L are
-    np.linalg.cholesky's.  Returns None, or why G has no finite factor,
-    with every bit of G as it was (diag is G's diagonal).
+    L^T, L the lower Cholesky factor of G, in the upper triangle,
+    diagonal included, and G's strict lower triangle below it; the bits
+    of L are np.linalg.cholesky's.  Returns None, or why G has no finite
+    factor, with every bit of G as it was (diag is G's diagonal).
 
     np.linalg.cholesky runs dpotrf('L') on a Fortran copy of G.  Read in
     Fortran order, G's own array is G again, so the same call on it
     writes L^T into the C upper triangle and leaves G's strict lower
-    triangle alone; a tiled transpose then gives the packed layout.
-    Where numpy's LAPACK exports no such dpotrf, np.linalg.cholesky
-    itself runs and L's lower triangle is copied into G."""
+    triangle alone, which is the packed layout.  Where numpy's LAPACK
+    exports no such dpotrf, np.linalg.cholesky itself runs and L^T is
+    copied into G's upper triangle."""
     potrf = _lapack_dpotrf()
     if potrf is None:
         try:
@@ -317,7 +339,7 @@ def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
             return "is not numerically positive definite"
         if not np.isfinite(L).all():
             return "has a non-finite Cholesky factor"
-        _copy_upper(G.T, L.T)
+        _copy_upper(G, L.T)
         np.fill_diagonal(G, L.diagonal())
         return None
     m = len(G)
@@ -329,7 +351,6 @@ def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
         # non-finite entry of its strict lower triangle reaches L too
         if all(np.isfinite(G[i0:i0 + _TILE]).all()
                for i0 in range(0, m, _TILE)):
-            _transpose(G)
             return None
         why = "has a non-finite Cholesky factor"
     else:
@@ -356,13 +377,14 @@ class _UnitGramCache:
     stored, and none is built to find the entries.
 
     block[sig] is G until the block is factored.  chol then overwrites
-    that array with the packed array A: the lower Cholesky factor L of
-    G in A's lower triangle, diagonal included, checked finite once so
-    that solves against it skip the check, and G's strict upper
-    triangle above it; diag[sig] keeps G's diagonal and cond[sig] a
-    condition estimate.  A block is factored exactly when it is in
-    cond.  gather then reads G's entries from A and diag into a fresh
-    array, and gram is its gather over the whole block.  gram of an
+    that array with the packed array A, as dpotrf('L') leaves it: L^T,
+    L the lower Cholesky factor of G, in A's upper triangle, diagonal
+    included, checked finite once so that solves against it skip the
+    check, and G's strict lower triangle below it.  A.T, Fortran-ordered,
+    has L in its lower triangle.  diag[sig] keeps G's diagonal and
+    cond[sig] a condition estimate.  A block is factored exactly when it
+    is in cond.  gather then reads G's entries from A and diag into a
+    fresh array, and gram is its gather over the whole block.  gram of an
     unfactored block is the cached array itself, which chol overwrites,
     so only the recursion and chol read it: a space reads every block by
     gather.
@@ -515,25 +537,25 @@ class _UnitGramCache:
         """gram(sig)[np.ix_(rows, cols)] as a fresh array, bit for bit,
         or the whole block for rows = cols = slice(None).  For a factored
         block, the whole block or equal, increasing rows and cols (an
-        index map's block against itself) gather A's upper triangle,
+        index map's block against itself) gather A's lower triangle,
         mirror it and set the diagonal; other pairs read gram(sig)."""
         whole = isinstance(rows, slice)
         if sig in self.cond and (whole or (
                 np.array_equal(rows, cols) and (rows[1:] > rows[:-1]).all())):
             A = self.block[sig]
             P = A.copy() if whole else A[np.ix_(rows, cols)]
-            _copy_upper(P.T, P)
+            _copy_upper(P, P.T)
             np.fill_diagonal(P, self.diag[sig][rows])
             return P
         G = self.gram(sig)
         return G.copy() if whole else G[np.ix_(rows, cols)]
 
     def chol(self, sig):
-        """The block's packed array: the lower Cholesky factor of the
-        unit Gram in its lower triangle, G's strict upper triangle above
-        it.  Factors the block on first use, in the cached array that
-        gram returned, so that array becomes the packed one; a refused
-        block keeps G, every bit of it."""
+        """The block's packed array: the transposed lower Cholesky factor
+        L^T of the unit Gram in its upper triangle, G's strict lower
+        triangle below it.  Factors the block on first use, in the cached
+        array that gram returned, so that array becomes the packed one; a
+        refused block keeps G, every bit of it."""
         if sig in self.cond:
             return self.block[sig]
         G = self.gram(sig)
@@ -544,7 +566,7 @@ class _UnitGramCache:
                 f"Gram block level={sum(sig)} signature={sig} at q={self.q} "
                 f"{why}")
         # the factor is checked finite, so solves against it skip the check
-        cond = _cond_estimate(np.tril(G))
+        cond = _cond_estimate(_lower_factor(G))
         self.diag[sig] = diag
         self.cond[sig] = cond
         if cond > COND_LIMIT:
@@ -647,10 +669,10 @@ class FockSpace:
         return G
 
     def gram_chol(self, sig) -> np.ndarray:
-        """The lower Cholesky factor of gram(sig), a fresh array."""
-        L = np.tril(self.unit_chol(sig))
-        L *= math.sqrt(self.u_factor(sig))
-        return L
+        """The lower Cholesky factor of gram(sig), a fresh C-ordered
+        array with exact zeros above the diagonal."""
+        return _lower_factor(self.unit_chol(sig),
+                             math.sqrt(self.u_factor(sig)))
 
     def unit_gram(self, sig) -> np.ndarray:
         """gram(sig) / u_factor(sig), the unit Gram block shared by every
@@ -666,11 +688,12 @@ class FockSpace:
         return self._unit.gather(tuple(sig), rows, cols)
 
     def unit_chol(self, sig) -> np.ndarray:
-        """The block's cached packed array, read only: its lower
-        triangle, diagonal included, is the lower Cholesky factor of
-        unit_gram(sig), and its strict upper triangle is the Gram
-        block's.  Only solvers that read the lower triangle alone may
-        take it as the factor."""
+        """The block's cached packed array, read only: its upper
+        triangle, diagonal included, is L^T, L the lower Cholesky factor
+        of unit_gram(sig), and its strict lower triangle is the Gram
+        block's.  Its transpose is Fortran-ordered with L in the lower
+        triangle; only solvers that read that triangle alone may take
+        it as the factor."""
         return self._unit.chol(tuple(sig))
 
     def gram_cond(self, sig) -> float:

@@ -24,13 +24,15 @@ written out from it takes the one frame solve that dense blocks take.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, FockVector, E, EBAR, _sig_add
+from .fock import (FockSpace, FockVector, E, EBAR, _INT64_P, _lower_factor,
+                   _numpy_lapack, _sig_add)
 from .qcomb import q_binomial, wick_coefficients, crossings, ENUMERATION_CAP
 
 __all__ = [
@@ -725,6 +727,49 @@ def _assemble(A: FockOperator, window: Window, images: dict) -> np.ndarray:
                          functools.cache(A.space.gram_chol))
 
 
+def _lapack_dsyevd():
+    """numpy's dsyevd, which np.linalg.eigvalsh calls, or None: its
+    arguments are jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork,
+    info and the Fortran lengths of jobz and uplo."""
+    c = ctypes
+    return _numpy_lapack("dsyevd", c.c_char_p, c.c_char_p, _INT64_P,
+                         c.c_void_p, _INT64_P, c.c_void_p, c.c_void_p,
+                         _INT64_P, c.c_void_p, _INT64_P, _INT64_P,
+                         c.c_size_t, c.c_size_t)
+
+
+def _eigvalsh_in_place(K: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(K), ascending, bit for bit, computed in the
+    Fortran-ordered K itself, which it overwrites; only K's lower
+    triangle is read.  eigvalsh runs numpy's dsyevd('N', 'L') on a
+    Fortran copy of K, with the workspace a size query returns: the same
+    call on the same Fortran data, here without the copy.  Where numpy's
+    LAPACK exports no such dsyevd, eigvalsh itself runs."""
+    if K.dtype != np.float64 or K.ndim != 2 or len(K) != K.shape[1] \
+            or not K.flags.f_contiguous:
+        raise ValueError("K must be a square, Fortran-ordered float64 array")
+    syevd = _lapack_dsyevd()
+    if syevd is None:
+        return np.linalg.eigvalsh(K)
+    ref = ctypes.byref
+    n, info = ctypes.c_int64(len(K)), ctypes.c_int64(0)
+    w = np.empty(len(K))
+    work, iwork = ctypes.c_double(0.0), ctypes.c_int64(0)
+    lwork, liwork = ctypes.c_int64(-1), ctypes.c_int64(-1)
+    syevd(b"N", b"L", ref(n), K.ctypes.data, ref(n), w.ctypes.data,
+          ref(work), ref(lwork), ref(iwork), ref(liwork), ref(info), 1, 1)
+    if info.value == 0:
+        work = np.empty(int(work.value))
+        iwork = np.empty(iwork.value, np.int64)
+        lwork.value, liwork.value = len(work), len(iwork)
+        syevd(b"N", b"L", ref(n), K.ctypes.data, ref(n), w.ctypes.data,
+              work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork),
+              ref(info), 1, 1)
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def _pencil_norm(space: FockSpace, images: dict) -> float:
     """sqrt of the largest eigenvalue of the pencil (K, G_src), K the sum
     over targets t of M_t^T G_t M_t, on each component of the source
@@ -738,13 +783,20 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     makes the product the gather s_i s_j G^_t[rows_i, rows_j], read from
     the packed array without rebuilding G^_t where a target has one
     source (rows_i = rows_j, increasing), as for creation powers; dense
-    blocks take a copy of G^_t.  The reductions read the lower triangle of each source's
-    packed unit array, which is L^.  Only the lower blocks are formed,
-    which is what eigvalsh reads.  A source without targets adds
+    blocks take a copy of G^_t.  Only the lower blocks are formed, which
+    is what the eigensolver reads.  A source without targets adds
     nothing, and a zero K gives 0.0.
 
-    K is Fortran-ordered and each product is freed once added, so a
-    one-source component is reduced by dsygst in K itself, with no copy."""
+    K is Fortran-ordered and each product is freed once added.  In a
+    one-source component of index blocks, the first product, exactly
+    symmetric, is K itself: its transpose, with "+ 0.0" for the zeros
+    it would have been added into.  Diagonal blocks are reduced by
+    dsygst against the transposed packed unit array, Fortran-ordered
+    with L^ in its lower triangle, so neither K of a one-source
+    component nor the factor is copied; off-diagonal blocks are solved
+    against a C-ordered copy of each source's L^, made once per
+    component.  The eigenvalues are then computed in K, and each
+    component's K is freed before the next one is built."""
     from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dsygst
 
@@ -758,7 +810,7 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
         for src in srcs:
             for tgt, M in images[src]:
                 by_tgt.setdefault(tgt, []).append((src, M))
-        K = np.zeros((width, width), order="F")
+        K = None
         filled = set()
         for tgt, row in by_tgt.items():
             # an operator's blocks are all index pairs or all arrays
@@ -776,25 +828,35 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
                     else:
                         P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
                         P *= scale * Mi[1] * Mj[1]
-                    r0, c0 = offset[si], offset[sj]
-                    K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
+                    if K is None and len(srcs) == 1 and not dense:
+                        P += 0.0
+                        K = P.T
+                    else:
+                        if K is None:
+                            K = np.zeros((width, width), order="F")
+                        r0, c0 = offset[si], offset[sj]
+                        K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
                     del P
                     filled.add((si, sj))
             del G
+        factor = functools.cache(
+            lambda s: _lower_factor(space.unit_chol(s)))
         for si, sj in filled:
             rs, cs = (slice(offset[s], offset[s] + len(space.word_array(s)))
                       for s in (si, sj))
             if si == sj:
                 # LAPACK's reduction of a symmetric block: half the flops
                 # of the two solves; it writes the lower triangle
-                K[rs, rs] = dsygst(K[rs, rs], space.unit_chol(si), lower=1,
-                                   overwrite_a=1)[0]
+                K[rs, rs] = dsygst(K[rs, rs], space.unit_chol(si).T,
+                                   lower=1, overwrite_a=1)[0]
                 continue
-            X = solve_triangular(space.unit_chol(si), K[rs, cs], lower=True,
+            X = solve_triangular(factor(si), K[rs, cs], lower=True,
                                  check_finite=False)
-            K[rs, cs] = solve_triangular(space.unit_chol(sj), X.T,
-                                         lower=True, check_finite=False).T
-        top = max(top, np.linalg.eigvalsh(K)[-1])
+            K[rs, cs] = solve_triangular(factor(sj), X.T, lower=True,
+                                         check_finite=False).T
+        del factor
+        top = max(top, _eigvalsh_in_place(K)[-1])
+        del K
     return math.sqrt(top)
 
 

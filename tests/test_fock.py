@@ -496,6 +496,60 @@ def test_in_place_factor_matches_cholesky_path(q, n_letters, level_max,
 
 
 @pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "cholesky"])
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_packed_upper_triangle_is_the_factor(q, lapack, monkeypatch):
+    # the packed array is what dpotrf('L') leaves in a C-ordered block:
+    # L^T in the upper triangle, diagonal included, G's strict lower
+    # triangle below it; block (6, 5) spans two tiles
+    if not lapack:
+        monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+    unit = fock._UnitGramCache(q, 2)
+    oracle = fock._UnitGramCache(q, 2)
+    for sig in _all_sigs(2, 11):
+        A = unit.chol(sig)
+        G = oracle.gram(sig)
+        upper = np.triu_indices(len(G))
+        strict_lower = np.tril_indices(len(G), -1)
+        assert _same_bytes(A[upper], np.linalg.cholesky(G).T[upper]), sig
+        assert _same_bytes(A[strict_lower], G[strict_lower]), sig
+
+
+def _gram_chol_oracle(space, sig):
+    """np.tril of the factor in the packed array's transpose, times the
+    square root of the block scalar, with its m x m mask."""
+    L = np.tril(space.unit_chol(sig).T)
+    L *= math.sqrt(space.u_factor(sig))
+    return L
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_gram_chol_matches_masked_oracle(q, cold_gram_caches):
+    # balanced blocks have the scalar 1.0, the others not
+    space = build_space(q=q, lam=0.3, depth=11)
+    for level in range(12):
+        for sig in space.blocks_at_level(level):
+            L = space.gram_chol(sig)
+            assert L.flags.c_contiguous and L.base is None
+            assert _same_bytes(L, _gram_chol_oracle(space, sig)), sig
+
+
+def test_gram_chol_allocates_one_block():
+    # the factor is copied tile by tile through a shared tile mask; an
+    # np.tril copy built an m x m boolean mask beside it (1.125 blocks)
+    space = build_space(q=0.3, lam=0.4, depth=11)
+    sig = (6, 5)
+    space.gram_chol(sig)
+    tracemalloc.start()
+    try:
+        L = space.gram_chol(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.shape == (462, 462)
+    assert peak <= 1.05 * L.nbytes
+
+
+@pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "cholesky"])
 def test_factor_overwrites_the_cached_array(lapack, monkeypatch):
     # the cache's gram of an unfactored block is the cached array, which
     # the factor overwrites in place; a space hands out only gathers

@@ -461,10 +461,12 @@ def test_large_path_repeats_its_value(shared_space):
                                      (0.3, "0x1.80bf5da407391p+0")])
 def test_pencil_reduces_in_place(shared_space, q, want):
     # each source of the depth-12 letter is its own component, the
-    # largest of 462 words: K is reduced by dsygst in its own Fortran
-    # array and each product is freed once added.  The pencil then
-    # holds at most 3 K-sized arrays (4.08 when K was C-ordered, 2.42
-    # now); the values are the ones measured before the change
+    # largest of 462 words: its gathered product is K, which dsygst
+    # reduces against the transposed packed array and dsyevd solves,
+    # neither copying K or the factor.  The pencil then holds at most
+    # 1.5 K-sized arrays (4.08 when K was C-ordered, 2.42 with a zeroed
+    # K, a Fortran copy of the factor and eigvalsh's copy of K); the
+    # values are the ones measured before these changes
     space = shared_space(q, 0.4, 12)
     for level in range(13):
         for sig in space.blocks_at_level(level):
@@ -477,7 +479,52 @@ def test_pencil_reduces_in_place(shared_space, q, want):
     finally:
         tracemalloc.stop()
     assert got.hex() == want
-    assert peak <= 3 * 462 * 462 * 8
+    assert peak <= 1.5 * 462 * 462 * 8
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_in_place_eigensolver_matches_eigvalsh(shared_space, q, monkeypatch):
+    # on every reduced pencil of the depth-12 letter, numpy's dsyevd run
+    # in K gives eigvalsh's eigenvalues, byte for byte
+    if ops._lapack_dsyevd() is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dsyevd")
+    pencils = []
+    solve = ops._eigvalsh_in_place
+
+    def record(K):
+        pencils.append(K.copy(order="F"))
+        return solve(K)
+
+    monkeypatch.setattr(ops, "_eigvalsh_in_place", record)
+    A = ops.creation_letter(shared_space(q, 0.4, 12), E)
+    ops.op_norm(A)
+    assert len(pencils) == len(ops.Window(A.space, 11).blocks) == 78
+    assert max(len(K) for K in pencils) == 462
+    for K in pencils:
+        want = np.linalg.eigvalsh(K)
+        assert solve(K).tobytes() == want.tobytes()
+
+
+def test_in_place_eigensolver_takes_only_fortran_arrays():
+    # dsyevd reads K's memory in Fortran order: a C-ordered K would be
+    # read transposed, its upper triangle taken for the lower one
+    for K in (np.eye(3), np.eye(3, dtype=np.float32, order="F"),
+              np.ones((2, 3), order="F")):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            ops._eigvalsh_in_place(K)
+
+
+def test_eigensolver_falls_back_to_eigvalsh(shared_space, monkeypatch):
+    # without numpy's dsyevd the pencil calls eigvalsh, one call per
+    # component, and the norm keeps its bits
+    A = ops.creation_letter(shared_space(-0.5, 0.4, 12), E)
+    monkeypatch.setattr(ops, "_lapack_dsyevd", lambda: None)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda K: calls.append(len(K)) or eigvalsh(K))
+    assert ops.op_norm(A).hex() == "0x1.41e7284162a54p+0"
+    assert len(calls) == 78
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -228,8 +228,10 @@ def _cond_estimate(L: np.ndarray) -> float:
 
 # rows per strip, and the side of a tile, of the in-place passes below;
 # a k x k tile's triangles are the views _LOWER[:k, :k] (diagonal
-# included) and _STRICT_UPPER[:k, :k], built once
+# included) and _STRICT_UPPER[:k, :k], built once.  _copy_upper mirrors
+# a diagonal tile in strips of _LEAF rows
 _TILE = 256
+_LEAF = 16
 _LOWER = np.tri(_TILE, dtype=bool)
 _STRICT_UPPER = ~_LOWER
 
@@ -239,14 +241,25 @@ def _copy_upper(dst: np.ndarray, src: np.ndarray) -> None:
     one strip of _TILE rows at a time.  Values are copied, never added,
     so a -0.0 keeps its sign.  _copy_upper(P, P.T) mirrors P's strict
     lower triangle onto its strict upper one in place: it reads only
-    entries it does not write."""
+    entries it does not write.
+
+    numpy copies a source that may overlap its destination, and a
+    diagonal tile of P and of P.T span the same memory.  So a diagonal
+    tile is itself copied in strips of _LEAF rows, each strip's part
+    right of its own diagonal leaf first, whose source lies in later
+    rows of P, and then the leaf through the tile mask: at most one
+    _LEAF x _LEAF leaf (2 KiB) is copied whole at a time.  The
+    off-diagonal part of a _TILE strip reads later rows of P too."""
     m = len(src)
     for i0 in range(0, m, _TILE):
         i1 = min(i0 + _TILE, m)
         dst[i0:i1, i1:] = src[i0:i1, i1:]
-        k = i1 - i0
-        np.copyto(dst[i0:i1, i0:i1], src[i0:i1, i0:i1],
-                  where=_STRICT_UPPER[:k, :k])
+        for r0 in range(i0, i1, _LEAF):
+            r1 = min(r0 + _LEAF, i1)
+            dst[r0:r1, r1:i1] = src[r0:r1, r1:i1]
+            k = r1 - r0
+            np.copyto(dst[r0:r1, r0:r1], src[r0:r1, r0:r1],
+                      where=_STRICT_UPPER[:k, :k])
 
 
 def _symmetrize(G: np.ndarray) -> None:

@@ -589,15 +589,44 @@ def z_n_operator(space: FockSpace, n: int) -> ops.FockOperator:
         ops.wick_right_balanced(space, n) @ ops.wick_balanced(space, n))
 
 
-def _stacked_target(window: ops.Window, row) -> np.ndarray:
+def _stacked_target(window: ops.Window, row, buf: np.ndarray) -> np.ndarray:
     """One target's word-basis images [(src, M)] stacked into a complex
-    matrix of shape (dim_target, width): zeros plus each block at its
-    source's offset."""
-    out = np.zeros((row[0][1].shape[0], window.width), dtype=complex)
+    matrix of shape (dim_target, width), the leading rows of the complex
+    array buf: zeros plus each block at its source's offset."""
+    out = buf[:row[0][1].shape[0]]
+    out.fill(0.0)
     for sig, M in row:
         offset = window.offset[sig]
         out[:, offset:offset + M.shape[1]] += M
     return out
+
+
+def _window_matrix(space: FockSpace, window: ops.Window, U: dict,
+                   V: dict) -> np.ndarray:
+    """The sum over the targets t that U and V share of U_t^H G_t V_t,
+    U_t and V_t the stacked images {tgt: [(src, M)]}, in V's target
+    order, into zeros.  Every term reuses one set of arrays, so the
+    terms take no fresh pages: V_t and then U_t fill stack, G_t V_t
+    fills gv and the term fills scratch, which holds the complex G_t
+    before it.  G_t is the cast that G_t @ V_t makes, and U_t is
+    conjugated in place: the same zgemm calls as
+    U_t.conj().T @ (G_t @ V_t)."""
+    width = window.width
+    M = np.zeros((width, width), dtype=complex)
+    pairs = [(tgt, U[tgt], row) for tgt, row in V.items() if tgt in U]
+    m_max = max((len(space.word_array(t)) for t, _, _ in pairs), default=0)
+    stack = np.empty((m_max, width), dtype=complex)
+    gv = np.empty_like(stack)
+    scratch = np.empty(max(width, m_max) ** 2, dtype=complex)
+    term = scratch[:width * width].reshape(width, width)
+    for tgt, urow, vrow in pairs:
+        m = len(space.word_array(tgt))
+        G = scratch[:m * m].reshape(m, m)
+        np.copyto(G, space.gram(tgt))
+        GV = np.matmul(G, _stacked_target(window, vrow, stack), out=gv[:m])
+        Us = _stacked_target(window, urow, stack)
+        M += np.matmul(np.conjugate(Us, out=Us).T, GV, out=term)
+    return M
 
 
 def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
@@ -612,7 +641,8 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
 
     The window's images are grouped by target, and each target's stacked
     pair U_t, V_t is built only while its term U_t^H G_t V_t of the
-    window matrix is added, so no whole-window stack is held.  The frame
+    window matrix is added, so no whole-window stack is held; the terms
+    share their arrays (_window_matrix).  The frame
     loop and the distinguished vector share one factor per window block
     over the whole report.
     """
@@ -639,11 +669,7 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         window = ops.Window(space, L)
         U = window.by_target(Wrb)
         V = window.by_target(Wb)
-        M = np.zeros((window.width, window.width), dtype=complex)
-        for tgt, row in V.items():
-            if tgt in U:
-                M += _stacked_target(window, U[tgt]).conj().T \
-                    @ (space.gram(tgt) @ _stacked_target(window, row))
+        M = _window_matrix(space, window, U, V)
         del U, V
         M *= scale
         # into the orthonormal frame of the window

@@ -123,6 +123,15 @@ class FockOperator:
     The builders of word maps, identity and modular_delta declare it;
     memoized, scalar multiples and products of two index operators keep
     it, so products with one side an index operator are gathers.
+
+    With cache=True (the default) action() and index() keep every
+    result for as long as the operator lives.  Products, sums and
+    scalar multiples are built with cache=False, and so is
+    annihilation_letter, whose blocks the unit cache keeps sparse;
+    memoized gives any operator a cache.  So a left annihilation letter
+    holds no block and a left creation letter only its index maps, the
+    right letters (memoized) hold theirs, and a power_ladder's rungs
+    hold blocks from A^2 on.
     """
 
     def __init__(self, space: FockSpace, action_fn, reach: int, peak: int | None = None,
@@ -367,12 +376,19 @@ def memoized(A: FockOperator) -> FockOperator:
 
 
 def power_ladder(A: FockOperator, k_max: int) -> list:
-    """The powers A^0, ..., A^k_max as memoized rungs, each built as
-    A @ (previous rung), which is how FockOperator.power groups its
-    products.  Operators that need several powers of one letter share a
-    ladder, so each chain of products runs once per source block."""
+    """The powers A^0, ..., A^k_max: the identity, A itself, then
+    memoized rungs, each built as A @ (previous rung), which is how
+    FockOperator.power groups its products.  Rung 1 is A, not a cached
+    A @ identity: for a letter, whose blocks are C-ordered and hold no
+    -0.0, that product is an index map or a gather with the bits and
+    the memory order of A's blocks, so caching it would only hold a
+    second copy.
+    Operators that need several powers of one letter share a ladder, so
+    each chain of products runs once per source block."""
     rungs = [identity(A.space)]
-    for _ in range(k_max):
+    if k_max >= 1:
+        rungs.append(A)
+    for _ in range(k_max - 1):
         rungs.append(memoized(A @ rungs[-1]))
     return rungs
 
@@ -418,13 +434,16 @@ def right_creation_letter(space: FockSpace, ell: int) -> FockOperator:
 
 
 def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
-    """Left annihilation: the block's annihilation transfer."""
+    """Left annihilation: the block's annihilation transfer, scattered
+    afresh from the unit cache's nonzero entries on every call.  The
+    letter keeps no block: the sparse transfer already is the cache, and
+    a dense copy per block would only sit beside it."""
     def act(sig):
         if sig[ell] == 0:
             return {}
         return {_sig_add(sig, ell, -1): space.annihilation_transfer(sig, ell)}
 
-    return FockOperator(space, act, reach=-1)
+    return FockOperator(space, act, reach=-1, cache=False)
 
 
 def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -575,17 +594,19 @@ def wick_balanced(space: FockSpace, n: int) -> FockOperator:
     """Wick operator of (conjugate letter)^n (letter)^n via the factored
     normal-ordered coefficient matrix; (n+1)^2 monomials instead of a
     4^n splitting enumeration.  The annihilation tails come from one
-    memoized table, table[i][j] = ae^i aeb^j, grouped as the chain of
-    each monomial groups them."""
+    table, table[i][j] = ae^i aeb^j, grouped as the chain of each
+    monomial groups them: its first row and column are the two power
+    ladders, and every other entry is memoized(ae @ table[i-1][j])."""
     if n < 0:
         raise ValueError("n must be >= 0")
     coeff = wick_coefficients(n, space.q)
     ce = creation_letter(space, E)
     ceb = creation_letter(space, EBAR)
-    ae = annihilation_letter(space, E)
+    ae_pow = power_ladder(annihilation_letter(space, E), n)
     table = [power_ladder(annihilation_letter(space, EBAR), n)]
-    for _ in range(n):
-        table.append([memoized(ae @ below) for below in table[-1]])
+    for i in range(1, n + 1):
+        table.append([ae_pow[i]] + [memoized(ae_pow[1] @ below)
+                                    for below in table[-1][1:]])
     terms = [coeff[k, l] * _chain(space, [ceb] * k + [ce] * l,
                                   base=table[n - k][n - l])
              for k in range(n + 1) for l in range(n + 1)]

@@ -560,6 +560,27 @@ def test_factor_overwrites_the_cached_array(lapack, monkeypatch):
         assert unit.gram(sig) is unit.chol(sig)
 
 
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 256, 462])
+def test_mirror_copies_values_in_place(m):
+    # _copy_upper(P, P.T) writes P's strict lower triangle onto its
+    # strict upper one, -0.0 included, and copies no diagonal tile: a
+    # 462-word block's mirror peaked at 512 KiB, one 256 x 256 tile,
+    # while numpy copied each overlapping tile whole
+    P = np.random.default_rng(m).standard_normal((m, m))
+    P[P < -1.0] = -0.0
+    want = P.copy()
+    upper = np.triu_indices(m, 1)
+    want[upper] = P.T[upper]
+    tracemalloc.start()
+    try:
+        fock._copy_upper(P, P.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.tobytes() == want.tobytes()
+    assert peak <= 8 * fock._LEAF ** 2 + 1024
+
+
 @pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "cholesky"])
 @pytest.mark.parametrize("bad, why", [
     (-1.0, "not numerically positive definite"), (np.nan, "non-finite")],

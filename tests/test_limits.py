@@ -3,6 +3,7 @@ distinguished vector, invertibility certificates, rank-one collapse,
 boundedness scans and the moment cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,23 @@ def test_threshold_shrinks_with_deformation():
     assert all(0.0 < v < 1.0 for v in vals)
 
 
+def test_certificate_holds_each_block_once(cold_gram_caches):
+    # a depth-10 certificate with its Gram cache built cold: 3.78 MiB at
+    # its peak while each annihilation letter kept a dense copy of every
+    # block it touched and rung 1 of each ladder a gathered copy of the
+    # letter, 1.83 MiB with the letters holding no block.  A first,
+    # shallow certificate loads what the solvers import
+    limits.invertibility_certificate(0.3, 0.3, truncations=(4,))
+    cold_gram_caches()
+    tracemalloc.start()
+    try:
+        limits.invertibility_certificate(0.3, 0.3, truncations=(10,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 def test_certificate_below_threshold(cal):
     frozen = cal["certificates"]["rows"][0]
     cert = limits.invertibility_certificate(0.1, 0.15,
@@ -331,6 +349,24 @@ def test_rank_one_against_calibration(cal, rank_one_can):
     deficit = full - rows[n_last]["sigma1"]
     tail = full - rows[n_last]["window_norm_sq"]
     assert abs(deficit - tail) / tail <= thr["tail_account_rel"]
+
+
+def test_rank_one_terms_share_their_arrays(cold_gram_caches):
+    # n = 2 at depth 10, every block factored first: 3.97 MiB at the
+    # peak when each term held the real and the complex Gram, V_t, G_t V_t
+    # and the conjugated U_t beside U_t, and the letters and ladders
+    # their copies; 3.42 MiB with the terms in shared arrays
+    space = build_space(q=0.3, lam=0.3, depth=10)
+    for level in range(space.depth + 1):
+        for sig in space.blocks_at_level(level):
+            space.unit_chol(sig)
+    tracemalloc.start()
+    try:
+        limits.rank_one_diagnostics(space, n_list=[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.7 * 2**20
 
 
 def test_rank_one_vacuum_sequence(sp_can):

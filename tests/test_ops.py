@@ -117,6 +117,58 @@ def test_operator_algebra_reach_and_power(sp):
                                                                      {(E, E): 0.0})
 
 
+def test_annihilation_letter_keeps_no_block(sp):
+    # the unit cache keeps each transfer's nonzero entries, and the
+    # letter scatters a fresh dense block from them on every call
+    for ell in (E, EBAR):
+        A = ops.annihilation_letter(sp, ell)
+        assert A._cache is None
+        for sig in sp.blocks_at_level(6):
+            first, again = A.action(sig), A.action(sig)
+            assert list(first) == list(again)
+            for tgt, M in first.items():
+                assert again[tgt] is not M
+                assert again[tgt].tobytes() == M.tobytes()
+        assert A._cache is None
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 4])
+def test_ladder_starts_at_the_letter(sp, k_max):
+    for A in (ops.annihilation_letter(sp, E), ops.creation_letter(sp, E)):
+        rungs = ops.power_ladder(A, k_max)
+        assert len(rungs) == k_max + 1
+        if k_max >= 1:
+            assert rungs[1] is A
+
+
+def _oracle_ladder(A, k_max):
+    """The ladder as it was built before rung 1 became the letter: every
+    rung memoized, rung k + 1 = A @ rung k from the identity."""
+    rungs = [ops.identity(A.space)]
+    for _ in range(k_max):
+        rungs.append(ops.memoized(A @ rungs[-1]))
+    return rungs
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+@pytest.mark.parametrize("ell", [E, EBAR], ids=["ae", "aeb"])
+def test_ladder_matches_oracle_ladder(shared_space, q, ell):
+    # every rung's blocks, on every block of the space, equal the oracle
+    # ladder's byte for byte and in memory order
+    space = shared_space(q, 0.4, 10)
+    got = ops.power_ladder(ops.annihilation_letter(space, ell), 10)
+    want = _oracle_ladder(ops.annihilation_letter(space, ell), 10)
+    for k in range(11):
+        for level in range(11):
+            for sig in space.blocks_at_level(level):
+                g, w = got[k].action(sig), want[k].action(sig)
+                assert list(g) == list(w)
+                for tgt in w:
+                    assert (g[tgt].shape, g[tgt].strides) \
+                        == (w[tgt].shape, w[tgt].strides), (k, sig)
+                    assert g[tgt].tobytes() == w[tgt].tobytes(), (k, sig)
+
+
 # (reach, peak) come from composition alone and do not depend on q
 @pytest.mark.parametrize("n", range(7))
 def test_wick_bookkeeping_computed(n):

@@ -129,7 +129,6 @@ def test_annihilation_letter_keeps_no_block(sp):
             for tgt, M in first.items():
                 assert again[tgt] is not M
                 assert again[tgt].tobytes() == M.tobytes()
-        assert A._cache is None
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 4])

@@ -26,6 +26,10 @@ triangle, which is how LAPACK takes it without a copy.  A space hands
 out Gram entries only as fresh arrays, each one gather from that array,
 factored or not; a clean factor is a fresh C-ordered copy, and the
 packed array is the one cached array a caller can see.
+Every LAPACK routine the package runs (the factor, the triangular,
+Cholesky and pencil solves, the pencil's eigenvalues) comes from the
+library numpy links, called through ctypes from this module; scipy's
+wrappers make the same calls where numpy exports no ILP64 routines.
 A transfer has at most n nonzero entries in a column of n-letter words;
 the cache builds and keeps only those, and every reader gets a fresh
 dense copy.  A block's words follow the same recursion: its word array
@@ -211,13 +215,11 @@ def _cond_estimate(L: np.ndarray) -> float:
     y = rng.standard_normal(m)
     y /= np.linalg.norm(y)
     lo = 0.0
-    from scipy.linalg import solve_triangular
-
     # L is a factor checked finite by _factor_in_place, and y is finite
     # until an overflow, which the norm catches
     for _ in range(8):
-        y = solve_triangular(L, y, lower=True, check_finite=False)
-        y = solve_triangular(L.T, y, lower=False, check_finite=False)
+        y = _solve_triangular(L, y, lower=True, check_finite=False)
+        y = _solve_triangular(L.T, y, lower=False, check_finite=False)
         nrm = np.linalg.norm(y)
         if nrm == 0.0 or not np.isfinite(nrm):
             return np.inf
@@ -297,16 +299,37 @@ def _lower_factor(A: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return L
 
 
-_INT64_P = ctypes.POINTER(ctypes.c_int64)
+_I64 = ctypes.POINTER(ctypes.c_int64)
+_CHR, _PTR, _LEN = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+# uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+_TRTRS = (_CHR, _CHR, _CHR, _I64, _I64, _PTR, _I64, _PTR, _I64, _I64,
+          _LEN, _LEN, _LEN)
+# the argument types of every LAPACK routine taken from numpy's library,
+# in LAPACK's order: integers are 64-bit and go by reference, and the
+# Fortran length of each character argument trails as a size_t
+_LAPACK_ARGTYPES = {
+    # uplo, n, a, lda, info
+    "dpotrf": (_CHR, _I64, _PTR, _I64, _I64, _LEN),
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+    "dsyevd": (_CHR, _CHR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
+               _I64, _LEN, _LEN),
+    "dtrtrs": _TRTRS,
+    "ztrtrs": _TRTRS,
+    # uplo, n, nrhs, a, lda, b, ldb, info
+    "dpotrs": (_CHR, _I64, _I64, _PTR, _I64, _PTR, _I64, _I64, _LEN),
+    # itype, uplo, n, a, lda, b, ldb, info
+    "dsygst": (_I64, _CHR, _I64, _PTR, _I64, _PTR, _I64, _I64, _LEN),
+}
 
 
 @functools.cache
-def _numpy_lapack(name: str, *argtypes):
-    """The LAPACK routine name (say "dpotrf") of the library that
-    numpy.linalg links, the one np.linalg calls, as a ctypes function
-    with 64-bit integer arguments of the given types; None where that
-    library exports no ILP64 routine of that name (MKL or LP64 builds of
-    numpy).  Looked up on the first call for each name."""
+def _numpy_lapack(name: str):
+    """The LAPACK routine name, a key of _LAPACK_ARGTYPES, of the library
+    that numpy.linalg links, the one np.linalg calls, as a ctypes
+    function; None where that library exports no ILP64 routine of that
+    name (MKL or LP64 builds of numpy).  Looked up on the first call for
+    each name.  Without it, a caller runs the numpy or scipy function
+    that makes the same call, which is also the tests' oracle."""
     from numpy.linalg import _umath_linalg
 
     try:
@@ -316,19 +339,153 @@ def _numpy_lapack(name: str, *argtypes):
     for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
         fn = getattr(lib, symbol, None)
         if fn is not None:
-            fn.argtypes = argtypes
+            fn.argtypes = _LAPACK_ARGTYPES[name]
             fn.restype = None
             return fn
     return None
 
 
-def _lapack_dpotrf():
-    """numpy's dpotrf, which np.linalg.cholesky calls, or None: its
-    arguments are uplo, n, a, lda, info and the Fortran length of
-    uplo."""
-    return _numpy_lapack("dpotrf", ctypes.c_char_p, _INT64_P,
-                         ctypes.c_void_p, _INT64_P, _INT64_P,
-                         ctypes.c_size_t)
+def _run(fn, *args) -> int:
+    """Call the routine fn of _numpy_lapack on args, in LAPACK's order
+    without info and the character lengths, and return info.  An int
+    goes by reference as a 64-bit integer, an array by its data pointer,
+    and bytes or a ctypes reference as they are.  The caller checks
+    shapes, dtypes and memory order."""
+    info = ctypes.c_int64(0)
+    fn(*(ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+         else a.ctypes.data if isinstance(a, np.ndarray) else a
+         for a in args),
+       ctypes.byref(info), *(1 for a in args if isinstance(a, bytes)))
+    return info.value
+
+
+def _lapack_operands(a: np.ndarray, b: np.ndarray, check_finite: bool):
+    """The LAPACK type prefix ("d" or "z") and dtype of a solve of the
+    square a against b, as scipy picks them: complex when either is.
+    With check_finite, a NaN or inf in either raises ValueError, as
+    scipy's asarray_chkfinite does."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim not in (1, 2) \
+            or len(b) != len(a):
+        raise ValueError(f"shapes of a {a.shape} and b {b.shape} "
+                         "are incompatible")
+    if check_finite and not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return "z", np.complex128
+    return "d", np.float64
+
+
+def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool,
+                      check_finite: bool = True) -> np.ndarray:
+    """scipy.linalg.solve_triangular(a, b, lower=lower,
+    check_finite=check_finite) bit for bit, with its shape, dtype and
+    memory order, run by numpy's trtrs: the same call on the same data.
+    As scipy's wrapper does, an a that is not Fortran-ordered is solved
+    as a.T with the triangle and the transposition flipped, the real factor of a complex
+    solve is cast to a complex Fortran copy, and b is copied into a
+    Fortran array of the result dtype, which is returned.  A zero on the
+    diagonal raises LinAlgError."""
+    kind, dtype = _lapack_operands(a, b, check_finite)
+    trtrs = _numpy_lapack(kind + "trtrs")
+    if trtrs is None:
+        from scipy.linalg import solve_triangular
+
+        return solve_triangular(a, b, lower=lower, check_finite=False)
+    trans = b"N"
+    if not a.flags.f_contiguous:
+        a, lower, trans = a.T, not lower, b"T"
+    a = np.asarray(a, dtype, order="F")
+    x = np.array(b, dtype, order="F")
+    n = len(a)
+    info = _run(trtrs, b"L" if lower else b"U", trans, b"N", n,
+                1 if x.ndim == 1 else x.shape[1], a, n, x, n)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of "
+                         "internal trtrs")
+    return x
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve((c, True), b) bit for bit, with its shape,
+    dtype and memory order, run by numpy's dpotrs on the lower triangle
+    of c: the same call on the same data.  c goes in as the Fortran copy
+    that scipy's wrapper makes (none where c already is one), and b is
+    copied into a Fortran array, which is returned.  A complex solve,
+    which no operator makes (their blocks are real), is scipy's.  A NaN
+    or inf in c or b raises ValueError."""
+    kind, dtype = _lapack_operands(c, b, check_finite=True)
+    potrs = _numpy_lapack("dpotrs") if kind == "d" else None
+    if potrs is None:
+        from scipy.linalg import cho_solve
+
+        return cho_solve((c, True), b, check_finite=False)
+    c = np.asarray(c, dtype, order="F")
+    x = np.array(b, dtype, order="F")
+    n = len(c)
+    info = _run(potrs, b"L", n, 1 if x.ndim == 1 else x.shape[1], c, n,
+                x, n)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of "
+                         "internal potrs")
+    return x
+
+
+def _sygst_lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.lapack.dsygst(a, b, lower=1, overwrite_a=1)[0] bit
+    for bit: L^-1 A L^-T in the lower triangle, A the symmetric matrix in
+    a's lower triangle and L the factor in b's, run by numpy's dsygst on
+    the same data.  As scipy's wrapper does, it works in a itself where a
+    is a Fortran-ordered float64 array and in a Fortran copy otherwise,
+    and b is read in place where it is one; the array worked in is
+    returned.  Nothing is checked finite.  A nonzero info raises
+    ValueError."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
+        raise ValueError(f"shapes of a {a.shape} and b {b.shape} differ")
+    sygst = _numpy_lapack("dsygst")
+    if sygst is None:
+        from scipy.linalg.lapack import dsygst
+
+        a, info = dsygst(a, b, lower=1, overwrite_a=1)
+    else:
+        a = np.asarray(a, np.float64, order="F")
+        b = np.asarray(b, np.float64, order="F")
+        n = len(a)
+        info = _run(sygst, 1, b"L", n, a, n, b, n)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of "
+                         "internal sygst")
+    return a
+
+
+def _eigvalsh_in_place(K: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(K), ascending, bit for bit, computed in the
+    Fortran-ordered K itself, which it overwrites; only K's lower
+    triangle is read.  eigvalsh runs numpy's dsyevd('N', 'L') on a
+    Fortran copy of K, with the workspace a size query returns: the same
+    call on the same Fortran data, here without the copy.  Where numpy's
+    LAPACK exports no such dsyevd, eigvalsh itself runs."""
+    if K.dtype != np.float64 or K.ndim != 2 or len(K) != K.shape[1] \
+            or not K.flags.f_contiguous:
+        raise ValueError("K must be a square, Fortran-ordered float64 array")
+    syevd = _numpy_lapack("dsyevd")
+    if syevd is None:
+        return np.linalg.eigvalsh(K)
+    n = len(K)
+    w = np.empty(n)
+    work, iwork = ctypes.c_double(0.0), ctypes.c_int64(0)
+    info = _run(syevd, b"N", b"L", n, K, n, w, ctypes.byref(work), -1,
+                ctypes.byref(iwork), -1)
+    if info == 0:
+        work = np.empty(int(work.value))
+        iwork = np.empty(iwork.value, np.int64)
+        info = _run(syevd, b"N", b"L", n, K, n, w, work, len(work), iwork,
+                    len(iwork))
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
@@ -344,7 +501,7 @@ def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
     triangle alone, which is the packed layout.  Where numpy's LAPACK
     exports no such dpotrf, np.linalg.cholesky itself runs and L^T is
     copied into G's upper triangle."""
-    potrf = _lapack_dpotrf()
+    potrf = _numpy_lapack("dpotrf")
     if potrf is None:
         try:
             L = np.linalg.cholesky(G)
@@ -356,10 +513,7 @@ def _factor_in_place(G: np.ndarray, diag: np.ndarray) -> str | None:
         np.fill_diagonal(G, L.diagonal())
         return None
     m = len(G)
-    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
-    potrf(b"L", ctypes.byref(n), G.ctypes.data, ctypes.byref(n),
-          ctypes.byref(info), 1)
-    if info.value == 0:
+    if _run(potrf, b"L", m, G, m) == 0:
         # the array is finite exactly when L is: G is symmetric, so a
         # non-finite entry of its strict lower triangle reaches L too
         if all(np.isfinite(G[i0:i0 + _TILE]).all()

@@ -26,6 +26,7 @@ from .fock import (
     BudgetExceededError,
     FockSpace,
     FockVector,
+    _solve_triangular,
     build_space,
 )
 from .qcomb import (
@@ -646,8 +647,6 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
     loop and the distinguished vector share one factor per window block
     over the whole report.
     """
-    from scipy.linalg import solve_triangular
-
     N = space.depth
     q, lam = space.q, space.lam
     if n_list is None:
@@ -676,8 +675,8 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
         for sig, offset in window.offset.items():
             Lc = chol(sig)
             sl = slice(offset, offset + len(Lc))
-            M[sl, :] = solve_triangular(Lc, M[sl, :], lower=True)
-            M[:, sl] = solve_triangular(
+            M[sl, :] = _solve_triangular(Lc, M[sl, :], lower=True)
+            M[:, sl] = _solve_triangular(
                 Lc, M[:, sl].conj().T, lower=True).conj().T
         asym = float(np.linalg.norm(M - M.conj().T) /
                      max(np.linalg.norm(M), 1e-300))

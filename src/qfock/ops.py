@@ -24,15 +24,15 @@ written out from it takes the one frame solve that dense blocks take.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, FockVector, E, EBAR, _INT64_P, _lower_factor,
-                   _numpy_lapack, _sig_add)
+from .fock import (FockSpace, FockVector, E, EBAR, _cho_solve,
+                   _eigvalsh_in_place, _lower_factor, _sig_add,
+                   _solve_triangular, _sygst_lower)
 from .qcomb import q_binomial, wick_coefficients, crossings, ENUMERATION_CAP
 
 __all__ = [
@@ -636,8 +636,6 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     """
     if A.antilinear:
         raise ValueError("deformed adjoint implemented for linear operators")
-    from scipy.linalg import cho_solve
-
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
@@ -652,7 +650,7 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
             return {}
         G_tgt = space.gram(sig)
         # adjoint block src <- sig: G_src^{-1} M^T G_sig
-        return {src: cho_solve((chol(src), True), M.T @ G_tgt)
+        return {src: _cho_solve(chol(src), M.T @ G_tgt)
                 for src, M in row}
 
     return FockOperator(A.space, act, reach=reach)
@@ -662,9 +660,7 @@ def _orthonormal_block(M: np.ndarray, L_src: np.ndarray,
                        L_tgt: np.ndarray) -> np.ndarray:
     """Rewrite a word-coordinate block in the orthonormal frames of the
     source and target Cholesky factors: L_tgt^T M L_src^{-T}."""
-    from scipy.linalg import solve_triangular
-
-    X = solve_triangular(L_src, M.T, lower=True).T
+    X = _solve_triangular(L_src, M.T, lower=True).T
     return L_tgt.T @ X
 
 
@@ -748,49 +744,6 @@ def _assemble(A: FockOperator, window: Window, images: dict) -> np.ndarray:
                          functools.cache(A.space.gram_chol))
 
 
-def _lapack_dsyevd():
-    """numpy's dsyevd, which np.linalg.eigvalsh calls, or None: its
-    arguments are jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork,
-    info and the Fortran lengths of jobz and uplo."""
-    c = ctypes
-    return _numpy_lapack("dsyevd", c.c_char_p, c.c_char_p, _INT64_P,
-                         c.c_void_p, _INT64_P, c.c_void_p, c.c_void_p,
-                         _INT64_P, c.c_void_p, _INT64_P, _INT64_P,
-                         c.c_size_t, c.c_size_t)
-
-
-def _eigvalsh_in_place(K: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(K), ascending, bit for bit, computed in the
-    Fortran-ordered K itself, which it overwrites; only K's lower
-    triangle is read.  eigvalsh runs numpy's dsyevd('N', 'L') on a
-    Fortran copy of K, with the workspace a size query returns: the same
-    call on the same Fortran data, here without the copy.  Where numpy's
-    LAPACK exports no such dsyevd, eigvalsh itself runs."""
-    if K.dtype != np.float64 or K.ndim != 2 or len(K) != K.shape[1] \
-            or not K.flags.f_contiguous:
-        raise ValueError("K must be a square, Fortran-ordered float64 array")
-    syevd = _lapack_dsyevd()
-    if syevd is None:
-        return np.linalg.eigvalsh(K)
-    ref = ctypes.byref
-    n, info = ctypes.c_int64(len(K)), ctypes.c_int64(0)
-    w = np.empty(len(K))
-    work, iwork = ctypes.c_double(0.0), ctypes.c_int64(0)
-    lwork, liwork = ctypes.c_int64(-1), ctypes.c_int64(-1)
-    syevd(b"N", b"L", ref(n), K.ctypes.data, ref(n), w.ctypes.data,
-          ref(work), ref(lwork), ref(iwork), ref(liwork), ref(info), 1, 1)
-    if info.value == 0:
-        work = np.empty(int(work.value))
-        iwork = np.empty(iwork.value, np.int64)
-        lwork.value, liwork.value = len(work), len(iwork)
-        syevd(b"N", b"L", ref(n), K.ctypes.data, ref(n), w.ctypes.data,
-              work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork),
-              ref(info), 1, 1)
-    if info.value != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
-
-
 def _pencil_norm(space: FockSpace, images: dict) -> float:
     """sqrt of the largest eigenvalue of the pencil (K, G_src), K the sum
     over targets t of M_t^T G_t M_t, on each component of the source
@@ -818,9 +771,6 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     against a C-ordered copy of each source's L^, made once per
     component.  The eigenvalues are then computed in K, and each
     component's K is freed before the next one is built."""
-    from scipy.linalg import solve_triangular
-    from scipy.linalg.lapack import dsygst
-
     groups = _components(
         [src for src, row in images.items() if row],
         [(src, ("to", tgt)) for src, row in images.items() for tgt, _ in row])
@@ -868,13 +818,12 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
             if si == sj:
                 # LAPACK's reduction of a symmetric block: half the flops
                 # of the two solves; it writes the lower triangle
-                K[rs, rs] = dsygst(K[rs, rs], space.unit_chol(si).T,
-                                   lower=1, overwrite_a=1)[0]
+                K[rs, rs] = _sygst_lower(K[rs, rs], space.unit_chol(si).T)
                 continue
-            X = solve_triangular(factor(si), K[rs, cs], lower=True,
-                                 check_finite=False)
-            K[rs, cs] = solve_triangular(factor(sj), X.T, lower=True,
-                                         check_finite=False).T
+            X = _solve_triangular(factor(si), K[rs, cs], lower=True,
+                                  check_finite=False)
+            K[rs, cs] = _solve_triangular(factor(sj), X.T, lower=True,
+                                          check_finite=False).T
         del factor
         top = max(top, _eigvalsh_in_place(K)[-1])
         del K

@@ -576,7 +576,8 @@ def test_mmap_threshold_policy(monkeypatch, variables, lookup, want):
 
 def test_cli_import_loads_no_scipy():
     """Importing the command line loads every layer the benchmark traces
-    but leaves scipy to the first solve that needs it."""
+    and no scipy, which only a numpy without ILP64 LAPACK routines loads,
+    at its first solve."""
     loaded = _python("import json, sys, qfock.cli; "
                      "print(json.dumps(sorted(sys.modules)))")
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
@@ -589,11 +590,47 @@ def test_cli_import_loads_no_scipy():
     (["verify", "--q", "2"], 2),
 ])
 def test_dump_and_refusal_load_no_scipy(tmp_path, args, code):
+    """A dump and a refused configuration load no scipy, whatever LAPACK
+    numpy links: they solve nothing."""
     argv = [*args, "--out", str(tmp_path)]
     got = _python("import json, sys; from qfock import cli; "
                   f"rc = cli.main({argv!r}); "
                   "print(json.dumps([rc, 'scipy' in sys.modules]))")
     assert got == [code, False]
+
+
+def test_solves_load_no_scipy(tmp_path):
+    """Every solve runs on the LAPACK that numpy links: a small verify, a
+    deformed adjoint, the rank-one diagnostics and the Gram pencil run
+    each of its routines, and no scipy module is loaded."""
+    if any(fock._numpy_lapack(name) is None for name in fock._LAPACK_ARGTYPES):
+        pytest.skip("numpy's LAPACK exports no ILP64 routines")
+    argv = ["verify", "--q", "0.3", "--lambda", "0.3", "--depth", "6",
+            "--out", str(tmp_path)]
+    got = _python(
+        "import json, sys\n"
+        "from qfock import checks, cli, fock, limits, ops\n"
+        "from qfock.fock import E, build_space\n"
+        "run, names = fock._run, set()\n"
+        "def counted(fn, *args):\n"
+        "    names.add(fn.__name__)\n"
+        "    return run(fn, *args)\n"
+        "fock._run = counted\n"
+        "checks.CHECKS[:] = [c for c in checks.CHECKS if c.over == 'point']\n"
+        f"rc = cli.main({argv!r})\n"
+        "sp = build_space(q=0.3, lam=0.4, depth=6)\n"
+        "A = ops.creation_letter(sp, E)\n"
+        "ops.q_adjoint(A).action((1, 0))\n"
+        "limits.rank_one_diagnostics(sp, n_list=[1])\n"
+        "ops._pencil_norm(sp, {s: ops._images(A, s)\n"
+        "                      for s in ops.Window(sp, 5).blocks})\n"
+        "print(json.dumps([rc, sorted(names), sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    rc, names, scipy_modules = got
+    assert rc == 0
+    assert {name.removeprefix("scipy_").removesuffix("_64_")
+            for name in names} == set(fock._LAPACK_ARGTYPES)
+    assert scipy_modules == []
 
 
 # the entries whose gap or tolerance reads a value frozen in the

@@ -45,9 +45,10 @@ def _import_time_modules(node):
 
 
 def test_no_module_imports_scipy_at_import_time():
-    """scipy loads in the functions that solve, so `import qfock.cli`,
-    the benchmark's setup_s, and the runs that solve nothing do not pay
-    for it."""
+    """No module imports scipy when it is imported: the solves run on
+    numpy's LAPACK, and only where numpy exports no ILP64 routines do the
+    functions that solve import scipy, so `import qfock.cli` and the
+    benchmark's setup_s never pay for it."""
     found = {path.name: {m.split(".")[0] for m in
                          _import_time_modules(ast.parse(path.read_text()))}
              for path in Path(qfock.__file__).parent.glob("*.py")}

@@ -2,6 +2,7 @@
 inner-product paths, the model's envelope and budget guards, and the
 vector and Gram-block layouts that the dump command writes."""
 
+import ctypes
 import gc
 import itertools
 import json
@@ -480,13 +481,13 @@ def test_in_place_factor_matches_cholesky_path(q, n_letters, level_max,
     # with numpy's dpotrf looked up, blocks are factored in their own
     # arrays; without it, np.linalg.cholesky runs and is copied in: the
     # oracle, byte for byte
-    if fock._lapack_dpotrf() is None:
+    if fock._numpy_lapack("dpotrf") is None:
         pytest.skip("numpy's LAPACK exports no ILP64 dpotrf")
     sigs = _all_sigs(n_letters, level_max)
     in_place = fock._UnitGramCache(q, n_letters)
     for sig in sigs:
         in_place.chol(sig)
-    monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+    monkeypatch.setattr(fock, "_numpy_lapack", lambda name: None)
     oracle = fock._UnitGramCache(q, n_letters)
     for sig in sigs:
         oracle.chol(sig)
@@ -502,7 +503,7 @@ def test_packed_upper_triangle_is_the_factor(q, lapack, monkeypatch):
     # L^T in the upper triangle, diagonal included, G's strict lower
     # triangle below it; block (6, 5) spans two tiles
     if not lapack:
-        monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+        monkeypatch.setattr(fock, "_numpy_lapack", lambda name: None)
     unit = fock._UnitGramCache(q, 2)
     oracle = fock._UnitGramCache(q, 2)
     for sig in _all_sigs(2, 11):
@@ -554,7 +555,7 @@ def test_factor_overwrites_the_cached_array(lapack, monkeypatch):
     # the cache's gram of an unfactored block is the cached array, which
     # the factor overwrites in place; a space hands out only gathers
     if not lapack:
-        monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+        monkeypatch.setattr(fock, "_numpy_lapack", lambda name: None)
     unit = fock._UnitGramCache(0.3, 2)
     for sig in _all_sigs(2, 8):
         assert unit.gram(sig) is unit.chol(sig)
@@ -591,7 +592,7 @@ def test_refused_factor_restores_every_byte(bad, why, lapack, monkeypatch):
     # to the end (NaN, which OpenBLAS does not test), and either way the
     # refused block is G again, every byte of it
     if not lapack:
-        monkeypatch.setattr(fock, "_lapack_dpotrf", lambda: None)
+        monkeypatch.setattr(fock, "_numpy_lapack", lambda name: None)
     unit = fock._UnitGramCache(0.3, 2)
     sig = (6, 5)
     G = unit.gram(sig)
@@ -792,3 +793,177 @@ def test_gram_block_json_layout(sp, tmp_path):
     M = np.asarray(payload["matrix"])
     assert M.shape == (2, 2)
     assert np.array_equal(M, sp.gram((1, 1)))
+
+
+# -- numpy's LAPACK solves against scipy's wrappers ----------------------
+
+
+def _same_array(a, b):
+    return _same_bytes(a, b) and a.strides == b.strides
+
+
+def _both_paths(monkeypatch, solve):
+    """solve() with numpy's routines looked up, then with none (scipy's
+    wrappers, the oracle)."""
+    got = solve()
+    with monkeypatch.context() as m:
+        m.setattr(fock, "_numpy_lapack", lambda name: None)
+        want = solve()
+    return got, want
+
+
+@pytest.fixture(scope="module")
+def factor():
+    # a unit factor of 70 words, C-ordered with zeros above the diagonal
+    return build_space(q=0.3, lam=0.4, depth=8).gram_chol((4, 4))
+
+
+def _right_side(kind, m):
+    """A right side of m rows: a vector, a C- or F-ordered matrix, one
+    column, or a complex vector or matrix."""
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((m, 5))
+    if kind.startswith("complex"):
+        b = b + 1j * rng.standard_normal((m, 5))
+    if kind.endswith("vector"):
+        return b[:, 0].copy()
+    if kind == "column":
+        return b[:, :1].copy()
+    return np.asfortranarray(b) if kind == "F" else b
+
+
+SIDES = ["vector", "C", "F", "column", "complex-vector", "complex"]
+
+
+@pytest.mark.parametrize("b_kind", SIDES)
+@pytest.mark.parametrize("a_kind, lower", [
+    ("L", True), ("L, F-ordered", True), ("L.T", False),
+    ("L.T, C-ordered", False)])
+@pytest.mark.parametrize("check_finite", [True, False])
+def test_triangular_solve_matches_scipy(factor, a_kind, lower, b_kind,
+                                        check_finite, monkeypatch):
+    # a C-ordered a runs trtrs on a.T with the triangle and the
+    # transposition flipped; an F-ordered one runs as it is
+    if fock._numpy_lapack("dtrtrs") is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dtrtrs")
+    a = {"L": factor, "L, F-ordered": np.asfortranarray(factor),
+         "L.T": factor.T,
+         "L.T, C-ordered": np.ascontiguousarray(factor.T)}[a_kind]
+    b = _right_side(b_kind, len(a))
+    b_bytes = b.tobytes()
+    got, want = _both_paths(monkeypatch, lambda: fock._solve_triangular(
+        a, b, lower=lower, check_finite=check_finite))
+    assert _same_array(got, want)
+    assert b.tobytes() == b_bytes
+
+
+@pytest.mark.parametrize("b_kind", ["vector", "C", "F", "column"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cholesky_solve_matches_scipy(factor, order, b_kind, monkeypatch):
+    if fock._numpy_lapack("dpotrs") is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dpotrs")
+    c = np.asarray(factor, order=order)
+    b = _right_side(b_kind, len(c))
+    got, want = _both_paths(monkeypatch, lambda: fock._cho_solve(c, b))
+    assert _same_array(got, want)
+
+
+def _pencil(m, width, offset):
+    """A Fortran-ordered, symmetric width x width K and, for its m x m
+    diagonal block at offset, the transposed packed array of a unit
+    factor."""
+    rng = np.random.default_rng(m)
+    K = rng.standard_normal((width, width))
+    K = np.asfortranarray(K + K.T)
+    space = build_space(q=-0.5, lam=0.4, depth=8)
+    sig = {70: (4, 4), 56: (5, 3)}[m]
+    packed = space.unit_chol(sig)
+    assert len(packed) == m
+    rs = slice(offset, offset + m)
+    return K, rs, packed.T
+
+
+@pytest.mark.parametrize("m, width, offset", [(70, 70, 0), (56, 150, 40)],
+                         ids=["whole", "diagonal-block"])
+def test_pencil_reduction_matches_scipy(m, width, offset, monkeypatch):
+    # dsygst works in K itself where K[rs, rs] is Fortran-ordered, as
+    # f2py does with overwrite_a=1, and in a Fortran copy otherwise
+    if fock._numpy_lapack("dsygst") is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dsygst")
+    results = []
+    for lookup in (True, False):
+        K, rs, factor_T = _pencil(m, width, offset)
+        with monkeypatch.context() as mp:
+            if not lookup:
+                mp.setattr(fock, "_numpy_lapack", lambda name: None)
+            out = fock._sygst_lower(K[rs, rs], factor_T)
+        assert np.shares_memory(out, K) is (width == m)
+        results.append(out)
+        K[rs, rs] = out
+        results.append(K)
+    assert _same_array(results[0], results[2])
+    assert _same_array(results[1], results[3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checked_solves_refuse_non_finite_input(factor, bad, monkeypatch):
+    # scipy's default check_finite=True is kept where the call sites ran
+    # with it, on both paths; the unchecked solves stay unchecked
+    b = np.ones((len(factor), 2))
+    b[3, 1] = bad
+    a = factor.copy()
+    a[5, 2] = bad
+    for lookup in (True, False):
+        with monkeypatch.context() as mp:
+            if not lookup:
+                mp.setattr(fock, "_numpy_lapack", lambda name: None)
+            for solve in (lambda a, b: fock._solve_triangular(a, b, True),
+                          fock._cho_solve):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve(factor, b)
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve(a, np.ones(len(a)))
+            x = fock._solve_triangular(factor, b, True, check_finite=False)
+            assert not np.isfinite(x[3:, 1]).any()
+
+
+def test_singular_triangular_solve_raises(factor, monkeypatch):
+    a = factor.copy()
+    a[6, 6] = 0.0
+    for lookup in (True, False):
+        with monkeypatch.context() as mp:
+            if not lookup:
+                mp.setattr(fock, "_numpy_lapack", lambda name: None)
+            for order in ("C", "F"):
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match="at diagonal 6"):
+                    fock._solve_triangular(np.asarray(a, order=order),
+                                           np.ones(len(a)), lower=True)
+
+
+def _info_setter(value):
+    """A stand-in LAPACK routine that sets info, the last reference it is
+    passed, to value."""
+    ref_type = type(ctypes.byref(ctypes.c_int64()))
+
+    def routine(*args):
+        [a for a in args if isinstance(a, ref_type)][-1]._obj.value = value
+    return routine
+
+
+def test_lapack_errors_raise(factor, monkeypatch):
+    # potrs and sygst fail only on an illegal argument, which the
+    # wrappers cannot pass: a stand-in routine reports one
+    m = len(factor)
+    monkeypatch.setattr(fock, "_numpy_lapack",
+                        lambda name: _info_setter(-4))
+    with pytest.raises(ValueError, match="4th argument of internal potrs"):
+        fock._cho_solve(factor, np.ones(m))
+    with pytest.raises(ValueError, match="4th argument of internal sygst"):
+        fock._sygst_lower(np.eye(m, order="F"), factor.T)
+    with pytest.raises(ValueError, match="4-th argument of internal trtrs"):
+        fock._solve_triangular(factor, np.ones(m), lower=True)
+    monkeypatch.setattr(fock, "_numpy_lapack",
+                        lambda name: _info_setter(3))
+    with pytest.raises(np.linalg.LinAlgError, match="at diagonal 2"):
+        fock._solve_triangular(factor, np.ones(m), lower=True)

@@ -369,6 +369,22 @@ def test_rank_one_terms_share_their_arrays(cold_gram_caches):
     assert peak < 3.7 * 2**20
 
 
+def test_rank_one_frames_refuse_non_finite_input(monkeypatch):
+    # the frame loop's triangular solves check their input finite, as
+    # scipy's solve_triangular did by default
+    space = build_space(q=0.3, lam=0.3, depth=6)
+    window_matrix = limits._window_matrix
+
+    def poisoned(*args):
+        M = window_matrix(*args)
+        M[0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(limits, "_window_matrix", poisoned)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        limits.rank_one_diagnostics(space, n_list=[1])
+
+
 def test_rank_one_vacuum_sequence(sp_can):
     rep = limits.rank_one_diagnostics(sp_can, n_list=[1, 2, 3])
     fam = d_family(sp_can.q, j_max=4)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from qfock import limits, ops
+from qfock import fock, limits, ops
 from qfock.fock import E, EBAR, build_space
 
 DEPTH = 8
@@ -490,7 +490,7 @@ def test_pencil_reduces_in_place(shared_space, q, want):
 def test_in_place_eigensolver_matches_eigvalsh(shared_space, q, monkeypatch):
     # on every reduced pencil of the depth-12 letter, numpy's dsyevd run
     # in K gives eigvalsh's eigenvalues, byte for byte
-    if ops._lapack_dsyevd() is None:
+    if fock._numpy_lapack("dsyevd") is None:
         pytest.skip("numpy's LAPACK exports no ILP64 dsyevd")
     pencils = []
     solve = ops._eigvalsh_in_place
@@ -522,7 +522,7 @@ def test_eigensolver_falls_back_to_eigvalsh(shared_space, monkeypatch):
     # without numpy's dsyevd the pencil calls eigvalsh, one call per
     # component, and the norm keeps its bits
     A = ops.creation_letter(shared_space(-0.5, 0.4, 12), E)
-    monkeypatch.setattr(ops, "_lapack_dsyevd", lambda: None)
+    monkeypatch.setattr(fock, "_numpy_lapack", lambda name: None)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -537,6 +537,18 @@ def test_eigensolver_falls_back_to_eigvalsh(shared_space, monkeypatch):
 def test_op_norm_of_wick_words_matches_oracle_property(q, lam, word):
     A = ops.wick(build_space(q=q, lam=lam, depth=DEPTH), tuple(word))
     assert ops.op_norm(A) == _op_norm_oracle(A)[0]
+
+
+def test_frame_and_adjoint_solves_refuse_non_finite_input(sp):
+    # _orthonormal_block's and the adjoint's solves check their input
+    # finite, as scipy's solve_triangular and cho_solve did by default
+    L = sp.gram_chol((1, 1))
+    M = np.ones((len(L), len(L)))
+    M[1, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ops._orthonormal_block(M, L, L)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ops.q_adjoint(np.nan * ops.creation_letter(sp, E)).action((1, 0))
 
 
 def test_adjoint_solves_only_requested_blocks(cold_gram_caches):

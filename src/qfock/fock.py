@@ -700,22 +700,32 @@ class _UnitGramCache:
         self.block[sig] = G
         return G
 
-    def gather(self, sig, rows, cols) -> np.ndarray:
+    def gather(self, sig, rows, cols, out=None) -> np.ndarray:
         """gram(sig)[np.ix_(rows, cols)] as a fresh array, bit for bit,
         or the whole block for rows = cols = slice(None).  For a factored
         block, the whole block or equal, increasing rows and cols (an
         index map's block against itself) gather A's lower triangle,
-        mirror it and set the diagonal; other pairs read gram(sig)."""
+        mirror it and set the diagonal; other pairs read gram(sig).
+
+        The whole block may go into out, a real m x m array of any
+        strides (the real part of a complex one, say), which is
+        returned: the same copies, so the same bits, with no fresh
+        array."""
         whole = isinstance(rows, slice)
-        if sig in self.cond and (whole or (
-                np.array_equal(rows, cols) and (rows[1:] > rows[:-1]).all())):
-            A = self.block[sig]
-            P = A.copy() if whole else A[np.ix_(rows, cols)]
+        if out is not None and not whole:
+            raise ValueError("out takes the whole block only")
+        packed = sig in self.cond and (whole or (
+            np.array_equal(rows, cols) and (rows[1:] > rows[:-1]).all()))
+        src = self.block[sig] if packed else self.gram(sig)
+        if whole:
+            P = np.empty_like(src) if out is None else out
+            np.copyto(P, src)
+        else:
+            P = src[np.ix_(rows, cols)]
+        if packed:
             _copy_upper(P, P.T)
             np.fill_diagonal(P, self.diag[sig][rows])
-            return P
-        G = self.gram(sig)
-        return G.copy() if whole else G[np.ix_(rows, cols)]
+        return P
 
     def chol(self, sig):
         """The block's packed array: the transposed lower Cholesky factor
@@ -828,10 +838,12 @@ class FockSpace:
                 out *= self.u[ell] ** count
         return out
 
-    def gram(self, sig) -> np.ndarray:
+    def gram(self, sig, out=None) -> np.ndarray:
         """Deformed Gram matrix of one multiset block, word order as in
-        block_words, a fresh array: unit_gram scaled in place."""
-        G = self.unit_gram(sig)
+        block_words: unit_gram scaled in place, a fresh array, or
+        written into out (a real array of the block's shape, any
+        strides), which is returned, with the same bits."""
+        G = self._unit.gather(tuple(sig), slice(None), slice(None), out)
         G *= self.u_factor(sig)
         return G
 

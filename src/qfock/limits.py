@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import ops
+from . import _release_freed_heap, ops
 from .fock import (
     E,
     EBAR,
@@ -454,7 +454,9 @@ def invertibility_certificate(q: float, lam: float,
     window grows with the truncation; q = 0 is allowed but flagged,
     since the threshold there comes from the formula limit rather than
     the sharp kernel boundary.  ``n_terms`` is the series order at every
-    depth (default: half the depth, as in s_infinity).
+    depth (default: half the depth, as in s_infinity).  Each depth's
+    series is dropped once its value is read, and the pages it leaves
+    free in the heap go back to the system (qfock._release_freed_heap).
     """
     fam = d_family(q, j_max=0)
     bc = bound_constants(q)
@@ -482,6 +484,10 @@ def invertibility_certificate(q: float, lam: float,
         sigma = ops.min_singular(series.op, src_level_max=window)
         sigmas.append((N, window, float(sigma)))
         tails.append((N, series.n_terms, series.tail_bound))
+        # the next depth's space reads this one's Gram cache, so only
+        # the series goes
+        del series
+        _release_freed_heap()
 
     details = {
         "t_cap": T_CAP,
@@ -609,9 +615,10 @@ def _window_matrix(space: FockSpace, window: ops.Window, U: dict,
     order, into zeros.  Every term reuses one set of arrays, so the
     terms take no fresh pages: V_t and then U_t fill stack, G_t V_t
     fills gv and the term fills scratch, which holds the complex G_t
-    before it.  G_t is the cast that G_t @ V_t makes, and U_t is
-    conjugated in place: the same zgemm calls as
-    U_t.conj().T @ (G_t @ V_t)."""
+    before it.  space.gram writes G_t straight into scratch's real part
+    and the imaginary part is zeroed, the cast that G_t @ V_t makes
+    with no real copy of G_t beside it, and U_t is conjugated in place:
+    the same zgemm calls as U_t.conj().T @ (G_t @ V_t)."""
     width = window.width
     M = np.zeros((width, width), dtype=complex)
     pairs = [(tgt, U[tgt], row) for tgt, row in V.items() if tgt in U]
@@ -623,7 +630,8 @@ def _window_matrix(space: FockSpace, window: ops.Window, U: dict,
     for tgt, urow, vrow in pairs:
         m = len(space.word_array(tgt))
         G = scratch[:m * m].reshape(m, m)
-        np.copyto(G, space.gram(tgt))
+        space.gram(tgt, out=G.real)
+        G.imag = 0.0
         GV = np.matmul(G, _stacked_target(window, vrow, stack), out=gv[:m])
         Us = _stacked_target(window, urow, stack)
         M += np.matmul(np.conjugate(Us, out=Us).T, GV, out=term)
@@ -643,9 +651,10 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
     The window's images are grouped by target, and each target's stacked
     pair U_t, V_t is built only while its term U_t^H G_t V_t of the
     window matrix is added, so no whole-window stack is held; the terms
-    share their arrays (_window_matrix).  The frame
-    loop and the distinguished vector share one factor per window block
-    over the whole report.
+    share their arrays (_window_matrix), and each target's Gram block
+    is written once, into the real part of the complex scratch.  The
+    frame loop and the distinguished vector share one factor per window
+    block over the whole report.
     """
     N = space.depth
     q, lam = space.q, space.lam

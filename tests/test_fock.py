@@ -469,6 +469,27 @@ def test_block_build_holds_at_most_twice_its_bytes():
     assert peak <= 2 * G.nbytes
 
 
+@pytest.mark.parametrize("factored", [False, True])
+def test_gram_into_strided_view(cold_gram_caches, factored):
+    # gram(sig, out=) writes the bits of gram(sig) into the real part of
+    # a complex array, a view with twice the element stride, and leaves
+    # the imaginary part alone
+    space = build_space(q=-0.5, lam=0.3, depth=8)
+    for sig in ((4, 4), (5, 3), (0, 1), (0, 0)):
+        if factored:
+            space.unit_chol(sig)
+        want = space.gram(sig)
+        Z = np.full(want.shape, complex(np.nan, np.nan))
+        got = space.gram(sig, out=Z.real)
+        assert np.shares_memory(got, Z)
+        assert _same_bytes(Z.real.copy(), want), sig
+        assert np.isnan(Z.imag).all()
+        assert (sig in space._unit.cond) is factored
+    rows = np.arange(3)
+    with pytest.raises(ValueError, match="whole block"):
+        space._unit.gather((4, 4), rows, rows, out=np.empty((3, 3)))
+
+
 def _all_sigs(n_letters, level_max):
     return [sig for n in range(level_max + 1)
             for sig in fock._compositions(n, n_letters)]

@@ -369,6 +369,98 @@ def test_rank_one_terms_share_their_arrays(cold_gram_caches):
     assert peak < 3.7 * 2**20
 
 
+def _window_matrix_oracle(space, window, U, V):
+    """_window_matrix as first written: each target's Gram block a fresh
+    real array (space.gram), cast into the complex scratch by
+    np.copyto."""
+    width = window.width
+    M = np.zeros((width, width), dtype=complex)
+    pairs = [(tgt, U[tgt], row) for tgt, row in V.items() if tgt in U]
+    m_max = max((len(space.word_array(t)) for t, _, _ in pairs), default=0)
+    stack = np.empty((m_max, width), dtype=complex)
+    gv = np.empty_like(stack)
+    scratch = np.empty(max(width, m_max) ** 2, dtype=complex)
+    term = scratch[:width * width].reshape(width, width)
+    for tgt, urow, vrow in pairs:
+        m = len(space.word_array(tgt))
+        G = scratch[:m * m].reshape(m, m)
+        np.copyto(G, space.gram(tgt))
+        GV = np.matmul(G, limits._stacked_target(window, vrow, stack),
+                       out=gv[:m])
+        Us = limits._stacked_target(window, urow, stack)
+        M += np.matmul(np.conjugate(Us, out=Us).T, GV, out=term)
+    return M
+
+
+def _witness_images(space, n):
+    """The window of rank_one_diagnostics' step n and the images U, V of
+    its two Wick operators over it, by target."""
+    window = ops.Window(space, min(space.depth - 2 * n, limits.WINDOW_CAP))
+    return (window, window.by_target(ops.wick_right_balanced(space, n)),
+            window.by_target(ops.wick_balanced(space, n)))
+
+
+def _same_window_matrix(space, n):
+    window, U, V = _witness_images(space, n)
+    got = limits._window_matrix(space, window, U, V)
+    want = _window_matrix_oracle(space, window, U, V)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_window_matrix_matches_oracle_at_calibration(sp_can, n):
+    assert _same_window_matrix(sp_can, n)
+
+
+def test_window_matrix_matches_oracle_partly_unfactored(cold_gram_caches):
+    # the seed-0 sweep's first point and step: window levels <= 2,
+    # targets up to level 12; the targets of even level are factored,
+    # so the Gram blocks come from both kinds of gather
+    space = build_space(q=-0.8, lam=0.05, depth=12)
+    window, U, V = _witness_images(space, 5)
+    shared = [tgt for tgt in V if tgt in U]
+    for tgt in shared:
+        if sum(tgt) % 2 == 0:
+            space.unit_chol(tgt)
+    factored = {tgt in space._unit.cond for tgt in shared}
+    assert factored == {False, True}
+    got = limits._window_matrix(space, window, U, V)
+    assert {tgt in space._unit.cond for tgt in shared} == factored
+    want = _window_matrix_oracle(space, window, U, V)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_matrix_matches_oracle_aux_letter(n):
+    space = build_space(q=0.3, lam=0.3, depth=8, aux_letters=1)
+    assert _same_window_matrix(space, n)
+
+
+def test_window_matrix_allocates_only_its_arrays(sp_can):
+    # the n = 2 term at the calibration point traces M, stack, gv and
+    # the complex scratch, and at most one image block cast to complex
+    # as it is stacked (0.39 MB of at most 1.03 MB); a real copy of the
+    # largest target's Gram block (6.8 MB) would break the bound
+    window, U, V = _witness_images(sp_can, 2)
+    shared = [tgt for tgt in V if tgt in U]
+    for tgt in shared:
+        sp_can.unit_chol(tgt)
+    width = window.width
+    m_max = max(len(sp_can.word_array(tgt)) for tgt in shared)
+    assert (width, m_max) == (511, 924)
+    arrays = 16 * (width * width + 2 * m_max * width
+                   + max(width, m_max) ** 2)
+    image = max(2 * M.nbytes for tgt in shared
+                for _, M in (*U[tgt], *V[tgt]))
+    tracemalloc.start()
+    try:
+        limits._window_matrix(sp_can, window, U, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays + image
+
+
 def test_rank_one_frames_refuse_non_finite_input(monkeypatch):
     # the frame loop's triangular solves check their input finite, as
     # scipy's solve_triangular did by default

@@ -28,10 +28,8 @@ they leave free inside it stay resident.  So
 ``limits.invertibility_certificate`` hands them back (malloc_trim(3))
 once per truncation, after that truncation's series is dropped: a
 sweep point's rank-one diagnostics then start from the heap the point
-holds, not from the certificate's working set.  A user's
-``MALLOC_TRIM_THRESHOLD_``, or a ``glibc.malloc.trim_threshold`` in
-``GLIBC_TUNABLES``, wins here too; where libc has no ``malloc_trim``
-nothing is released.
+holds, not from the certificate's working set.  Where libc has no
+``malloc_trim`` nothing is released.
 """
 
 import ctypes
@@ -49,36 +47,30 @@ _M_MMAP_THRESHOLD = -3          # mallopt's parameter number in glibc
 _MMAP_THRESHOLD = 1 << 22
 
 
-def _malloc_policy(variable: str, tunable: str, name: str, *args) -> bool:
-    """True when libc's allocator call name(*args) returns 1; nothing
-    is called where the user set the environment variable or the
-    glibc tunable of the same setting."""
-    if variable in os.environ \
-            or tunable in os.environ.get("GLIBC_TUNABLES", ""):
-        return False
-    # Windows refuses CDLL(None); macOS's libc has no mallopt or
-    # malloc_trim
-    try:
-        call = getattr(ctypes.CDLL(None), name)
-    except (OSError, TypeError, AttributeError):
-        return False
-    return call(*args) == 1
-
-
 def _return_large_frees() -> bool:
     """Fix the mmap threshold at _MMAP_THRESHOLD unless the user set
     one; True when mallopt took it."""
-    return _malloc_policy("MALLOC_MMAP_THRESHOLD_",
-                          "glibc.malloc.mmap_threshold",
-                          "mallopt", _M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ \
+            or "glibc.malloc.mmap_threshold" in os.environ.get(
+                "GLIBC_TUNABLES", ""):
+        return False
+    # Windows refuses CDLL(None); macOS's libc has no mallopt
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
 
 
 def _release_freed_heap() -> bool:
-    """Hand the heap's free pages back to the system, malloc_trim(0),
-    unless the user set a trim threshold; True when memory went back."""
-    return _malloc_policy("MALLOC_TRIM_THRESHOLD_",
-                          "glibc.malloc.trim_threshold",
-                          "malloc_trim", ctypes.c_size_t(0))
+    """Hand the heap's free pages back to the system, malloc_trim(0);
+    True when memory went back."""
+    # as above; macOS's libc has no malloc_trim either
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return False
+    return trim(ctypes.c_size_t(0)) == 1
 
 
 _return_large_frees()

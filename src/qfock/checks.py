@@ -461,11 +461,9 @@ def _adjoint_powers(sp):
 
 @check("ops/creation-adjoint-gram", over="point")
 def _creation_adjoint_gram(sp):
-    # the gap reads the adjoint out of levels <= 4, which only creation
-    # out of levels <= 3 reaches
-    return max(ops.action_gap(
-        ops.q_adjoint(ops.creation_letter(sp, ell), src_level_max=3),
-        ops.annihilation_letter(sp, ell), 4) for ell in (E, EBAR))
+    return max(ops.action_gap(ops.q_adjoint(ops.creation_letter(sp, ell)),
+                              ops.annihilation_letter(sp, ell), 4)
+               for ell in (E, EBAR))
 
 
 @check("ops/creation-norm-bound", over="point")

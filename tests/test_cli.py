@@ -580,21 +580,14 @@ def test_mmap_threshold_policy(monkeypatch, variables, lookup, want):
     assert _Libc.calls == want
 
 
-@pytest.mark.parametrize("variables, lookup, want", [
-    ({}, _Libc, [("malloc_trim", 0)]),
-    ({"MALLOC_TRIM_THRESHOLD_": "131072"}, _Libc, []),
-    ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, _Libc, []),
-    ({}, _no_libc, []),
-    ({}, lambda name: object(), []),
-], ids=["default", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES", "no-libc",
-        "no-malloc_trim"])
-def test_heap_release_policy(monkeypatch, variables, lookup, want):
-    # malloc_trim(0) unless the user set a trim threshold; quietly
-    # nothing where libc or its malloc_trim is missing
-    for name in ("MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in variables.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("lookup, want", [
+    (_Libc, [("malloc_trim", 0)]),
+    (_no_libc, []),
+    (lambda name: object(), []),
+], ids=["default", "no-libc", "no-malloc_trim"])
+def test_heap_release_policy(monkeypatch, lookup, want):
+    # malloc_trim(0); quietly nothing where libc or its malloc_trim is
+    # missing
     monkeypatch.setattr(qfock.ctypes, "CDLL", lookup)
     monkeypatch.setattr(_Libc, "calls", [])
     assert qfock._release_freed_heap() is bool(want)
@@ -623,24 +616,26 @@ def test_certificate_releases_heap_once_per_truncation(monkeypatch):
     assert released == [1, 2, 3]
 
 
-def _rss_after_certificate(**variables):
-    """MiB of resident memory in a child in _child_env(**variables) after
-    one depth-12 certificate at the seed-0 sweep's first point."""
+def _rss_after_certificate(release):
+    """MiB of resident memory in a child after one depth-12 certificate
+    at the seed-0 sweep's first point; with release False the
+    certificate's heap release does nothing."""
     return _python(
         "import json, qfock\n"
         "from qfock import limits\n"
+        f"if not {release}:\n"
+        "    limits._release_freed_heap = lambda: False\n"
         "limits.invertibility_certificate(-0.8, 0.05, truncations=(12,))\n"
         "with open('/proc/self/status') as f:\n"
         "    line = next(ln for ln in f if ln.startswith('VmRSS:'))\n"
-        "print(json.dumps(int(line.split()[1]) / 1024))", **variables)
+        "print(json.dumps(int(line.split()[1]) / 1024))")
 
 
 @on_glibc
 def test_certificate_returns_freed_heap():
-    # 41.5 against 59.8 MiB: the series' freed working set goes back to
-    # the system; a user's trim threshold (here glibc's default) keeps it
-    assert _rss_after_certificate() \
-        < _rss_after_certificate(MALLOC_TRIM_THRESHOLD_="131072") - 8.0
+    # the series' freed working set goes back to the system
+    assert _rss_after_certificate(True) \
+        < _rss_after_certificate(False) - 8.0
 
 
 def test_cli_import_loads_no_scipy():

@@ -436,6 +436,24 @@ def test_window_matrix_matches_oracle_aux_letter(n):
     assert _same_window_matrix(space, n)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_window_matrix_zeroes_what_it_does_not_write(sp_can, monkeypatch,
+                                                      n):
+    # reused heap can hand np.empty anything: with every fresh array
+    # NaN bytes, the oracle still overwrites its whole scratch, and the
+    # window matrix matches it only if it zeroes G_t's imaginary part
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert np.isnan(np.empty(1, dtype=complex)[0].imag)
+    assert _same_window_matrix(sp_can, n)
+
+
 def test_window_matrix_allocates_only_its_arrays(sp_can):
     # the n = 2 term at the calibration point traces M, stack, gv and
     # the complex scratch, and at most one image block cast to complex

@@ -461,9 +461,11 @@ def _adjoint_powers(sp):
 
 @check("ops/creation-adjoint-gram", over="point")
 def _creation_adjoint_gram(sp):
-    return max(ops.action_gap(ops.q_adjoint(ops.creation_letter(sp, ell)),
-                              ops.annihilation_letter(sp, ell), 4)
-               for ell in (E, EBAR))
+    # the adjoint's blocks out of levels <= 4 come from creation out of
+    # levels <= 3, so its window stops there
+    return max(ops.action_gap(
+        ops.q_adjoint(ops.creation_letter(sp, ell), src_level_max=3),
+        ops.annihilation_letter(sp, ell), 4) for ell in (E, EBAR))
 
 
 @check("ops/creation-norm-bound", over="point")

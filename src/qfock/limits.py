@@ -280,15 +280,16 @@ def s_series_identity_gap(space: FockSpace, n: int) -> float:
 def adjoint_vacuum(space: FockSpace, A: ops.FockOperator,
                    level_max: int) -> FockVector:
     """The vector A*(vacuum), recovered block by block from matrix
-    elements of A against words up to level_max."""
+    elements of A against words up to level_max.  Only the source
+    blocks whose targets (A.targets) hold the vacuum are evaluated."""
     if A.antilinear:
         raise ValueError("adjoint recovery implemented for linear operators")
     vac_sig = (0,) * space.n_letters
     terms: dict = {}
-    for sig, tgt, M in ops.Window(space, level_max).images(A):
-        if tgt != vac_sig:
+    for sig in ops.Window(space, level_max).blocks:
+        if vac_sig not in A.targets(sig):
             continue
-        row = np.asarray(M)[0, :]
+        row = A.action(sig)[vac_sig][0, :]
         if not np.any(row):
             continue
         G = space.gram(sig)
@@ -354,9 +355,9 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
     ce_pow = ops.power_ladder(ops.creation_letter(space, E), m_max)
     T = [t_n_operator(space, m, (ae_pow, ce_pow)) for m in range(m_max + 1)]
 
-    def act(sig):
+    def chains(sig):
+        """(k, term k's chain) for each term that reaches the block."""
         level = sum(sig)
-        acc: dict = {}
         for k in range(K + 1):
             if sig[E] < k or sig[EBAR] < k:
                 continue
@@ -364,16 +365,24 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
             if t_cap is not None:
                 m = min(m, t_cap)
             m = max(m, 0)
-            chain = ae_pow[k] @ T[m] @ aeb_pow[k]
+            yield k, ae_pow[k] @ T[m] @ aeb_pow[k]
+
+    def act(sig):
+        acc: dict = {}
+        for k, chain in chains(sig):
             for tgt, M in chain.action(sig).items():
                 add = coefs[k] * M
                 acc[tgt] = acc[tgt] + add if tgt in acc else add
         return acc
 
+    def targets(sig):
+        return dict.fromkeys(tgt for _, chain in chains(sig)
+                             for tgt in chain.targets(sig))
+
     root = math.sqrt(lam)
     tail = _series_tail_coef(bound_constants(q)) * root ** (K + 1) \
         / (1.0 - root)
-    return TruncatedSeries(op=ops.FockOperator(space, act, reach=0,
+    return TruncatedSeries(op=ops.FockOperator(space, act, targets, reach=0,
                                                cache=False),
                            n_terms=K, tail_bound=tail)
 

@@ -20,6 +20,13 @@ max(reach, 0), while freely composed chains accumulate peak additively.
 A word map carries its index map (a target row and a scale per source
 column): the Gram pencil gathers Gram entries by it, and an index block
 written out from it takes the one frame solve that dense blocks take.
+
+Every operator also lists the target blocks of a source block
+(``targets``) without building a block, composed the way its blocks
+are.  The solvers read a window's targets first: op_norm and
+min_singular group the sources into components by them and evaluate,
+solve and drop one component at a time (the dense 2-norm fills its one
+matrix one source at a time), so no whole-window set of images is held.
 """
 
 from __future__ import annotations
@@ -116,6 +123,13 @@ class FockOperator:
     Blocks are real.  Antilinear operators store their linear part;
     application conjugates input coefficients first.
 
+    Every operator declares targets_fn(sig): the keys of action(sig) in
+    its order, found without building a block.  Letters, word maps, the
+    diagonal, zero and the deformed adjoint declare it from their rules;
+    products, sums, scalar multiples and memoized compose it the way
+    action composes blocks.  The solvers group source blocks by these
+    targets before they evaluate any block.
+
     An index operator also declares index_fn(sig) -> (tgt, rows, scale),
     or None where it drops the block: column j of its block matrix holds
     the one entry scale, in row rows[j] of block tgt, and the rows are
@@ -124,8 +138,8 @@ class FockOperator:
     memoized, scalar multiples and products of two index operators keep
     it, so products with one side an index operator are gathers.
 
-    With cache=True (the default) action() and index() keep every
-    result for as long as the operator lives.  Products, sums and
+    With cache=True (the default) action(), index() and targets() keep
+    every result for as long as the operator lives.  Products, sums and
     scalar multiples are built with cache=False, and so is
     annihilation_letter, whose blocks the unit cache keeps sparse;
     memoized gives any operator a cache.  So a left annihilation letter
@@ -134,16 +148,19 @@ class FockOperator:
     hold blocks from A^2 on.
     """
 
-    def __init__(self, space: FockSpace, action_fn, reach: int, peak: int | None = None,
-                 antilinear: bool = False, cache: bool = True, index_fn=None):
+    def __init__(self, space: FockSpace, action_fn, targets_fn, reach: int,
+                 peak: int | None = None, antilinear: bool = False,
+                 cache: bool = True, index_fn=None):
         self.space = space
         self._action_fn = action_fn
+        self._targets_fn = targets_fn
         self._index_fn = index_fn
         self.reach = reach
         self.peak = max(reach, 0) if peak is None else peak
         self.antilinear = antilinear
         self._cache: dict | None = {} if cache else None
         self._index_cache: dict | None = {} if cache else None
+        self._targets_cache: dict | None = {} if cache else None
 
     def action(self, sig) -> dict:
         sig = tuple(sig)
@@ -156,6 +173,17 @@ class FockOperator:
                else self._action_fn(sig))
         if self._cache is not None:
             self._cache[sig] = out
+        return out
+
+    def targets(self, sig) -> tuple:
+        """The target blocks of action(sig), in its order; no block is
+        built."""
+        sig = tuple(sig)
+        if self._targets_cache is not None and sig in self._targets_cache:
+            return self._targets_cache[sig]
+        out = tuple(self._targets_fn(sig))
+        if self._targets_cache is not None:
+            self._targets_cache[sig] = out
         return out
 
     def index(self, sig):
@@ -223,8 +251,12 @@ class FockOperator:
                             acc[tgt] = prod
                 return acc
 
+        def targets(sig):
+            return dict.fromkeys(tgt for mid in other.targets(sig)
+                                 for tgt in self.targets(mid))
+
         return FockOperator(
-            self.space, act,
+            self.space, act, targets,
             reach=self.reach + other.reach,
             peak=max(other.peak, other.reach + self.peak),
             antilinear=self.antilinear != other.antilinear,
@@ -244,8 +276,11 @@ class FockOperator:
                     acc[tgt] = M
             return acc
 
+        def targets(sig):
+            return dict.fromkeys((*self.targets(sig), *other.targets(sig)))
+
         return FockOperator(
-            self.space, act,
+            self.space, act, targets,
             reach=max(self.reach, other.reach),
             peak=max(self.peak, other.peak),
             antilinear=self.antilinear,
@@ -272,7 +307,7 @@ class FockOperator:
                 return None if ix is None else (ix[0], ix[1], s * ix[2])
 
         return FockOperator(
-            self.space, act, reach=self.reach, peak=self.peak,
+            self.space, act, self.targets, reach=self.reach, peak=self.peak,
             antilinear=self.antilinear, cache=False, index_fn=index_fn,
         )
 
@@ -347,7 +382,8 @@ def _diagonal(space: FockSpace, factor=None) -> FockOperator:
         rows = np.arange(len(space.word_array(sig)))
         return sig, rows, 1.0 if factor is None else factor(sig)
 
-    return FockOperator(space, None, reach=0, index_fn=index)
+    return FockOperator(space, None, lambda sig: (sig,), reach=0,
+                        index_fn=index)
 
 
 def identity(space: FockSpace) -> FockOperator:
@@ -355,7 +391,7 @@ def identity(space: FockSpace) -> FockOperator:
 
 
 def zero(space: FockSpace) -> FockOperator:
-    return FockOperator(space, lambda sig: {}, reach=0)
+    return FockOperator(space, lambda sig: {}, lambda sig: (), reach=0)
 
 
 def _chain(space: FockSpace, factors, base=None) -> FockOperator:
@@ -371,8 +407,9 @@ def _chain(space: FockSpace, factors, base=None) -> FockOperator:
 def memoized(A: FockOperator) -> FockOperator:
     """A with its block results cached; the cache lives as long as the
     returned operator."""
-    return FockOperator(A.space, A._action_fn, reach=A.reach, peak=A.peak,
-                        antilinear=A.antilinear, index_fn=A._index_fn)
+    return FockOperator(A.space, A._action_fn, A._targets_fn, reach=A.reach,
+                        peak=A.peak, antilinear=A.antilinear,
+                        index_fn=A._index_fn)
 
 
 def power_ladder(A: FockOperator, k_max: int) -> list:
@@ -407,15 +444,19 @@ def _word_map(space: FockSpace, tgt_sig, word_fn, reach: int = 0,
     code lookup (FockSpace.rows_of), so the map is declared, never read
     off the matrix."""
 
-    def index(sig):
+    def targets(sig):
         tgt = tgt_sig(sig)
-        if sum(tgt) > space.depth:
-            return None
-        rows = space.rows_of(tgt, word_fn(space.word_array(sig)))
-        return tgt, rows, 1.0
+        return () if sum(tgt) > space.depth else (tgt,)
 
-    return FockOperator(space, None, reach=reach, antilinear=antilinear,
-                        index_fn=index)
+    def index(sig):
+        tgt = targets(sig)
+        if not tgt:
+            return None
+        rows = space.rows_of(tgt[0], word_fn(space.word_array(sig)))
+        return tgt[0], rows, 1.0
+
+    return FockOperator(space, None, targets, reach=reach,
+                        antilinear=antilinear, index_fn=index)
 
 
 def creation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -438,12 +479,14 @@ def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
     afresh from the unit cache's nonzero entries on every call.  The
     letter keeps no block: the sparse transfer already is the cache, and
     a dense copy per block would only sit beside it."""
-    def act(sig):
-        if sig[ell] == 0:
-            return {}
-        return {_sig_add(sig, ell, -1): space.annihilation_transfer(sig, ell)}
+    def targets(sig):
+        return () if sig[ell] == 0 else (_sig_add(sig, ell, -1),)
 
-    return FockOperator(space, act, reach=-1, cache=False)
+    def act(sig):
+        return {tgt: space.annihilation_transfer(sig, ell)
+                for tgt in targets(sig)}
+
+    return FockOperator(space, act, targets, reach=-1, cache=False)
 
 
 def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -653,7 +696,10 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
         return {src: _cho_solve(chol(src), M.T @ G_tgt)
                 for src, M in row}
 
-    return FockOperator(A.space, act, reach=reach)
+    def targets(sig):
+        return (src for src, _ in by_tgt.get(tuple(sig), ()))
+
+    return FockOperator(A.space, act, targets, reach=reach)
 
 
 def _orthonormal_block(M: np.ndarray, L_src: np.ndarray,
@@ -716,38 +762,75 @@ def _components(keys, edges) -> list:
     return list(groups.values())
 
 
-def _frame_matrix(A: FockOperator, images: dict, cols, rows,
-                  chol) -> np.ndarray:
-    """The blocks of A out of the source blocks cols, from their {src:
-    _images}, in the orthonormal frames (chol as in _orthonormal_images)
-    and in one dense matrix: block columns in the order of cols, block
-    rows in the order of the blocks in rows.  Each block is added into
-    zeros, which turns a -0.0 into the +0.0 of an unwritten entry, and
-    one source's blocks are held at a time."""
+def _frame_matrix(A: FockOperator, cols, rows, chol) -> np.ndarray:
+    """The blocks of A out of the source blocks cols in the orthonormal
+    frames (chol as in _orthonormal_images) and in one dense matrix:
+    block columns in the order of cols, block rows in the order of the
+    blocks in rows.  Each block is added into zeros, which turns a -0.0
+    into the +0.0 of an unwritten entry.  A source's images are
+    evaluated, written and dropped before the next source's, so one
+    source's blocks are held at a time."""
     col_off, ncol = _offsets(A.space, cols)
     row_off, nrow = _offsets(A.space, rows)
     dense = np.zeros((nrow, ncol))
     for src in cols:
-        for tgt, Mo in _orthonormal_images(A, src, images[src], chol):
+        for tgt, Mo in _orthonormal_images(A, src, _images(A, src), chol):
             r0, c0 = row_off[tgt], col_off[src]
             dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
     return dense
 
 
-def _assemble(A: FockOperator, window: Window, images: dict) -> np.ndarray:
-    """The dense frame matrix of A over the window, from its {src:
-    _images} in window order: columns in window order, target rows in
-    the order the targets are first seen; each block's factor is taken
-    once."""
-    tgts = dict.fromkeys(tgt for row in images.values() for tgt, _ in row)
-    return _frame_matrix(A, images, window.blocks, tgts,
-                         functools.cache(A.space.gram_chol))
+def _pencil_matrix(A: FockOperator, srcs) -> tuple:
+    """(K, offset, filled) of one component: K the lower blocks of the
+    pencil matrix over the source blocks srcs (_pencil_norm), offset
+    their offsets in it and filled the (i, j) source pairs written.
+    The sources' images (_images) are evaluated here and dropped on
+    return, so they are held only while K is formed."""
+    space = A.space
+    offset, width = _offsets(space, srcs)
+    by_tgt: dict = {}
+    for src in srcs:
+        for tgt, M in _images(A, src):
+            by_tgt.setdefault(tgt, []).append((src, M))
+    K = None
+    filled = set()
+    for tgt, row in by_tgt.items():
+        # an operator's blocks are all index pairs or all arrays
+        dense = isinstance(row[0][1], np.ndarray)
+        G = space.unit_gram(tgt) if dense else None
+        u = space.u_factor(tgt)
+        for a, (sj, Mj) in enumerate(row):
+            GMj = G @ Mj if dense else None
+            for si, Mi in row[a:]:
+                scale = u / math.sqrt(space.u_factor(si)) \
+                    / math.sqrt(space.u_factor(sj))
+                if dense:
+                    P = Mi.T @ GMj
+                    P *= scale
+                else:
+                    P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
+                    P *= scale * Mi[1] * Mj[1]
+                if K is None and len(srcs) == 1 and not dense:
+                    P += 0.0
+                    K = P.T
+                else:
+                    if K is None:
+                        K = np.zeros((width, width), order="F")
+                    r0, c0 = offset[si], offset[sj]
+                    K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
+                del P
+                filled.add((si, sj))
+        del G
+    return K, offset, filled
 
 
-def _pencil_norm(space: FockSpace, images: dict) -> float:
+def _pencil_norm(A: FockOperator, targets: dict) -> float:
     """sqrt of the largest eigenvalue of the pencil (K, G_src), K the sum
     over targets t of M_t^T G_t M_t, on each component of the source
-    blocks of {src: _images} that share a target.
+    blocks of {src: A.targets(src)} that share a target, formed by
+    _pencil_matrix.  Components are solved one at a time, each from its
+    own images, so one component's images are held at a time, and only
+    while its K is formed.
 
     With G = u G^ per block (u the block scalar, G^ the unit Gram) and
     L^ the unit factor of G^, the reduced block of sources (i, j) is
@@ -771,45 +854,13 @@ def _pencil_norm(space: FockSpace, images: dict) -> float:
     against a C-ordered copy of each source's L^, made once per
     component.  The eigenvalues are then computed in K, and each
     component's K is freed before the next one is built."""
+    space = A.space
     groups = _components(
-        [src for src, row in images.items() if row],
-        [(src, ("to", tgt)) for src, row in images.items() for tgt, _ in row])
+        [src for src, row in targets.items() if row],
+        [(src, ("to", tgt)) for src, row in targets.items() for tgt in row])
     top = 0.0
     for srcs in groups:
-        offset, width = _offsets(space, srcs)
-        by_tgt: dict = {}
-        for src in srcs:
-            for tgt, M in images[src]:
-                by_tgt.setdefault(tgt, []).append((src, M))
-        K = None
-        filled = set()
-        for tgt, row in by_tgt.items():
-            # an operator's blocks are all index pairs or all arrays
-            dense = isinstance(row[0][1], np.ndarray)
-            G = space.unit_gram(tgt) if dense else None
-            u = space.u_factor(tgt)
-            for a, (sj, Mj) in enumerate(row):
-                GMj = G @ Mj if dense else None
-                for si, Mi in row[a:]:
-                    scale = u / math.sqrt(space.u_factor(si)) \
-                        / math.sqrt(space.u_factor(sj))
-                    if dense:
-                        P = Mi.T @ GMj
-                        P *= scale
-                    else:
-                        P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
-                        P *= scale * Mi[1] * Mj[1]
-                    if K is None and len(srcs) == 1 and not dense:
-                        P += 0.0
-                        K = P.T
-                    else:
-                        if K is None:
-                            K = np.zeros((width, width), order="F")
-                        r0, c0 = offset[si], offset[sj]
-                        K[r0 : r0 + P.shape[0], c0 : c0 + P.shape[1]] += P
-                    del P
-                    filled.add((si, sj))
-            del G
+        K, offset, filled = _pencil_matrix(A, srcs)
         factor = functools.cache(
             lambda s: _lower_factor(space.unit_chol(s)))
         for si, sj in filled:
@@ -834,43 +885,49 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     """Largest singular value of A over source levels <= src_level_max,
     measured in the orthonormal frames of the deformed form.
 
-    Up to NORM_DENSE_LIMIT rows and columns it is the dense 2-norm of
-    the blocks rewritten in those frames (_assemble, which takes each
-    block's factor once); above it, the square root of
-    the largest eigenvalue of the Gram pencil (_pencil_norm), solved per
-    component by a dense symmetric eigensolver.  No iterative solver,
-    so a value repeats bit for bit.  The truncated value never exceeds
-    the untruncated operator norm.
+    The window's targets are read first (A.targets), so the path is
+    chosen before any block is evaluated.  Up to NORM_DENSE_LIMIT rows
+    and columns it is the dense 2-norm of the blocks rewritten in those
+    frames (_frame_matrix, filled one source at a time, target rows in
+    the order the targets are first seen, each block's factor taken
+    once); above it, the square root of the largest eigenvalue of the
+    Gram pencil (_pencil_norm), solved one component at a time by a
+    dense symmetric eigensolver.  No iterative solver, so a value
+    repeats bit for bit.  The truncated value never exceeds the
+    untruncated operator norm.
     """
     space = A.space
     if src_level_max is None:
         src_level_max = max(space.depth - max(A.peak, 0), 0)
     window = Window(space, src_level_max)
-    images = {src: _images(A, src) for src in window.blocks}
-    tgts = {tgt for row in images.values() for tgt, _ in row}
-    if max(_offsets(space, tgts)[1], window.width) <= NORM_DENSE_LIMIT:
-        return float(np.linalg.norm(_assemble(A, window, images), 2))
-    return _pencil_norm(space, images)
+    targets = {src: A.targets(src) for src in window.blocks}
+    tgts = dict.fromkeys(tgt for row in targets.values() for tgt in row)
+    if max(_offsets(space, tgts)[1], window.width) > NORM_DENSE_LIMIT:
+        return _pencil_norm(A, targets)
+    dense = _frame_matrix(A, window.blocks, tgts,
+                          functools.cache(space.gram_chol))
+    return float(np.linalg.norm(dense, 2))
 
 
 def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     """Smallest singular value of A over source levels <= src_level_max.
 
-    Decomposes the block graph into connected components and runs a
-    dense SVD of each component's frame matrix; raises if a component
-    is too large.  Each block's factor is taken once per call."""
+    Decomposes the block graph, read from A.targets, into connected
+    components and runs a dense SVD of each component's frame matrix,
+    evaluating its sources only then; raises if a component is too
+    large.  Each block's factor is taken once per call."""
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
-    images = {sig: _images(A, sig)
-              for sig in Window(space, src_level_max).blocks}
+    targets = {sig: A.targets(sig)
+               for sig in Window(space, src_level_max).blocks}
     chol = functools.cache(space.gram_chol)
-    # blocks connected by nonzero action entries
-    groups = _components(images, [(sig, tgt) for sig, row in images.items()
-                                  for tgt, _ in row])
+    # blocks connected by their action's targets
+    groups = _components(targets, [(sig, tgt) for sig, row in targets.items()
+                                   for tgt in row])
     smallest = np.inf
     for sigs in groups:
-        rows = sorted({tgt for sig in sigs for tgt, _ in images[sig]}
+        rows = sorted({tgt for sig in sigs for tgt in targets[sig]}
                       | set(sigs))
         nrow, ncol = _offsets(space, rows)[1], _offsets(space, sigs)[1]
         if max(nrow, ncol) > SINGULAR_DENSE_LIMIT:
@@ -878,7 +935,7 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
                 f"component around {sigs[0]} is {nrow}x{ncol}, too large "
                 f"for a dense smallest-singular-value computation"
             )
-        dense = _frame_matrix(A, images, sigs, rows, chol)
+        dense = _frame_matrix(A, sigs, rows, chol)
         s = np.linalg.svd(dense, compute_uv=False)
         smallest = min(smallest, float(s.min()) if s.size else 0.0)
     return float(smallest)

@@ -686,8 +686,8 @@ def test_solves_load_no_scipy(tmp_path):
         "A = ops.creation_letter(sp, E)\n"
         "ops.q_adjoint(A).action((1, 0))\n"
         "limits.rank_one_diagnostics(sp, n_list=[1])\n"
-        "ops._pencil_norm(sp, {s: ops._images(A, s)\n"
-        "                      for s in ops.Window(sp, 5).blocks})\n"
+        "ops._pencil_norm(A, {s: A.targets(s)\n"
+        "                     for s in ops.Window(sp, 5).blocks})\n"
         "print(json.dumps([rc, sorted(names), sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
     rc, names, scipy_modules = got

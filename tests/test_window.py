@@ -7,6 +7,7 @@ blocks that op_norm's assembly of an index operator no longer builds.
 op_norm's former route, a seeded ARPACK solve on the sparse
 orthonormal-frame matrix, is the oracle of its Gram-pencil path."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -306,8 +307,10 @@ COND_EPS_FACTOR = 4
 
 def _dense_assembly(A, level_max):
     window = ops.Window(A.space, level_max)
-    return ops._assemble(A, window, {src: ops._images(A, src)
-                                     for src in window.blocks})
+    tgts = dict.fromkeys(tgt for src in window.blocks
+                         for tgt in A.targets(src))
+    return ops._frame_matrix(A, window.blocks, tgts,
+                             functools.cache(A.space.gram_chol))
 
 
 def test_op_norm_of_creation_powers_matches_oracle(sp, shared_space):

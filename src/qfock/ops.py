@@ -721,13 +721,14 @@ def _images(A: FockOperator, src) -> list:
     return [] if ix is None else [(ix[0], ix[1:])]
 
 
-def _orthonormal_images(A: FockOperator, src, images: list, chol) -> list:
-    """[(tgt, Mo)]: the blocks images = _images(A, src) of A out of block
-    src in the orthonormal frames, targets in action order.  An index
-    image (rows, s) is written out by _index_matrix, not read through
-    action(), so nothing lands in A's cache.  chol(sig) is the block's
-    factor, the caller's memo of gram_chol, asked only where there is an
-    image."""
+def _orthonormal_images(A: FockOperator, src, chol) -> list:
+    """[(tgt, Mo)]: the blocks _images(A, src) of A out of block src,
+    evaluated here, in the orthonormal frames, targets in action order.
+    An index image (rows, s) is written out by _index_matrix, not read
+    through action(), so nothing lands in A's cache.  chol(sig) is the
+    block's factor, the caller's memo of gram_chol, asked only where
+    there is an image."""
+    images = _images(A, src)
     if not images:
         return []
     L_src = chol(src)
@@ -774,7 +775,7 @@ def _frame_matrix(A: FockOperator, cols, rows, chol) -> np.ndarray:
     row_off, nrow = _offsets(A.space, rows)
     dense = np.zeros((nrow, ncol))
     for src in cols:
-        for tgt, Mo in _orthonormal_images(A, src, _images(A, src), chol):
+        for tgt, Mo in _orthonormal_images(A, src, chol):
             r0, c0 = row_off[tgt], col_off[src]
             dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
     return dense

@@ -110,7 +110,10 @@ def _whole_window_frame_matrix(A, images, cols, rows, chol):
     row_off, nrow = ops._offsets(A.space, rows)
     dense = np.zeros((nrow, ncol))
     for src in cols:
-        for tgt, Mo in ops._orthonormal_images(A, src, images[src], chol):
+        for tgt, M in images[src]:
+            if not isinstance(M, np.ndarray):
+                M = ops._index_matrix(A.space, (tgt, *M))
+            Mo = ops._orthonormal_block(M, chol(src), chol(tgt))
             r0, c0 = row_off[tgt], col_off[src]
             dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
     return dense

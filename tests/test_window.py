@@ -378,8 +378,7 @@ def test_index_blocks_keep_their_solve_columns(shared_space):
     space = shared_space(-0.5, 0.4, 12)
     for A in (ops.flip_unitary(space), ops.modular_ops(space).J):
         for sig in space.blocks_at_level(11):
-            got = ops._orthonormal_images(A, sig, ops._images(A, sig),
-                                          space.gram_chol)
+            got = ops._orthonormal_images(A, sig, space.gram_chol)
             assert not A._cache
             want = [(tgt, ops._orthonormal_block(M, space.gram_chol(sig),
                                                  space.gram_chol(tgt)))

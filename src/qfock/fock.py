@@ -25,7 +25,10 @@ Fortran order (its transpose), the packed array has L in its lower
 triangle, which is how LAPACK takes it without a copy.  A space hands
 out Gram entries only as fresh arrays, each one gather from that array,
 factored or not; a clean factor is a fresh C-ordered copy, and the
-packed array is the one cached array a caller can see.
+packed array is the one cached array a caller can see.  The cache takes
+no lock: only the calling thread builds or factors a unit block, and a
+solver thread (ops._pencil_norm) is handed packed arrays that are
+already factored, which nothing writes again.
 Every LAPACK routine the package runs (the factor, the triangular,
 Cholesky and pencil solves, the pencil's eigenvalues) comes from the
 library numpy links, called through ctypes from this module; scipy's
@@ -323,18 +326,27 @@ _LAPACK_ARGTYPES = {
 
 
 @functools.cache
-def _numpy_lapack(name: str):
-    """The LAPACK routine name, a key of _LAPACK_ARGTYPES, of the library
-    that numpy.linalg links, the one np.linalg calls, as a ctypes
-    function; None where that library exports no ILP64 routine of that
-    name (MKL or LP64 builds of numpy).  Looked up on the first call for
-    each name.  Without it, a caller runs the numpy or scipy function
-    that makes the same call, which is also the tests' oracle."""
+def _numpy_library():
+    """The library that numpy.linalg links, the one np.linalg calls, as
+    a ctypes library; None where it cannot be loaded."""
     from numpy.linalg import _umath_linalg
 
     try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
+        return None
+
+
+@functools.cache
+def _numpy_lapack(name: str):
+    """The LAPACK routine name, a key of _LAPACK_ARGTYPES, of
+    _numpy_library() as a ctypes function; None where that library
+    exports no ILP64 routine of that name (MKL or LP64 builds of numpy).
+    Looked up on the first call for each name.  Without it, a caller
+    runs the numpy or scipy function that makes the same call, which is
+    also the tests' oracle."""
+    lib = _numpy_library()
+    if lib is None:
         return None
     for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
         fn = getattr(lib, symbol, None)
@@ -342,6 +354,20 @@ def _numpy_lapack(name: str):
             fn.argtypes = _LAPACK_ARGTYPES[name]
             fn.restype = None
             return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The number of threads that _numpy_library()'s OpenBLAS runs a
+    call on, read at each call; None where the library reports none
+    (not an OpenBLAS)."""
+    lib = _numpy_library()
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = (), ctypes.c_int
+            return fn()
     return None
 
 
@@ -876,6 +902,10 @@ class FockSpace:
         return self._unit.chol(tuple(sig))
 
     def gram_cond(self, sig) -> float:
+        """The condition estimate of gram(sig), taken when the unit
+        block is factored (factoring it here if need be).  The tests
+        take it for their precision floors, and the benchmark's deep
+        session reports its largest as cond_max."""
         sig = tuple(sig)
         self._unit.chol(sig)
         return self._unit.cond[sig]

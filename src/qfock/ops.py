@@ -24,21 +24,27 @@ written out from it takes the one frame solve that dense blocks take.
 Every operator also lists the target blocks of a source block
 (``targets``) without building a block, composed the way its blocks
 are.  The solvers read a window's targets first: op_norm and
-min_singular group the sources into components by them and evaluate,
-solve and drop one component at a time (the dense 2-norm fills its one
+min_singular group the sources into components by them and evaluate
+and drop one component at a time (the dense 2-norm fills its one
 matrix one source at a time), so no whole-window set of images is held.
+min_singular solves its components one at a time; op_norm's Gram pencil
+solves wide ones on two threads, at most two at once, each with the
+bits of the one-at-a-time solve (_pencil_norm).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockSpace, FockVector, E, EBAR, _cho_solve,
-                   _eigvalsh_in_place, _lower_factor, _sig_add,
+from .fock import (FockSpace, FockVector, E, EBAR, _blas_threads,
+                   _cho_solve, _eigvalsh_in_place, _lower_factor, _sig_add,
                    _solve_triangular, _sygst_lower)
 from .qcomb import q_binomial, wick_coefficients, crossings, ENUMERATION_CAP
 
@@ -74,6 +80,10 @@ __all__ = [
 # SINGULAR_DENSE_LIMIT
 NORM_DENSE_LIMIT = 3000
 SINGULAR_DENSE_LIMIT = 4000
+# the Gram pencil's components are solved on two threads only where two
+# of them are at least this many columns wide (_threads_pay); depth <= 12
+# blocks hold at most 924 words, so no run there starts a thread
+_THREAD_MIN = 1024
 
 
 def _offsets(space: FockSpace, sigs):
@@ -825,13 +835,119 @@ def _pencil_matrix(A: FockOperator, srcs) -> tuple:
     return K, offset, filled
 
 
+def _pencil_job(A: FockOperator, srcs) -> list:
+    """[K, reductions, packed] of one component over the source blocks
+    srcs: K from _pencil_matrix, reductions the (si, sj, rows, cols) of
+    each source pair written, rows and cols slices of K, and packed the
+    sources' packed unit arrays (space.unit_chol) by block.  Built on
+    the calling thread: the unit cache factors a block in place, so no
+    other thread calls into it."""
+    space = A.space
+    K, offset, filled = _pencil_matrix(A, srcs)
+    packed = {}
+    reductions = []
+    for si, sj in filled:
+        for s in (si, sj):
+            if s not in packed:
+                packed[s] = space.unit_chol(s)
+        rs, cs = (slice(offset[s], offset[s] + len(packed[s]))
+                  for s in (si, sj))
+        reductions.append((si, sj, rs, cs))
+    return [K, reductions, packed]
+
+
+def _pencil_top(job: list) -> float:
+    """The largest eigenvalue of one component's reduced pencil, job a
+    list from _pencil_job.  Takes only arrays and calls only the LAPACK
+    wrappers, which run in ctypes calls that release the GIL, so it may
+    run on a worker thread.  The job is emptied first, so K is freed
+    when this returns, before the caller learns of it.
+
+    Diagonal blocks are reduced by dsygst against the transposed packed
+    unit array, Fortran-ordered with L^ in its lower triangle, so
+    neither K of a one-source component nor the factor is copied;
+    off-diagonal blocks are solved against a C-ordered copy of each
+    source's L^, made once per component and freed before the
+    eigenvalues are computed in K."""
+    K, reductions, packed = job
+    job.clear()
+    factor = functools.cache(lambda s: _lower_factor(packed[s]))
+    for si, sj, rs, cs in reductions:
+        if si == sj:
+            # LAPACK's reduction of a symmetric block: half the flops
+            # of the two solves; it writes the lower triangle
+            K[rs, rs] = _sygst_lower(K[rs, rs], packed[si].T)
+            continue
+        X = _solve_triangular(factor(si), K[rs, cs], lower=True,
+                              check_finite=False)
+        K[rs, cs] = _solve_triangular(factor(sj), X.T, lower=True,
+                                      check_finite=False).T
+    del factor
+    return _eigvalsh_in_place(K)[-1]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    has no affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _threads_pay(widths) -> bool:
+    """Whether _pencil_norm's components, of these widths, are solved on
+    two threads: two of them at least _THREAD_MIN columns wide, two
+    usable CPUs, and a BLAS that runs each call on one thread."""
+    return sum(w >= _THREAD_MIN for w in widths) >= 2 \
+        and _usable_cpus() >= 2 and _blas_threads() == 1
+
+
+def _tops_from_both_ends(A: FockOperator, groups, widths) -> list:
+    """The _pencil_top of each component, in component order, solved on
+    two worker threads: one slot takes the components widest first, the
+    other narrowest first, until they meet.  The calling thread builds a
+    component's job (_pencil_job) only when a slot is free, so at most
+    two K's are alive, and the widest components mostly meet narrow
+    ones.  The pool lives inside this call, so no thread outlives it or
+    meets a fork, and an error in a worker is raised here once the
+    other has finished."""
+    order = collections.deque(sorted(range(len(groups)),
+                                     key=widths.__getitem__))
+    tops = [None] * len(groups)
+    with ThreadPoolExecutor(2, thread_name_prefix="qfock-pencil") as pool:
+        running = {}
+
+        def submit(widest: bool) -> None:
+            i = order.pop() if widest else order.popleft()
+            job = _pencil_job(A, groups[i])
+            running[pool.submit(_pencil_top, job)] = i, widest
+
+        submit(True)
+        submit(False)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, widest = running.pop(future)
+                tops[i] = future.result()
+                if order:
+                    submit(widest)
+    return tops
+
+
 def _pencil_norm(A: FockOperator, targets: dict) -> float:
     """sqrt of the largest eigenvalue of the pencil (K, G_src), K the sum
     over targets t of M_t^T G_t M_t, on each component of the source
     blocks of {src: A.targets(src)} that share a target, formed by
-    _pencil_matrix.  Components are solved one at a time, each from its
-    own images, so one component's images are held at a time, and only
-    while its K is formed.
+    _pencil_matrix.  Each component is built from its own images, held
+    only while its K is formed, and reduced and solved by _pencil_top.
+    Where two components are at least _THREAD_MIN columns wide
+    (_threads_pay) the components are solved on two threads from both
+    ends of their widths (_tops_from_both_ends), otherwise one at a
+    time, each K freed before the next is built.  Either way each
+    component gets the same LAPACK calls on the same operands, one BLAS
+    thread each, and the largest eigenvalues are folded by max in
+    component order, so the value is the same to the bit.
 
     With G = u G^ per block (u the block scalar, G^ the unit Gram) and
     L^ the unit factor of G^, the reduced block of sources (i, j) is
@@ -848,38 +964,17 @@ def _pencil_norm(A: FockOperator, targets: dict) -> float:
     K is Fortran-ordered and each product is freed once added.  In a
     one-source component of index blocks, the first product, exactly
     symmetric, is K itself: its transpose, with "+ 0.0" for the zeros
-    it would have been added into.  Diagonal blocks are reduced by
-    dsygst against the transposed packed unit array, Fortran-ordered
-    with L^ in its lower triangle, so neither K of a one-source
-    component nor the factor is copied; off-diagonal blocks are solved
-    against a C-ordered copy of each source's L^, made once per
-    component.  The eigenvalues are then computed in K, and each
-    component's K is freed before the next one is built."""
+    it would have been added into."""
     space = A.space
     groups = _components(
         [src for src, row in targets.items() if row],
         [(src, ("to", tgt)) for src, row in targets.items() for tgt in row])
-    top = 0.0
-    for srcs in groups:
-        K, offset, filled = _pencil_matrix(A, srcs)
-        factor = functools.cache(
-            lambda s: _lower_factor(space.unit_chol(s)))
-        for si, sj in filled:
-            rs, cs = (slice(offset[s], offset[s] + len(space.word_array(s)))
-                      for s in (si, sj))
-            if si == sj:
-                # LAPACK's reduction of a symmetric block: half the flops
-                # of the two solves; it writes the lower triangle
-                K[rs, rs] = _sygst_lower(K[rs, rs], space.unit_chol(si).T)
-                continue
-            X = _solve_triangular(factor(si), K[rs, cs], lower=True,
-                                  check_finite=False)
-            K[rs, cs] = _solve_triangular(factor(sj), X.T, lower=True,
-                                          check_finite=False).T
-        del factor
-        top = max(top, _eigvalsh_in_place(K)[-1])
-        del K
-    return math.sqrt(top)
+    widths = [_offsets(space, srcs)[1] for srcs in groups]
+    if _threads_pay(widths):
+        tops = _tops_from_both_ends(A, groups, widths)
+    else:
+        tops = [_pencil_top(_pencil_job(A, srcs)) for srcs in groups]
+    return math.sqrt(max([0.0, *tops]))
 
 
 def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
@@ -892,10 +987,11 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     frames (_frame_matrix, filled one source at a time, target rows in
     the order the targets are first seen, each block's factor taken
     once); above it, the square root of the largest eigenvalue of the
-    Gram pencil (_pencil_norm), solved one component at a time by a
-    dense symmetric eigensolver.  No iterative solver, so a value
-    repeats bit for bit.  The truncated value never exceeds the
-    untruncated operator norm.
+    Gram pencil (_pencil_norm), each component solved by a dense
+    symmetric eigensolver, two components at a time on two threads
+    where two are wide.  No iterative solver, and the threads change no
+    call or operand, so a value repeats bit for bit.  The truncated value never
+    exceeds the untruncated operator norm.
     """
     space = A.space
     if src_level_max is None:

@@ -8,7 +8,9 @@ op_norm's former route, a seeded ARPACK solve on the sparse
 orthonormal-frame matrix, is the oracle of its Gram-pencil path."""
 
 import functools
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from qfock import fock, limits, ops
+from qfock import cli, fock, limits, ops
 from qfock.fock import E, EBAR, build_space
 
 DEPTH = 8
@@ -531,6 +533,150 @@ def test_eigensolver_falls_back_to_eigvalsh(shared_space, monkeypatch):
                         lambda K: calls.append(len(K)) or eigvalsh(K))
     assert ops.op_norm(A).hex() == "0x1.41e7284162a54p+0"
     assert len(calls) == 78
+
+
+def _solver_threads(monkeypatch, thread_min=1) -> list:
+    """Send op_norm to the Gram pencil at any size and let _pencil_norm
+    thread components at least thread_min columns wide, with two usable
+    CPUs whatever the host has.  Returns the list that collects the name
+    of the thread each component is solved on.  Each solve must leave
+    its job empty: the pool's work item keeps the job until after the
+    caller hears of the result, so a K left in it would outlive its
+    solve."""
+    if fock._blas_threads() != 1:
+        pytest.skip("BLAS runs more than one thread a call")
+    monkeypatch.setattr(ops, "NORM_DENSE_LIMIT", 0)
+    monkeypatch.setattr(ops, "_THREAD_MIN", thread_min)
+    monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    names = []
+    top = ops._pencil_top
+
+    def recorded(job):
+        names.append(threading.current_thread().name)
+        out = top(job)
+        assert job == []
+        return out
+
+    monkeypatch.setattr(ops, "_pencil_top", recorded)
+    return names
+
+
+def _pencil_threads() -> list:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("qfock-pencil")]
+
+
+THREADED_OPERATORS = [
+    lambda s: ops.creation_letter(s, E),
+    lambda s: ops.creation_letter(s, E).power(3),
+    lambda s: ops.wen_operator(s, 2),
+    lambda s: ops.wick_balanced(s, 2),
+]
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 0.8])
+def test_threaded_pencil_matches_serial(shared_space, q, monkeypatch):
+    # the same LAPACK calls on the same operands, one BLAS thread each,
+    # folded by max in component order: the same bits from two threads.
+    # wen and the balanced Wick word have many-source components, so
+    # off-diagonal solves run on the workers too
+    space = shared_space(q, 0.4, 10)
+    names = _solver_threads(monkeypatch, thread_min=10 ** 9)
+    serial = [ops.op_norm(make(space)) for make in THREADED_OPERATORS]
+    assert set(names) == {threading.current_thread().name}
+    names.clear()
+    monkeypatch.setattr(ops, "_THREAD_MIN", 1)
+    threaded = [ops.op_norm(make(space)) for make in THREADED_OPERATORS]
+    assert threaded == serial
+    assert {name.rsplit("_", 1)[0] for name in names} == {"qfock-pencil"}
+    assert not _pencil_threads()
+
+
+@pytest.mark.parametrize("make", THREADED_OPERATORS[::2])
+def test_threaded_pencil_builds_each_component_once(shared_space, make,
+                                                    monkeypatch):
+    # the calling thread builds every K, one per component, and only
+    # while at most one other K is alive; each K is solved once
+    A = make(shared_space(0.3, 0.4, 10))
+    _solver_threads(monkeypatch)
+    caller = threading.get_ident()
+    built, alive, solved = [], [], []
+    build, solve = ops._pencil_matrix, ops._eigvalsh_in_place
+
+    def counted_build(A, srcs):
+        assert threading.get_ident() == caller
+        out = build(A, srcs)
+        built.append((tuple(srcs), weakref.ref(out[0])))
+        alive.append(sum(ref() is not None for _, ref in built))
+        return out
+
+    def counted_solve(K):
+        solved.append(len(K))
+        return solve(K)
+
+    monkeypatch.setattr(ops, "_pencil_matrix", counted_build)
+    monkeypatch.setattr(ops, "_eigvalsh_in_place", counted_solve)
+    ops.op_norm(A)
+    window = ops.Window(A.space, A.space.depth - A.peak)
+    sources = [src for src in window.blocks if A.targets(src)]
+    assert sorted(src for srcs, _ in built for src in srcs) == sorted(sources)
+    assert len(built) == len(solved) > 2
+    assert sorted(solved) == sorted(ops._offsets(A.space, srcs)[1]
+                                    for srcs, _ in built)
+    assert max(alive) <= 2
+
+
+def test_worker_error_comes_out_of_op_norm(shared_space, monkeypatch):
+    # the widest component fails on its worker: op_norm raises it once
+    # the other worker is done, and no solver thread is left behind
+    A = ops.creation_letter(shared_space(0.3, 0.4, 10), E)
+    names = _solver_threads(monkeypatch)
+    widest = max(len(A.space.word_array(src))
+                 for src in ops.Window(A.space, 9).blocks)
+    solve = ops._eigvalsh_in_place
+
+    def failing(K):
+        if len(K) == widest:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(K)
+
+    monkeypatch.setattr(ops, "_eigvalsh_in_place", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        ops.op_norm(A)
+    assert names and all(name.startswith("qfock-pencil") for name in names)
+    assert not _pencil_threads()
+
+
+def test_no_solver_thread_below_the_floor(shared_space, monkeypatch):
+    # the depth-12 letter takes the pencil, its widest component 462
+    # words; a low floor starts no thread either with one usable CPU or
+    # with BLAS threads of its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver thread started")
+
+    monkeypatch.setattr(ops, "ThreadPoolExecutor", refuse)
+    A = ops.creation_letter(shared_space(-0.5, 0.4, 12), E)
+    assert ops.op_norm(A).hex() == "0x1.41e7284162a54p+0"
+    monkeypatch.setattr(ops, "_THREAD_MIN", 1)
+    with monkeypatch.context() as m:
+        m.setattr(ops.os, "sched_getaffinity", lambda pid: {0},
+                  raising=False)
+        assert ops._usable_cpus() == 1
+        assert ops.op_norm(A).hex() == "0x1.41e7284162a54p+0"
+    monkeypatch.setattr(ops, "_blas_threads", lambda: 2)
+    assert ops.op_norm(A).hex() == "0x1.41e7284162a54p+0"
+
+
+def test_verify_forks_after_threaded_norm(shared_space, monkeypatch,
+                                          tmp_path):
+    # the pool lives inside op_norm, so --jobs forks a process with no
+    # solver thread in it
+    names = _solver_threads(monkeypatch)
+    ops.op_norm(ops.creation_letter(shared_space(0.3, 0.4, 10), E))
+    assert any(name.startswith("qfock-pencil") for name in names)
+    monkeypatch.undo()
+    assert cli.main(["verify", "--depth", "6", "--jobs", "2",
+                     "--out", str(tmp_path)]) == 0
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -879,15 +879,12 @@ class FockSpace:
         return _lower_factor(self.unit_chol(sig),
                              math.sqrt(self.u_factor(sig)))
 
-    def unit_gram(self, sig) -> np.ndarray:
-        """gram(sig) / u_factor(sig), the unit Gram block shared by every
-        space at this (q, letter count), as a fresh array whether or not
-        the block is factored: its gather over the whole block."""
-        return self.unit_gram_gather(sig, slice(None), slice(None))
-
-    def unit_gram_gather(self, sig, rows, cols) -> np.ndarray:
-        """unit_gram(sig)[np.ix_(rows, cols)] as a fresh array (rows =
-        cols = slice(None): the whole block); the whole block and equal,
+    def unit_gram(self, sig, rows=slice(None),
+                  cols=slice(None)) -> np.ndarray:
+        """The entries [np.ix_(rows, cols)] of gram(sig) / u_factor(sig),
+        the unit Gram block shared by every space at this (q, letter
+        count), as a fresh array whether or not the block is factored;
+        by default the whole block.  The whole block and equal,
         increasing rows and cols read a factored block without
         rebuilding it."""
         return self._unit.gather(tuple(sig), rows, cols)
@@ -946,7 +943,7 @@ class FockSpace:
             if sig not in gb:
                 continue
             gi, gc = gb[sig]
-            G = self.u_factor(sig) * self.unit_gram_gather(sig, fi, gi)
+            G = self.u_factor(sig) * self.unit_gram(sig, fi, gi)
             total += np.conj(fc) @ G @ gc
         return complex(total)
 

@@ -185,6 +185,9 @@ def t_limit_check(space: FockSpace, k_max: int | None = None,
         n_max = N - k_max
     if k_max + n_max > N:
         raise ValueError(f"k_max + n_max = {k_max + n_max} exceeds depth {N}")
+    if k_max < 0 or n_max < 1:
+        raise ValueError(f"t_limit_check needs k_max >= 0 and n_max >= 1, "
+                         f"got k_max = {k_max}, n_max = {n_max} at depth {N}")
 
     # operator-level identity on every in-budget (n, k) pair
     ae = ops.annihilation_letter(space, E)
@@ -382,8 +385,7 @@ def s_infinity(space: FockSpace, n_terms: int | None = None,
     root = math.sqrt(lam)
     tail = _series_tail_coef(bound_constants(q)) * root ** (K + 1) \
         / (1.0 - root)
-    return TruncatedSeries(op=ops.FockOperator(space, act, targets, reach=0,
-                                               cache=False),
+    return TruncatedSeries(op=ops.FockOperator(space, act, targets, reach=0),
                            n_terms=K, tail_bound=tail)
 
 
@@ -467,6 +469,10 @@ def invertibility_certificate(q: float, lam: float,
     series is dropped once its value is read, and the pages it leaves
     free in the heap go back to the system (qfock._release_freed_heap).
     """
+    depths = sorted(truncations)
+    if not depths:
+        raise ValueError("invertibility_certificate needs at least one "
+                         "depth in truncations, got none")
     fam = d_family(q, j_max=0)
     bc = bound_constants(q)
     d_inf = fam.d_inf
@@ -486,7 +492,7 @@ def invertibility_certificate(q: float, lam: float,
 
     sigmas = []
     tails = []
-    for N in sorted(truncations):
+    for N in depths:
         space = build_space(q=q, lam=lam, depth=N)
         series = s_infinity(space, n_terms=n_terms, t_cap=T_CAP)
         window = max(N - WINDOW_MARGIN, 0)
@@ -662,8 +668,8 @@ def rank_one_diagnostics(space: FockSpace, n_list=None) -> ConvergenceReport:
     window matrix is added, so no whole-window stack is held; the terms
     share their arrays (_window_matrix), and each target's Gram block
     is written once, into the real part of the complex scratch.  The
-    frame loop and the distinguished vector share one factor per window
-    block over the whole report.
+    report owns one memo of factors, shared by every n's frame loop and
+    distinguished vector, so each window block is factored once.
     """
     N = space.depth
     q, lam = space.q, space.lam
@@ -829,6 +835,10 @@ def boundedness_scan(space: FockSpace, kind: str) -> ConvergenceReport:
     N = space.depth
     q, lam = space.q, space.lam
     bc = bound_constants(q)
+    need = {"creation_powers": 2, "wen_powers": 2, "weew_powers": 4}
+    if N < need.get(kind, 0):
+        raise ValueError(f"boundedness_scan {kind!r} needs a space of depth "
+                         f">= {need[kind]}, got depth {N}")
 
     if kind == "creation_powers":
         hi = min(POWER_SCAN_MAX, N - 1)

@@ -29,7 +29,9 @@ and drop one component at a time (the dense 2-norm fills its one
 matrix one source at a time), so no whole-window set of images is held.
 min_singular solves its components one at a time; op_norm's Gram pencil
 solves wide ones on two threads, at most two at once, each with the
-bits of the one-at-a-time solve (_pencil_norm).
+bits of the one-at-a-time solve (_pencil_norm).  An operator keeps
+results only where it is memoized; a frame matrix owns its memo of
+Cholesky factors, and a deformed adjoint owns its own.
 """
 
 from __future__ import annotations
@@ -97,11 +99,24 @@ def _offsets(space: FockSpace, sigs):
     return offset, width
 
 
+def _memo(cache: dict | None, fn, sig):
+    """fn(sig), kept in cache under sig; computed afresh where cache is
+    None."""
+    if cache is None:
+        return fn(sig)
+    if sig not in cache:
+        cache[sig] = fn(sig)
+    return cache[sig]
+
+
 class Window:
     """The source blocks of levels <= level_max in level order, with
-    their offsets in one stacked index of the given width."""
+    their offsets in one stacked index of the given width; level_max
+    is at least 0 and at most the depth (blocks_at_level)."""
 
     def __init__(self, space: FockSpace, level_max: int):
+        if level_max < 0:
+            raise ValueError(f"level_max must be >= 0, got {level_max}")
         self.blocks = [sig for level in range(level_max + 1)
                        for sig in space.blocks_at_level(level)]
         self.offset, self.width = _offsets(space, self.blocks)
@@ -148,19 +163,20 @@ class FockOperator:
     memoized, scalar multiples and products of two index operators keep
     it, so products with one side an index operator are gathers.
 
-    With cache=True (the default) action(), index() and targets() keep
-    every result for as long as the operator lives.  Products, sums and
-    scalar multiples are built with cache=False, and so is
-    annihilation_letter, whose blocks the unit cache keeps sparse;
-    memoized gives any operator a cache.  So a left annihilation letter
-    holds no block and a left creation letter only its index maps, the
-    right letters (memoized) hold theirs, and a power_ladder's rungs
-    hold blocks from A^2 on.
+    An operator keeps no result unless it is memoized (memoized), which
+    keeps every result of action(), index() and targets() for as long
+    as it lives.  The builders that return memoized operators are the
+    word maps (creation letters, flip_unitary, S), the diagonal
+    (identity, modular_delta), the right letters, J, q_adjoint and a
+    power_ladder's rungs from A^2 on.  Products, sums, scalar multiples
+    and zero are bare, and so is annihilation_letter, whose blocks the
+    unit cache keeps sparse.  So a left annihilation letter holds no
+    block and a left creation letter only its index maps.
     """
 
     def __init__(self, space: FockSpace, action_fn, targets_fn, reach: int,
                  peak: int | None = None, antilinear: bool = False,
-                 cache: bool = True, index_fn=None):
+                 index_fn=None):
         self.space = space
         self._action_fn = action_fn
         self._targets_fn = targets_fn
@@ -168,46 +184,28 @@ class FockOperator:
         self.reach = reach
         self.peak = max(reach, 0) if peak is None else peak
         self.antilinear = antilinear
-        self._cache: dict | None = {} if cache else None
-        self._index_cache: dict | None = {} if cache else None
-        self._targets_cache: dict | None = {} if cache else None
+        # memoized() alone makes these dicts
+        self._cache = self._index_cache = self._targets_cache = None
 
     def action(self, sig) -> dict:
-        sig = tuple(sig)
-        if self._cache is not None and sig in self._cache:
-            return self._cache[sig]
         # an index operator without action_fn builds its blocks from its
         # map; keeping no bound method on self keeps the operator out of
         # a reference cycle, so its caches go when its last user does
-        out = (self._index_block(sig) if self._action_fn is None
-               else self._action_fn(sig))
-        if self._cache is not None:
-            self._cache[sig] = out
-        return out
+        fn = self._index_block if self._action_fn is None else self._action_fn
+        return _memo(self._cache, fn, tuple(sig))
 
     def targets(self, sig) -> tuple:
         """The target blocks of action(sig), in its order; no block is
         built."""
-        sig = tuple(sig)
-        if self._targets_cache is not None and sig in self._targets_cache:
-            return self._targets_cache[sig]
-        out = tuple(self._targets_fn(sig))
-        if self._targets_cache is not None:
-            self._targets_cache[sig] = out
-        return out
+        return _memo(self._targets_cache,
+                     lambda s: tuple(self._targets_fn(s)), tuple(sig))
 
     def index(self, sig):
         """(tgt, rows, scale) of an index operator on block sig, or None
         where it drops the block; None for every other operator."""
         if self._index_fn is None:
             return None
-        sig = tuple(sig)
-        if self._index_cache is not None and sig in self._index_cache:
-            return self._index_cache[sig]
-        out = self._index_fn(sig)
-        if self._index_cache is not None:
-            self._index_cache[sig] = out
-        return out
+        return _memo(self._index_cache, self._index_fn, tuple(sig))
 
     def _index_block(self, sig) -> dict:
         """The dense block of an index operator."""
@@ -270,7 +268,7 @@ class FockOperator:
             reach=self.reach + other.reach,
             peak=max(other.peak, other.reach + self.peak),
             antilinear=self.antilinear != other.antilinear,
-            cache=False, index_fn=index_fn,
+            index_fn=index_fn,
         )
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
@@ -294,7 +292,6 @@ class FockOperator:
             reach=max(self.reach, other.reach),
             peak=max(self.peak, other.peak),
             antilinear=self.antilinear,
-            cache=False,
         )
 
     def __sub__(self, other):
@@ -318,7 +315,7 @@ class FockOperator:
 
         return FockOperator(
             self.space, act, self.targets, reach=self.reach, peak=self.peak,
-            antilinear=self.antilinear, cache=False, index_fn=index_fn,
+            antilinear=self.antilinear, index_fn=index_fn,
         )
 
     __rmul__ = __mul__
@@ -392,8 +389,8 @@ def _diagonal(space: FockSpace, factor=None) -> FockOperator:
         rows = np.arange(len(space.word_array(sig)))
         return sig, rows, 1.0 if factor is None else factor(sig)
 
-    return FockOperator(space, None, lambda sig: (sig,), reach=0,
-                        index_fn=index)
+    return memoized(FockOperator(space, None, lambda sig: (sig,), reach=0,
+                                 index_fn=index))
 
 
 def identity(space: FockSpace) -> FockOperator:
@@ -415,11 +412,13 @@ def _chain(space: FockSpace, factors, base=None) -> FockOperator:
 
 
 def memoized(A: FockOperator) -> FockOperator:
-    """A with its block results cached; the cache lives as long as the
-    returned operator."""
-    return FockOperator(A.space, A._action_fn, A._targets_fn, reach=A.reach,
-                        peak=A.peak, antilinear=A.antilinear,
-                        index_fn=A._index_fn)
+    """A keeping what action(), index() and targets() return for as long
+    as it lives: the one place an operator is given its caches."""
+    out = FockOperator(A.space, A._action_fn, A._targets_fn, reach=A.reach,
+                       peak=A.peak, antilinear=A.antilinear,
+                       index_fn=A._index_fn)
+    out._cache, out._index_cache, out._targets_cache = {}, {}, {}
+    return out
 
 
 def power_ladder(A: FockOperator, k_max: int) -> list:
@@ -465,8 +464,8 @@ def _word_map(space: FockSpace, tgt_sig, word_fn, reach: int = 0,
         rows = space.rows_of(tgt[0], word_fn(space.word_array(sig)))
         return tgt[0], rows, 1.0
 
-    return FockOperator(space, None, targets, reach=reach,
-                        antilinear=antilinear, index_fn=index)
+    return memoized(FockOperator(space, None, targets, reach=reach,
+                                 antilinear=antilinear, index_fn=index))
 
 
 def creation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -496,7 +495,7 @@ def annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
         return {tgt: space.annihilation_transfer(sig, ell)
                 for tgt in targets(sig)}
 
-    return FockOperator(space, act, targets, reach=-1, cache=False)
+    return FockOperator(space, act, targets, reach=-1)
 
 
 def right_annihilation_letter(space: FockSpace, ell: int) -> FockOperator:
@@ -684,8 +683,9 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     src_level_max (default: the full depth) by target block.  The
     adjoint's blocks out of a block conjugate each image into it by the
     two block Cholesky factors, solved when the block is first requested
-    and cached; a source's factor is taken once for as long as the
-    adjoint lives.  Narrow-alphabet models only.
+    and kept (the adjoint is memoized).  The adjoint owns its factor
+    memo: a source's factor is taken once for as long as the adjoint
+    lives.  Narrow-alphabet models only.
     """
     if A.antilinear:
         raise ValueError("deformed adjoint implemented for linear operators")
@@ -709,7 +709,7 @@ def q_adjoint(A: FockOperator, src_level_max: int | None = None) -> FockOperator
     def targets(sig):
         return (src for src, _ in by_tgt.get(tuple(sig), ()))
 
-    return FockOperator(A.space, act, targets, reach=reach)
+    return memoized(FockOperator(A.space, act, targets, reach=reach))
 
 
 def _orthonormal_block(M: np.ndarray, L_src: np.ndarray,
@@ -729,25 +729,6 @@ def _images(A: FockOperator, src) -> list:
         return list(A.action(src).items())
     ix = A.index(src)
     return [] if ix is None else [(ix[0], ix[1:])]
-
-
-def _orthonormal_images(A: FockOperator, src, chol) -> list:
-    """[(tgt, Mo)]: the blocks _images(A, src) of A out of block src,
-    evaluated here, in the orthonormal frames, targets in action order.
-    An index image (rows, s) is written out by _index_matrix, not read
-    through action(), so nothing lands in A's cache.  chol(sig) is the
-    block's factor, the caller's memo of gram_chol, asked only where
-    there is an image."""
-    images = _images(A, src)
-    if not images:
-        return []
-    L_src = chol(src)
-    out = []
-    for tgt, M in images:
-        if not isinstance(M, np.ndarray):
-            M = _index_matrix(A.space, (tgt, *M))
-        out.append((tgt, _orthonormal_block(M, L_src, chol(tgt))))
-    return out
 
 
 def _components(keys, edges) -> list:
@@ -773,20 +754,32 @@ def _components(keys, edges) -> list:
     return list(groups.values())
 
 
-def _frame_matrix(A: FockOperator, cols, rows, chol) -> np.ndarray:
-    """The blocks of A out of the source blocks cols in the orthonormal
-    frames (chol as in _orthonormal_images) and in one dense matrix:
-    block columns in the order of cols, block rows in the order of the
-    blocks in rows.  Each block is added into zeros, which turns a -0.0
-    into the +0.0 of an unwritten entry.  A source's images are
+def _frame_matrix(A: FockOperator, cols, rows) -> np.ndarray:
+    """The blocks of A out of the source blocks cols, rewritten in the
+    orthonormal frames of the Cholesky factors (_orthonormal_block), in
+    one dense matrix: block columns in the order of cols, block rows in
+    the order of the blocks in rows.  A source's images (_images) are
     evaluated, written and dropped before the next source's, so one
-    source's blocks are held at a time."""
-    col_off, ncol = _offsets(A.space, cols)
-    row_off, nrow = _offsets(A.space, rows)
+    source's blocks are held at a time; an index image (rows, s) is
+    written out by _index_matrix, so nothing lands in A's cache.  Each
+    block is added into zeros, which turns a -0.0 into the +0.0 of an
+    unwritten entry.
+
+    The matrix owns its factor memo: gram_chol is asked once for each
+    block with an image or a source of one, and the factors are dropped
+    on return."""
+    space = A.space
+    chol = functools.partial(_memo, {}, space.gram_chol)
+    col_off, ncol = _offsets(space, cols)
+    row_off, nrow = _offsets(space, rows)
     dense = np.zeros((nrow, ncol))
     for src in cols:
-        for tgt, Mo in _orthonormal_images(A, src, chol):
-            r0, c0 = row_off[tgt], col_off[src]
+        c0 = col_off[src]
+        for tgt, M in _images(A, src):
+            if not isinstance(M, np.ndarray):
+                M = _index_matrix(space, (tgt, *M))
+            Mo = _orthonormal_block(M, chol(src), chol(tgt))
+            r0 = row_off[tgt]
             dense[r0 : r0 + Mo.shape[0], c0 : c0 + Mo.shape[1]] += Mo
     return dense
 
@@ -819,7 +812,7 @@ def _pencil_matrix(A: FockOperator, srcs) -> tuple:
                     P = Mi.T @ GMj
                     P *= scale
                 else:
-                    P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
+                    P = space.unit_gram(tgt, Mi[0], Mj[0])
                     P *= scale * Mi[1] * Mj[1]
                 if K is None and len(srcs) == 1 and not dense:
                     P += 0.0
@@ -1001,8 +994,7 @@ def op_norm(A: FockOperator, src_level_max: int | None = None) -> float:
     tgts = dict.fromkeys(tgt for row in targets.values() for tgt in row)
     if max(_offsets(space, tgts)[1], window.width) > NORM_DENSE_LIMIT:
         return _pencil_norm(A, targets)
-    dense = _frame_matrix(A, window.blocks, tgts,
-                          functools.cache(space.gram_chol))
+    dense = _frame_matrix(A, window.blocks, tgts)
     return float(np.linalg.norm(dense, 2))
 
 
@@ -1012,13 +1004,14 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
     Decomposes the block graph, read from A.targets, into connected
     components and runs a dense SVD of each component's frame matrix,
     evaluating its sources only then; raises if a component is too
-    large.  Each block's factor is taken once per call."""
+    large.  Each block lies in one component, so its factor is taken
+    once per call, by that component's frame matrix, and each
+    component's factors go before the next component is built."""
     space = A.space
     if src_level_max is None:
         src_level_max = space.depth
     targets = {sig: A.targets(sig)
                for sig in Window(space, src_level_max).blocks}
-    chol = functools.cache(space.gram_chol)
     # blocks connected by their action's targets
     groups = _components(targets, [(sig, tgt) for sig, row in targets.items()
                                    for tgt in row])
@@ -1032,7 +1025,7 @@ def min_singular(A: FockOperator, src_level_max: int | None = None) -> float:
                 f"component around {sigs[0]} is {nrow}x{ncol}, too large "
                 f"for a dense smallest-singular-value computation"
             )
-        dense = _frame_matrix(A, sigs, rows, chol)
+        dense = _frame_matrix(A, sigs, rows)
         s = np.linalg.svd(dense, compute_uv=False)
         smallest = min(smallest, float(s.min()) if s.size else 0.0)
     return float(smallest)

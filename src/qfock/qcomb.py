@@ -66,14 +66,15 @@ def q_factorial(n: int, q: float) -> float:
     return out
 
 
-def _d_partial(j: int, q: float) -> float:
-    # d_j = prod_{i=1..j} (1 - q^i)
-    out = 1.0
+def _d_prefix(q: float, j_max: int) -> list[float]:
+    """[d_0, ..., d_j_max], d_j = prod_{i=1..j} (1 - q^i), as one
+    running product."""
+    ds = [1.0]
     p = 1.0
-    for _ in range(j):
+    for _ in range(j_max):
         p *= q
-        out *= 1.0 - p
-    return out
+        ds.append(ds[-1] * (1.0 - p))
+    return ds
 
 
 def q_binomial(n: int, k: int, q: float) -> float:
@@ -85,7 +86,8 @@ def q_binomial(n: int, k: int, q: float) -> float:
     _check_q(q)
     if k < 0 or k > n:
         return 0.0
-    return _d_partial(n, q) / (_d_partial(n - k, q) * _d_partial(k, q))
+    d = _d_prefix(q, n)
+    return d[n] / (d[n - k] * d[k])
 
 
 @dataclass
@@ -110,11 +112,7 @@ def d_family(q: float, j_max: int) -> DFamily:
     _check_q(q)
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
-    ds = [1.0]
-    p = 1.0
-    for _ in range(j_max):
-        p *= q
-        ds.append(ds[-1] * (1.0 - p))
+    ds = _d_prefix(q, j_max)
     if q == 0.0:
         return DFamily(q=q, d=ds, d_inf=1.0)
     # extend the product until the dropped factors are below _PRODUCT_TOL

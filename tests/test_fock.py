@@ -261,12 +261,12 @@ def test_packing_keeps_every_bit(q, cold_gram_caches, monkeypatch):
             assert not np.shares_memory(before, space._unit.block[sig])
             assert space.unit_gram(sig).tobytes() == G.tobytes()
             assert space.gram(sig).tobytes() == (u * G).tobytes()
-            whole = space.unit_gram_gather(sig, slice(None), slice(None))
+            whole = space.unit_gram(sig, slice(None), slice(None))
             assert whole.tobytes() == G.tobytes()
             paths = set()
             for r, c in _gather_indices(len(G), rng):
                 rebuilds.clear()
-                assert space.unit_gram_gather(sig, r, c).tobytes() \
+                assert space.unit_gram(sig, r, c).tobytes() \
                     == G[np.ix_(r, c)].tobytes()
                 paths.add(len(rebuilds))
             assert paths == {0, 1}, sig
@@ -312,7 +312,7 @@ def test_gram_reads_never_share_the_cache(cold_gram_caches):
     for factored in (False, True):
         for sig in blocks:
             reads = [space.unit_gram(sig), space.gram(sig),
-                     space.unit_gram_gather(sig, whole, whole)]
+                     space.unit_gram(sig, whole, whole)]
             assert (sig in space._unit.cond) is factored
             if factored:
                 reads.append(space.gram_chol(sig))

@@ -622,3 +622,46 @@ def test_moment_check_clamps_to_pairing_cap(sp_can):
     rep = limits.moment_check(sp_can, k_max=50)
     top = max(t for t, _ in rep.values)
     assert top <= PAIRING_CAP
+
+
+# -- empty inputs are refused by name -------------------------------------
+
+
+def test_certificate_refuses_empty_truncations():
+    with pytest.raises(ValueError, match="at least one depth in truncations"):
+        limits.invertibility_certificate(0.1, 0.15, truncations=())
+
+
+@pytest.mark.parametrize("kind, need", [
+    ("creation_powers", 2), ("wen_powers", 2), ("weew_powers", 4)])
+def test_boundedness_scan_refuses_a_space_without_steps(kind, need):
+    # one level below the first depth with a step n is refused; at that
+    # depth the scan runs its one step
+    with pytest.raises(ValueError, match=f"{kind}.*depth >= {need}, got "
+                                         f"depth {need - 1}"):
+        limits.boundedness_scan(build_space(q=0.3, lam=0.4, depth=need - 1),
+                                kind)
+    rep = limits.boundedness_scan(build_space(q=0.3, lam=0.4, depth=need),
+                                  kind)
+    assert [n for n, _ in rep.values] == [1]
+
+
+def test_t_limit_check_refuses_no_steps():
+    with pytest.raises(ValueError, match="n_max >= 1, got k_max = 0, n_max = 0 at depth 0"):
+        limits.t_limit_check(build_space(q=0.3, lam=0.4, depth=0))
+    with pytest.raises(ValueError, match="n_max = 0 at depth 6"):
+        limits.t_limit_check(build_space(q=0.3, lam=0.4, depth=6), n_max=0)
+    rep = limits.t_limit_check(build_space(q=0.3, lam=0.4, depth=1))
+    assert [n for n, _ in rep.values] == [1]
+
+
+def test_window_refuses_a_negative_level():
+    # a level above the depth is refused by blocks_at_level, one below 0
+    # by the window itself, so op_norm reads no empty window as 0.0
+    sp = build_space(q=0.3, lam=0.4, depth=4)
+    A = ops.creation_letter(sp, E)
+    with pytest.raises(ValueError, match="level_max must be >= 0, got -1"):
+        ops.op_norm(A, -1)
+    with pytest.raises(ValueError, match="level_max must be >= 0"):
+        ops.min_singular(A, -2)
+    assert ops.op_norm(A, 0) > 0.0

@@ -69,6 +69,27 @@ def test_q_binomial_counts_at_q_one_limit():
         assert got == pytest.approx(math.comb(n, k), rel=1e-6)
 
 
+def _d_partial(j: int, q: float) -> float:
+    """Oracle: d_j = prod_{i=1..j} (1 - q^i), one running product per j."""
+    out = 1.0
+    p = 1.0
+    for _ in range(j):
+        p *= q
+        out *= 1.0 - p
+    return out
+
+
+@pytest.mark.parametrize("q", [-0.9, -0.5, 0.0, 0.3, 0.8, 0.9])
+def test_q_binomial_matches_the_partial_product_oracle(q):
+    # one running product gives every d_j, bit for bit with the oracle,
+    # and so the same binomials and the same d_family
+    for n in range(15):
+        assert d_family(q, n).d == [_d_partial(j, q) for j in range(n + 1)]
+        for k in range(n + 1):
+            assert q_binomial(n, k, q) == _d_partial(n, q) \
+                / (_d_partial(n - k, q) * _d_partial(k, q))
+
+
 def test_d_family_partial_products():
     fam = d_family(0.5, j_max=3)
     assert fam.d[0] == 1.0

@@ -145,7 +145,7 @@ def _whole_window_pencil_norm(space, images):
                         P = Mi.T @ GMj
                         P *= scale
                     else:
-                        P = space.unit_gram_gather(tgt, Mi[0], Mj[0])
+                        P = space.unit_gram(tgt, Mi[0], Mj[0])
                         P *= scale * Mi[1] * Mj[1]
                     if K is None and len(srcs) == 1 and not dense:
                         P += 0.0

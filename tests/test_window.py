@@ -7,7 +7,6 @@ blocks that op_norm's assembly of an index operator no longer builds.
 op_norm's former route, a seeded ARPACK solve on the sparse
 orthonormal-frame matrix, is the oracle of its Gram-pencil path."""
 
-import functools
 import threading
 import tracemalloc
 import weakref
@@ -242,6 +241,40 @@ def test_stacked_images_match_oracle(sp):
         assert got[t].tobytes() == want[t].tobytes()
 
 
+@pytest.mark.parametrize("kept, make", [
+    (True, ops.identity),
+    (True, lambda s: ops.modular_delta(s, 0.5)),
+    (True, lambda s: ops.creation_letter(s, E)),
+    (True, ops.flip_unitary),
+    (True, lambda s: ops.modular_ops(s).S),
+    (True, lambda s: ops.right_creation_letter(s, E)),
+    (True, lambda s: ops.right_annihilation_letter(s, EBAR)),
+    (True, lambda s: ops.modular_ops(s).J),
+    (True, lambda s: ops.q_adjoint(ops.creation_letter(s, E), 3)),
+    (True, lambda s: ops.power_ladder(ops.annihilation_letter(s, E), 3)[2]),
+    (True, lambda s: ops.power_ladder(ops.creation_letter(s, E), 3)[3]),
+    (False, lambda s: ops.creation_letter(s, E) @ ops.creation_letter(s, E)),
+    (False, lambda s: ops.field(s, E)),
+    (False, lambda s: 2.0 * ops.creation_letter(s, E)),
+    (False, lambda s: ops.annihilation_letter(s, E)),
+    (False, ops.zero),
+    (False, lambda s: limits.s_infinity(s).op),
+], ids=["identity", "delta", "ce", "flip", "S", "right-c", "right-a", "J",
+        "adjoint", "rung-a2", "rung-c3", "product", "sum", "multiple",
+        "ae", "zero", "s_infinity"])
+def test_memoized_is_the_one_cache(sp, kept, make):
+    # the builders that keep results return memoized operators, whose
+    # three caches are dicts; every other operator keeps none of them
+    A = make(sp)
+    caches = (A._cache, A._index_cache, A._targets_cache)
+    if kept:
+        assert caches == ({}, {}, {})
+        A.action((1, 1))
+        assert (1, 1) in A._cache
+    else:
+        assert caches == (None, None, None)
+
+
 def test_window_streams_its_images(sp):
     # images are yielded one source at a time, and the series operator,
     # whose readers take each block once, caches none of its blocks
@@ -311,8 +344,7 @@ def _dense_assembly(A, level_max):
     window = ops.Window(A.space, level_max)
     tgts = dict.fromkeys(tgt for src in window.blocks
                          for tgt in A.targets(src))
-    return ops._frame_matrix(A, window.blocks, tgts,
-                             functools.cache(A.space.gram_chol))
+    return ops._frame_matrix(A, window.blocks, tgts)
 
 
 def test_op_norm_of_creation_powers_matches_oracle(sp, shared_space):
@@ -377,17 +409,21 @@ def test_index_blocks_keep_their_solve_columns(shared_space):
     # solve of s I on the source columns alone moved bits of block
     # (5, 6): OpenBLAS runs the last columns of a right-hand side, width
     # mod its unroll, in another kernel.)
+    # The frame matrix adds each block into zeros, so the block that
+    # action() gives is compared after "+ 0.0".
     space = shared_space(-0.5, 0.4, 12)
     for A in (ops.flip_unitary(space), ops.modular_ops(space).J):
         for sig in space.blocks_at_level(11):
-            got = ops._orthonormal_images(A, sig, space.gram_chol)
+            tgts = A.targets(sig)
+            got = ops._frame_matrix(A, [sig], tgts)
             assert not A._cache
             want = [(tgt, ops._orthonormal_block(M, space.gram_chol(sig),
-                                                 space.gram_chol(tgt)))
+                                                 space.gram_chol(tgt)) + 0.0)
                     for tgt, M in A.action(sig).items()]
-            assert [t for t, _ in got] == [t for t, _ in want]
-            assert all(g.tobytes() == w.tobytes()
-                       for (_, g), (_, w) in zip(got, want)), sig
+            assert list(tgts) == [t for t, _ in want]
+            row, _ = ops._offsets(space, tgts)
+            assert all(got[row[t]:row[t] + len(w)].tobytes() == w.tobytes()
+                       for t, w in want), sig
             A._cache.clear()
 
 
@@ -417,6 +453,22 @@ def _count_factors(space, monkeypatch) -> list:
     monkeypatch.setattr(space, "gram_chol",
                         lambda sig: calls.append(sig) or factor(sig))
     return calls
+
+
+def test_frame_matrix_factors_each_block_once(shared_space, monkeypatch):
+    # the field's window of levels <= 6 at depth 8: every source has an
+    # image, so each block of rows and cols is asked once; a level-0
+    # annihilation has no image, so the vacuum is asked only as a target
+    space = shared_space(0.3, 0.4, 8)
+    for A in (ops.field(space, E), ops.annihilation_letter(space, E)):
+        cols = ops.Window(space, 6).blocks
+        rows = dict.fromkeys(t for src in cols for t in A.targets(src))
+        calls = _count_factors(space, monkeypatch)
+        ops._frame_matrix(A, cols, rows)
+        needed = {s for s in cols if A.targets(s)} | set(rows)
+        assert sorted(calls) == sorted(needed)
+        monkeypatch.undo()
+    assert (0, 0) in rows and not A.targets((0, 0))
 
 
 def test_adjoint_factors_each_source_once(shared_space, monkeypatch):
